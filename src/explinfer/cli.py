@@ -3,10 +3,13 @@
 Subcommands:
     train       builder stages only; saves the target model and baseline
     explain     compute and dump explanations for the aux and eval splits
-    attack      run the attacks of one config and emit the report files
+    attack      same as experiment
     audit       correlation audit (sensitive attribute vs observables)
     serve       expose the target model through the blackbox HTTP API
     experiment  full matrix run: attacks + audit + report emission
+
+explain, audit, attack and experiment train each distinct target and compute
+each distinct explanation set once per invocation (pipeline.run_cells).
 
 Every subcommand takes a JSON experiment config; common flags override the
 config's output_dir, transport and seeds. Exit code 0 on success, 2 on a
@@ -69,9 +72,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    for cfg in _load_cells(args):
-        prep = pipeline.prepare(cfg)
-        aux_pack, eval_pack = pipeline.compute_explanations(prep)
+    for prep, aux_pack, eval_pack in pipeline.run_cells(_load_cells(args)):
+        cfg = prep.cfg
         os.makedirs(cfg.output_dir, exist_ok=True)
         for name, (attrs, _), ds in (
             ("aux", aux_pack, prep.splits.aux),
@@ -85,32 +87,14 @@ def _cmd_explain(args) -> int:
     return 0
 
 
-def _cmd_attack(args) -> int:
-    cells = _load_cells(args)
-    report = pipeline.merge_reports([pipeline.run_experiment(c) for c in cells])
-    files = pipeline.emit_report(report, cells[0].output_dir)
-    for cell in report.rows:
-        print(f"{cell.dataset} {cell.threat_model} {cell.explainer} "
-              f"{cell.surface}: P={cell.precision:.3f} R={cell.recall:.3f} "
-              f"F1={cell.f1:.3f} (tau*={cell.tau_star:.3f})")
-    print(f"report -> {files['report']}")
-    return 0
-
-
 def _cmd_audit(args) -> int:
     cells = _load_cells(args)
-    rows = []
-    for cfg in cells:
-        rows.extend(pipeline.run_correlation_audit(cfg))
+    rows = [row for prep, aux_pack, eval_pack in pipeline.run_cells(cells)
+            for row in pipeline.correlation_audit(prep, aux_pack[0], eval_pack[0])]
     out_dir = cells[0].output_dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "correlations.csv")
-    lines = [",".join(pipeline.CORRELATION_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(
-            pipeline._fmt(getattr(row, c)) for c in pipeline.CORRELATION_COLUMNS))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    pipeline.write_rows(path, pipeline.CORRELATION_COLUMNS, rows)
     for row in rows:
         print(f"{row.threat_model} {row.explainer} s~{row.group}: "
               f"{row.mean_r:+.3f} +/- {row.std_r:.3f} over {row.n_columns} columns")
@@ -135,7 +119,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cells = _load_cells(args)
-    report = pipeline.merge_reports([pipeline.run_experiment(c) for c in cells])
+    report = pipeline.merge_reports(pipeline.run_matrix(cells))
     files = pipeline.emit_report(report, cells[0].output_dir)
     for cell in report.rows:
         print(f"{cell.dataset} {cell.threat_model} {cell.explainer} "
@@ -161,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_explain)
 
-    p = sub.add_parser("attack", help="train the attack and emit report files")
+    p = sub.add_parser("attack", help="same as experiment")
     _add_common(p)
-    p.set_defaults(func=_cmd_attack)
+    p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("audit", help="correlation audit of s vs observables")
     _add_common(p)

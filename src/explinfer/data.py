@@ -66,12 +66,6 @@ class TabularSchema:
     def feature_names(self) -> list[str]:
         return [n for n, _ in self.columns]
 
-    def kind_of(self, name: str) -> str:
-        for n, k in self.columns:
-            if n == name:
-                return k
-        raise KeyError(name)
-
     @classmethod
     def from_json(cls, path: str) -> "TabularSchema":
         with open(path, encoding="utf-8") as fh:
@@ -262,9 +256,6 @@ class TabularDataset:
     @property
     def n_columns(self) -> int:
         return self.features.shape[1]
-
-    def sensitive_columns(self, sensitive_name: str) -> list[int]:
-        return self.column_groups.get(sensitive_name, [])
 
     def take(self, indices) -> "TabularDataset":
         idx = np.asarray(indices, dtype=np.int64)

@@ -100,10 +100,18 @@ def _check_pair(model: MlpModel, x, baseline):
     return x, b
 
 
-def _residual(model, x, base, scores, target) -> float:
-    fx = nn.forward(model, x, target)
-    fb = nn.forward(model, base, target)
-    return fx - fb - float(np.sum(scores))
+def _attribution(algorithm, model, x, base, scores, target, fb) -> Attribution:
+    """scores plus delta = f(x) - f(base) - sum(scores); fb, when given, is
+    f(base) computed once by the caller."""
+    if fb is None:
+        fb = nn.forward(model, base, target)
+    return Attribution(
+        algorithm=algorithm,
+        scores=scores,
+        delta=nn.forward(model, x, target) - fb - float(np.sum(scores)),
+        target=target,
+        baseline_id=baseline_id(base),
+    )
 
 
 def integrated_gradients(
@@ -112,6 +120,7 @@ def integrated_gradients(
     baseline,
     cfg: ExplainerConfig,
     target: ScalarTarget = ScalarTarget.LOGIT,
+    fb: float | None = None,
 ) -> Attribution:
     """Path-integral attribution along the straight line baseline -> x.
 
@@ -124,13 +133,8 @@ def integrated_gradients(
     points = base[None, :] + alphas[:, None] * (x - base)[None, :]
     grads = nn.input_gradient_batch(model, points, target)
     scores = grads.mean(axis=0) * (x - base)
-    return Attribution(
-        algorithm=Algorithm.INTEGRATED_GRADIENTS,
-        scores=scores,
-        delta=_residual(model, x, base, scores, target),
-        target=target,
-        baseline_id=baseline_id(base),
-    )
+    return _attribution(Algorithm.INTEGRATED_GRADIENTS, model, x, base, scores,
+                        target, fb)
 
 
 def _rescale_relu(z: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
@@ -146,6 +150,7 @@ def deeplift(
     x,
     baseline,
     target: ScalarTarget = ScalarTarget.LOGIT,
+    fb: float | None = None,
 ) -> Attribution:
     """Rescale-rule attribution of the output difference against the baseline.
 
@@ -182,13 +187,7 @@ def deeplift(
     for i in range(len(model.weights) - 2, -1, -1):
         m = (m * _rescale_relu(zs[i], zs_ref[i])) @ model.weights[i]
     scores = m * (x - base)
-    return Attribution(
-        algorithm=Algorithm.DEEPLIFT,
-        scores=scores,
-        delta=_residual(model, x, base, scores, target),
-        target=target,
-        baseline_id=baseline_id(base),
-    )
+    return _attribution(Algorithm.DEEPLIFT, model, x, base, scores, target, fb)
 
 
 def gradient_shap(
@@ -198,6 +197,7 @@ def gradient_shap(
     cfg: ExplainerConfig,
     target: ScalarTarget = ScalarTarget.LOGIT,
     record_id: int | None = None,
+    fb: float | None = None,
 ) -> Attribution:
     """Expected-gradient attribution with Gaussian input smoothing.
 
@@ -213,13 +213,7 @@ def gradient_shap(
     points = base[None, :] + alphas * (noisy - base[None, :])
     grads = nn.input_gradient_batch(model, points, target)
     scores = grads.mean(axis=0) * (x - base)
-    return Attribution(
-        algorithm=Algorithm.GRADIENT_SHAP,
-        scores=scores,
-        delta=_residual(model, x, base, scores, target),
-        target=target,
-        baseline_id=baseline_id(base),
-    )
+    return _attribution(Algorithm.GRADIENT_SHAP, model, x, base, scores, target, fb)
 
 
 def smoothgrad(
@@ -229,6 +223,7 @@ def smoothgrad(
     cfg: ExplainerConfig,
     target: ScalarTarget = ScalarTarget.LOGIT,
     record_id: int | None = None,
+    fb: float | None = None,
 ) -> Attribution:
     """Average gradient over Gaussian-perturbed copies of x.
 
@@ -240,13 +235,7 @@ def smoothgrad(
     n = cfg.smoothgrad_samples
     points = x[None, :] + rng.normal(0.0, cfg.smoothgrad_sigma, size=(n, len(x)))
     scores = nn.input_gradient_batch(model, points, target).mean(axis=0)
-    return Attribution(
-        algorithm=Algorithm.SMOOTHGRAD,
-        scores=scores,
-        delta=_residual(model, x, base, scores, target),
-        target=target,
-        baseline_id=baseline_id(base),
-    )
+    return _attribution(Algorithm.SMOOTHGRAD, model, x, base, scores, target, fb)
 
 
 def explain_record(
@@ -257,16 +246,18 @@ def explain_record(
     cfg: ExplainerConfig,
     target: ScalarTarget = ScalarTarget.LOGIT,
     record_id: int | None = None,
+    fb: float | None = None,
 ) -> Attribution:
-    """Dispatch a single record to the requested algorithm."""
+    """Dispatch a single record to the requested algorithm; fb, when given,
+    is f(baseline)."""
     if algorithm is Algorithm.INTEGRATED_GRADIENTS:
-        return integrated_gradients(model, x, baseline, cfg, target)
+        return integrated_gradients(model, x, baseline, cfg, target, fb)
     if algorithm is Algorithm.DEEPLIFT:
-        return deeplift(model, x, baseline, target)
+        return deeplift(model, x, baseline, target, fb)
     if algorithm is Algorithm.GRADIENT_SHAP:
-        return gradient_shap(model, x, baseline, cfg, target, record_id)
+        return gradient_shap(model, x, baseline, cfg, target, record_id, fb)
     if algorithm is Algorithm.SMOOTHGRAD:
-        return smoothgrad(model, x, baseline, cfg, target, record_id)
+        return smoothgrad(model, x, baseline, cfg, target, record_id, fb)
     raise ValueError(f"unknown algorithm: {algorithm}")
 
 
@@ -279,15 +270,18 @@ def explain_batch(
     target: ScalarTarget = ScalarTarget.LOGIT,
     record_ids=None,
 ) -> list[Attribution]:
-    """Explain every row of X; record_ids seed the per-record noise streams."""
+    """Explain every row of X; record_ids seed the per-record noise streams.
+    f(baseline) is evaluated once for the whole batch."""
     X = np.asarray(X, dtype=np.float64)
     if record_ids is None:
         record_ids = range(X.shape[0])
     record_ids = [int(r) for r in record_ids]
     if len(record_ids) != X.shape[0]:
         raise ValueError("record_ids must match the number of rows")
+    fb = nn.forward(model, baseline, target) if record_ids else None
     return [
-        explain_record(model, X[i], baseline, algorithm, cfg, target, record_ids[i])
+        explain_record(model, X[i], baseline, algorithm, cfg, target,
+                       record_ids[i], fb)
         for i in range(X.shape[0])
     ]
 

@@ -17,6 +17,7 @@ training and threshold calibration never see an eval-split record.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
@@ -112,6 +113,12 @@ class ExperimentConfig:
             seed=self.explainer_seed,
         )
 
+    @property
+    def needs_predictions(self) -> bool:
+        return any(s in (AttackSurface.PRED_PLUS_PHI, AttackSurface.PRED_ONLY)
+                   for s in self.surface_list)
+
+
 def load_config(path: str) -> list[ExperimentConfig]:
     """Read a config file; list-valued matrix fields expand to one config
     per cell."""
@@ -121,8 +128,6 @@ def load_config(path: str) -> list[ExperimentConfig]:
 
 
 def expand_matrix(raw: dict) -> list[ExperimentConfig]:
-    import dataclasses
-
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(raw) - known
     if unknown:
@@ -280,10 +285,7 @@ def compute_explanations(prep: _Prepared):
     """Explanations (and predictions) for aux and eval via the configured
     transport."""
     cfg = prep.cfg
-    need_preds = any(
-        s in (AttackSurface.PRED_PLUS_PHI, AttackSurface.PRED_ONLY)
-        for s in cfg.surface_list
-    )
+    need_preds = cfg.needs_predictions
     out = {}
     try:
         for name, ds in (("aux", prep.splits.aux), ("eval", prep.splits.eval)):
@@ -419,43 +421,66 @@ def correlation_audit(prep: _Prepared, attrs_aux, attrs_eval) -> list[Correlatio
     return rows
 
 
+# config fields that determine a prepared target and, added to those, its
+# explanations; run_cells compares their JSON text (lists are unhashable)
+PREPARE_KEY = ("dataset_csv", "schema", "threat_model", "split_seed", "model_seed",
+               "target_hidden", "target_epochs", "target_learning_rate",
+               "target_batch_size")
+EXPLAIN_KEY = ("explainer", "explainer_seed", "ig_steps", "shap_samples", "shap_stdev",
+               "smoothgrad_samples", "smoothgrad_sigma", "explanation_target",
+               "transport", "needs_predictions")
+
+
+def run_cells(cells: list[ExperimentConfig]):
+    """Yield (prepared, aux pack, eval pack) for each cell, in order.
+
+    Within one call each distinct target is prepared once and each distinct
+    explanation set computed once (keyed by PREPARE_KEY and EXPLAIN_KEY);
+    every cell gets the shared artifacts rebound to its own config."""
+    prepared, packs = {}, {}
+    for cfg in cells:
+        pkey = tuple(json.dumps(getattr(cfg, n)) for n in PREPARE_KEY)
+        if pkey not in prepared:
+            prepared[pkey] = prepare(cfg)
+        prep = dataclasses.replace(prepared[pkey], cfg=cfg)
+        ekey = pkey + tuple(json.dumps(getattr(cfg, n)) for n in EXPLAIN_KEY)
+        if ekey not in packs:
+            packs[ekey] = compute_explanations(prep)
+        yield (prep, *packs[ekey])
+
+
+def run_matrix(cells: list[ExperimentConfig]) -> list[AttackReport]:
+    """Execute every cell end to end, one report per cell."""
+    reports = []
+    for prep, aux_pack, eval_pack in run_cells(cells):
+        cfg, splits = prep.cfg, prep.splits
+        rows = run_attacks(prep, aux_pack, eval_pack)
+        correlations = (correlation_audit(prep, aux_pack[0], eval_pack[0])
+                        if cfg.run_audit else [])
+        manifest = {
+            "config": _config_dict(cfg),
+            "dataset": {
+                "rows_after_filtering": int(splits.target_train.n_rows
+                                            + splits.aux.n_rows + splits.eval.n_rows),
+                "rows_dropped_missing": prep.n_dropped_missing,
+                "unknown_category_values": prep.unknown_categories,
+                "train_rows": splits.target_train.n_rows,
+                "aux_rows": splits.aux.n_rows,
+                "eval_rows": splits.eval.n_rows,
+                "encoded_columns": splits.target_train.n_columns,
+            },
+            "target_test_accuracy": prep.test_accuracy,
+        }
+        reports.append(AttackReport(rows, correlations, manifest))
+    return reports
+
+
 def run_experiment(cfg: ExperimentConfig) -> AttackReport:
     """Execute one experiment cell end to end."""
-    prep = prepare(cfg)
-    aux_pack, eval_pack = compute_explanations(prep)
-    cells = run_attacks(prep, aux_pack, eval_pack)
-    correlations = (
-        correlation_audit(prep, aux_pack[0], eval_pack[0]) if cfg.run_audit else []
-    )
-    manifest = {
-        "config": _config_dict(cfg),
-        "dataset": {
-            "rows_after_filtering": int(
-                prep.splits.target_train.n_rows
-                + prep.splits.aux.n_rows
-                + prep.splits.eval.n_rows),
-            "rows_dropped_missing": prep.n_dropped_missing,
-            "unknown_category_values": prep.unknown_categories,
-            "train_rows": prep.splits.target_train.n_rows,
-            "aux_rows": prep.splits.aux.n_rows,
-            "eval_rows": prep.splits.eval.n_rows,
-            "encoded_columns": prep.splits.target_train.n_columns,
-        },
-        "target_test_accuracy": prep.test_accuracy,
-    }
-    return AttackReport(rows=cells, correlations=correlations, manifest=manifest)
-
-
-def run_correlation_audit(cfg: ExperimentConfig) -> list[CorrelationRow]:
-    """Builder stages + explanations, then only the correlation audit."""
-    prep = prepare(cfg)
-    aux_pack, eval_pack = compute_explanations(prep)
-    return correlation_audit(prep, aux_pack[0], eval_pack[0])
+    return run_matrix([cfg])[0]
 
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
-    import dataclasses
-
     return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
 
 
@@ -485,6 +510,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def write_rows(path: str, columns: list[str], rows) -> None:
+    """CSV with a header line and one line per row object."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_fmt(getattr(row, c)) for c in columns))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def emit_report(report: AttackReport, directory: str) -> dict:
     """Write report.csv, correlations.csv, PR-curve and prediction dumps and
     the manifest; returns the file map. Re-emitting the same report yields
@@ -492,21 +526,10 @@ def emit_report(report: AttackReport, directory: str) -> dict:
     os.makedirs(directory, exist_ok=True)
     files = {}
 
-    rows_path = os.path.join(directory, "report.csv")
-    lines = [",".join(REPORT_COLUMNS)]
-    for cell in report.rows:
-        lines.append(",".join(_fmt(getattr(cell, c)) for c in REPORT_COLUMNS))
-    with open(rows_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    files["report"] = rows_path
-
-    corr_path = os.path.join(directory, "correlations.csv")
-    lines = [",".join(CORRELATION_COLUMNS)]
-    for row in report.correlations:
-        lines.append(",".join(_fmt(getattr(row, c)) for c in CORRELATION_COLUMNS))
-    with open(corr_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    files["correlations"] = corr_path
+    files["report"] = os.path.join(directory, "report.csv")
+    write_rows(files["report"], REPORT_COLUMNS, report.rows)
+    files["correlations"] = os.path.join(directory, "correlations.csv")
+    write_rows(files["correlations"], CORRELATION_COLUMNS, report.correlations)
 
     curve_files, dump_files = [], []
     for cell in report.rows:

@@ -10,11 +10,13 @@ The server exposes the trained model strictly through JSON-over-HTTP:
                                                              "delta": d}
     GET  /v1/health                                      -> {"status": "ok"}
 
-Errors come back as {"error": message} with 400 for malformed JSON or an
-unknown algorithm, 422 for dimension mismatches, 404/405 otherwise. Floats
-are serialized with round-trip-safe precision, so a remote explanation is
-bit-identical to the in-process one for the same record_id. Without a
-record_id the server draws fresh noise for the stochastic algorithms.
+Errors come back as {"error": message} with 400 for malformed JSON, a
+negative or non-integer Content-Length, an unknown algorithm or a record_id
+that is not a nonnegative integer, 422 for dimension mismatches, 404/405
+otherwise. Floats are serialized with round-trip-safe precision, so a
+remote explanation is bit-identical to the in-process one for the same
+record_id. Without a record_id the server draws fresh noise for the
+stochastic algorithms.
 
 No endpoint exposes parameters, architecture or training data.
 """
@@ -77,7 +79,8 @@ class _Endpoints:
         except ValueError:
             raise _HttpError(400, f"unknown algorithm {raw_alg!r}")
         record_id = body.get("record_id")
-        if record_id is not None and (not isinstance(record_id, int) or record_id < 0):
+        # exact type: bool is an int subclass, but true is not a record id
+        if record_id is not None and (type(record_id) is not int or record_id < 0):
             raise _HttpError(400, "record_id must be a nonnegative integer")
         if record_id is None:
             with self._rng_lock:
@@ -106,6 +109,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -117,9 +122,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = self.headers.get("Content-Length", "0")
+            if not (length.isascii() and length.isdigit()):
+                self.close_connection = True  # the body's end is unknown
+                raise _HttpError(400, "Content-Length must be a nonnegative integer")
             try:
-                body = json.loads(self.rfile.read(length).decode("utf-8"))
+                body = json.loads(self.rfile.read(int(length)).decode("utf-8"))
                 if not isinstance(body, dict):
                     raise ValueError("body must be a JSON object")
             except (ValueError, UnicodeDecodeError) as exc:

@@ -313,11 +313,15 @@ class TestReproducibility:
         model, X = small_trained_net
         base = explain.mean_baseline(X)
         cfg = ExplainerConfig(seed=12)
-        batch = explain.explain_batch(
-            model, X[:4], base, Algorithm.SMOOTHGRAD, cfg, record_ids=[10, 11, 12, 13])
-        for i, rid in enumerate([10, 11, 12, 13]):
-            single = explain.smoothgrad(model, X[i], base, cfg, record_id=rid)
-            assert np.array_equal(batch[i].scores, single.scores)
+        for algorithm in Algorithm:
+            batch = explain.explain_batch(
+                model, X[:4], base, algorithm, cfg, record_ids=[10, 11, 12, 13])
+            for i, rid in enumerate([10, 11, 12, 13]):
+                single = explain.explain_record(
+                    model, X[i], base, algorithm, cfg, record_id=rid)
+                assert np.array_equal(batch[i].scores, single.scores)
+                # f(baseline) evaluated once per batch is the same float
+                assert batch[i].delta == single.delta
 
 
 class TestAttributionFile:

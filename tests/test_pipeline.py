@@ -151,6 +151,12 @@ class TestRunExperiment:
             assert row.f1 > row.baseline_f1
 
 
+def audit(cfg):
+    """The correlation audit of one cell, as the audit subcommand runs it."""
+    prep, aux_pack, eval_pack = next(pipeline.run_cells([cfg]))
+    return pipeline.correlation_audit(prep, aux_pack[0], eval_pack[0])
+
+
 class TestCorrelationAudit:
     def test_feature_identical_to_s(self, tmp_path):
         # x0 carries s verbatim; the only other feature is constant
@@ -176,7 +182,7 @@ class TestCorrelationAudit:
             threat_model="tm2", surfaces=["phi_non_sensitive"],
             target_hidden=[8], target_epochs=20, target_batch_size=16,
             ig_steps=8, output_dir=str(tmp_path / "out"))
-        rows = pipeline.run_correlation_audit(cfg)
+        rows = audit(cfg)
         x_row = next(r for r in rows if r.group == "x")
         assert x_row.n_columns == 1           # constant x1 skipped
         assert x_row.skipped_constant == 1
@@ -205,13 +211,70 @@ class TestCorrelationAudit:
             threat_model="tm2", surfaces=["phi_non_sensitive"],
             target_hidden=[8], target_epochs=20, target_batch_size=32,
             ig_steps=8, output_dir=str(tmp_path / "out"))
-        rows = pipeline.run_correlation_audit(cfg)
+        rows = audit(cfg)
         n_records = 90  # aux + eval of a 300-row dataset
         bound = 4.0 / np.sqrt(n_records)
         for row in rows:
             if row.group in ("x", "phi_non_sensitive"):
                 assert abs(row.mean_r) <= bound
                 assert row.std_r <= bound
+
+
+def count_calls(monkeypatch, *names):
+    """Replace pipeline functions with counting wrappers; returns the counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _original=getattr(pipeline, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+class TestStageReuse:
+    def matrix(self, synth_paths, out_dir):
+        # 2 explainers x 2 attack kinds, in expand_matrix order
+        return [fast_config(synth_paths, out_dir, explainer=e, attack_kind=k,
+                            surfaces=["phi_all", "pred_plus_phi"],
+                            forest_trees=10)
+                for e in ("deeplift", "smoothgrad") for k in ("mlp", "forest")]
+
+    def test_matrix_prepares_once_and_explains_per_explainer(
+            self, synth_paths, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, "prepare", "compute_explanations")
+        reports = pipeline.run_matrix(self.matrix(synth_paths, str(tmp_path)))
+        assert calls == {"prepare": 1, "compute_explanations": 2}
+        kinds = [{r.attack_kind for r in rep.rows} for rep in reports]
+        assert kinds == [{"mlp"}, {"forest"}, {"mlp"}, {"forest"}]
+
+    def test_matrix_report_bytes_match_cells_run_alone(self, synth_paths, tmp_path):
+        cells = self.matrix(synth_paths, str(tmp_path / "cfg"))
+        shared, alone = str(tmp_path / "shared"), str(tmp_path / "alone")
+        pipeline.emit_report(
+            pipeline.merge_reports(pipeline.run_matrix(cells)), shared)
+        pipeline.emit_report(
+            pipeline.merge_reports([pipeline.run_experiment(c) for c in cells]),
+            alone)
+        assert sorted(os.listdir(shared)) == sorted(os.listdir(alone))
+        for name in ("report.csv", "summary.json", "correlations.csv",
+                     "manifest.json", *os.listdir(shared)):
+            with open(os.path.join(shared, name), "rb") as fa:
+                with open(os.path.join(alone, name), "rb") as fb:
+                    assert fa.read() == fb.read(), name
+
+    @pytest.mark.parametrize("field,values", [("model_seed", (1, 2)),
+                                              ("threat_model", ("tm1", "tm2"))])
+    def test_cells_with_distinct_targets_do_not_share(
+            self, synth_paths, tmp_path, monkeypatch, field, values):
+        calls = count_calls(monkeypatch, "prepare")
+        cells = [fast_config(synth_paths, str(tmp_path),
+                             surfaces=["phi_non_sensitive"], **{field: v})
+                 for v in values]
+        first, second = [prep for prep, *_ in pipeline.run_cells(cells)]
+        assert calls == {"prepare": 2}
+        assert first.model is not second.model
+        assert (first.cfg, second.cfg) == tuple(cells)
+        assert not np.array_equal(first.model.weights[0], second.model.weights[0])
 
 
 class TestEmitReport:

@@ -1,4 +1,5 @@
 import json
+import socket
 import urllib.request
 
 import numpy as np
@@ -39,6 +40,16 @@ def post_raw(url, data: bytes):
         return exc.code, json.loads(exc.read().decode())
 
 
+def post_with_length(server, length: str, body: bytes) -> int:
+    """POST with a hand-written Content-Length header; returns the status.
+    The socket timeout turns a server that never answers into a failure."""
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(b"POST /v1/predict HTTP/1.1\r\nHost: localhost\r\n"
+                     b"Content-Length: " + length.encode() + b"\r\n\r\n" + body)
+        status_line = sock.makefile("rb").readline()
+    return int(status_line.split()[1])
+
+
 class TestEndpoints:
     def test_health(self, running_server):
         server, *_ = running_server
@@ -74,6 +85,22 @@ class TestEndpoints:
             json.dumps({"features": [float(v) for v in X[0]],
                         "algorithm": "lime"}).encode())
         assert status == 400
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5"])
+    def test_bad_content_length_is_400(self, running_server, length):
+        server, *_ = running_server
+        assert post_with_length(server, length, b"{}") == 400
+
+    @pytest.mark.parametrize("record_id", [-1, "7", 1.5, True])
+    def test_bad_record_id_is_400(self, running_server, record_id):
+        server, _, _, _, X = running_server
+        status, body = post_raw(
+            server.url + "/v1/explain",
+            json.dumps({"features": [float(v) for v in X[0]],
+                        "algorithm": "smoothgrad",
+                        "record_id": record_id}).encode())
+        assert status == 400
+        assert "record_id" in body["error"]
 
     def test_unknown_path_is_404(self, running_server):
         server, *_ = running_server
