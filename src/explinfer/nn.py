@@ -188,6 +188,11 @@ def forward(model: MlpModel, x, target: ScalarTarget = ScalarTarget.PROBABILITY)
     return float(forward_batch(model, x[None, :], target)[0])
 
 
+def forward_rows(model: MlpModel, X) -> np.ndarray:
+    """Probability of each row alone; forward_batch may differ in the last bits."""
+    return np.array([forward(model, x) for x in X], dtype=np.float64)
+
+
 def input_gradient_batch(model: MlpModel, X, target: ScalarTarget = ScalarTarget.LOGIT) -> np.ndarray:
     """Gradient of the selected scalar w.r.t. each row of X, shape (n, d)."""
     X = _check_matrix(X)

@@ -274,13 +274,6 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
     )
 
 
-def _predict_records(model: nn.MlpModel, X: np.ndarray) -> np.ndarray:
-    # one record per forward pass: identical floats to the served endpoint
-    return np.array(
-        [nn.forward(model, X[i], ScalarTarget.PROBABILITY) for i in range(X.shape[0])]
-    )
-
-
 def compute_explanations(prep: _Prepared):
     """Explanations (and predictions) for aux and eval via the configured
     transport."""
@@ -294,7 +287,7 @@ def compute_explanations(prep: _Prepared):
                     prep.model, ds.features, prep.baseline, cfg.algorithm,
                     cfg.explainer_config, cfg.scalar_target,
                     record_ids=ds.row_ids)
-                preds = _predict_records(prep.model, ds.features) if need_preds else None
+                preds = nn.forward_rows(prep.model, ds.features) if need_preds else None
             else:
                 attrs = service.client_fetch_explanations(
                     cfg.transport, ds.features, cfg.algorithm,
