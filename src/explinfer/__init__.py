@@ -8,12 +8,11 @@ calibration.
 """
 
 from .attack import (AttackModel, AttackSurface, CalibratedThreshold,
-                     ThreatModel, build_surface, calibrate, infer, score,
-                     train_attack)
+                     ThreatModel, build_surface, calibrate, score, train_attack)
 from .data import DatasetSplits, TabularDataset, TabularSchema, encode, load_csv, split
 from .explain import (Algorithm, Attribution, ExplainerConfig, deeplift,
                       gradient_shap, integrated_gradients, mean_baseline,
-                      restrict, smoothgrad, to_attack_vector)
+                      smoothgrad, to_attack_vector)
 from .metrics import ConfusionCounts, PrCurve, confusion, f1, pearson, pr_curve, precision, recall
 from .nn import (MlpModel, ScalarTarget, TrainConfig, evaluate_accuracy,
                  forward, init_model, input_gradient, train)
@@ -28,8 +27,8 @@ __all__ = [
     "ScalarTarget", "TabularDataset", "TabularSchema", "ThreatModel",
     "TrainConfig", "build_surface", "calibrate", "confusion", "deeplift",
     "emit_report", "encode", "evaluate_accuracy", "f1", "forward",
-    "gradient_shap", "infer", "init_model", "input_gradient",
+    "gradient_shap", "init_model", "input_gradient",
     "integrated_gradients", "load_csv", "mean_baseline", "pearson",
-    "pr_curve", "precision", "recall", "restrict", "run_experiment", "score",
+    "pr_curve", "precision", "recall", "run_experiment", "score",
     "smoothgrad", "split", "to_attack_vector", "train", "train_attack",
 ]

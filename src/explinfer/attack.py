@@ -179,11 +179,6 @@ def calibrate(model: AttackModel, aux_features, aux_s) -> CalibratedThreshold:
     return calibrate_scores(score(model, aux_features), aux_s)
 
 
-def infer(model: AttackModel, threshold: CalibratedThreshold, features) -> np.ndarray:
-    """Predicted sensitive values: 1 iff score >= tau_star."""
-    return (score(model, features) >= threshold.tau_star).astype(np.float64)
-
-
 def save_attack_model(model: AttackModel, path: str) -> None:
     arrays = {"kind": np.array(model.kind), "input_dim": np.array(model.input_dim)}
     if model.kind == "mlp":

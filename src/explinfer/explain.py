@@ -291,16 +291,6 @@ def to_attack_vector(a: Attribution) -> np.ndarray:
     return np.concatenate([a.scores, [a.delta]])
 
 
-def restrict(a: Attribution, columns) -> np.ndarray:
-    """Sub-vector of scores at the given column indices (delta excluded)."""
-    cols = np.asarray(list(columns), dtype=np.int64)
-    if cols.size and (cols.min() < 0 or cols.max() >= len(a.scores)):
-        raise IndexError(
-            f"column index out of range for {len(a.scores)} scores"
-        )
-    return a.scores[cols]
-
-
 def write_attributions(path: str, attributions: list[Attribution], record_ids) -> None:
     """One row per record: id, algorithm, target, delta, then the scores.
 

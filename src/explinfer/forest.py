@@ -38,40 +38,30 @@ class ForestModel:
 
 
 def _best_split(X, y, rows, features, min_leaf):
-    """Lowest weighted-Gini split over the candidate features.
-
-    Returns (cost, feature, threshold) or None when no feature admits a
-    split honoring min_leaf.
-    """
+    """Lowest weighted-Gini split over the candidate features, scoring every
+    (cut, candidate) pair at once. Ties go to the first candidate, then to
+    the first cut, as in a feature-by-feature scan that takes only a strictly
+    lower cost. Returns (cost, feature, threshold) or None when no feature
+    admits a split honoring min_leaf."""
     n = len(rows)
-    best = None
-    for f in features:
-        v = X[rows, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        if vs[0] == vs[-1]:
-            continue
-        ys = y[rows][order]
-        cum_pos = np.cumsum(ys)
-        total_pos = cum_pos[-1]
-        ln = np.arange(1, n)  # size of the left child at each cut
-        rn = n - ln
-        cut_ok = vs[1:] != vs[:-1]
-        size_ok = (ln >= min_leaf) & (rn >= min_leaf)
-        valid = cut_ok & size_ok
-        if not np.any(valid):
-            continue
-        lp = cum_pos[:-1]
-        rp = total_pos - lp
-        with np.errstate(invalid="ignore"):
-            gini_l = 2.0 * (lp / ln) * (1.0 - lp / ln)
-            gini_r = 2.0 * (rp / rn) * (1.0 - rp / rn)
-        cost = (ln * gini_l + rn * gini_r) / n
-        cost = np.where(valid, cost, np.inf)
-        i = int(np.argmin(cost))
-        if best is None or cost[i] < best[0]:
-            best = (float(cost[i]), int(f), float((vs[i] + vs[i + 1]) / 2.0))
-    return best
+    v = X[np.ix_(rows, features)]
+    order = np.argsort(v, axis=0, kind="stable")
+    vs = np.take_along_axis(v, order, axis=0)
+    cum_pos = np.cumsum(y[rows][order], axis=0)
+    ln = np.arange(1, n)[:, None]  # size of the left child at each cut
+    rn = n - ln
+    lp = cum_pos[:-1]
+    rp = cum_pos[-1] - lp
+    gini_l = 2.0 * (lp / ln) * (1.0 - lp / ln)
+    gini_r = 2.0 * (rp / rn) * (1.0 - rp / rn)
+    cost = (ln * gini_l + rn * gini_r) / n
+    valid = (vs[1:] != vs[:-1]) & (ln >= min_leaf) & (rn >= min_leaf)
+    cost[~valid] = np.inf
+    j, i = divmod(int(np.argmin(cost.T)), n - 1)  # feature-major
+    if cost[i, j] == np.inf:
+        return None
+    return (float(cost[i, j]), int(features[j]),
+            float((vs[i, j] + vs[i + 1, j]) / 2.0))
 
 
 def _grow_tree(X, y, rows, rng, max_depth, min_leaf, n_sub):

@@ -18,6 +18,8 @@ from enum import Enum
 
 import numpy as np
 
+ADAM_BLOCK = 32768  # elements per Adam block: its p, g, m, v and scratch stay in cache
+
 
 class ScalarTarget(Enum):
     """Which scalar output of the model is evaluated/differentiated.
@@ -77,10 +79,6 @@ class MlpModel:
     @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
-
-    @property
-    def n_hidden(self) -> int:
-        return len(self.layer_dims) - 2
 
     def copy(self) -> "MlpModel":
         return MlpModel(
@@ -146,22 +144,20 @@ def init_model(layer_dims: list[int], seed: int) -> MlpModel:
 
 
 def _forward_parts(model: MlpModel, X: np.ndarray):
-    """Run the network on a batch, keeping hidden activations and ReLU masks.
+    """Run the network on a batch, keeping the input of every layer.
 
-    Returns (activations, masks, logits) where activations[i] is the input to
-    layer i, masks[i] the ReLU mask of hidden layer i, logits shape (n,).
+    Returns (activations, logits) where activations[i] is the input to layer
+    i, so activations[i + 1] > 0 is the ReLU mask of hidden layer i, and
+    logits has shape (n,).
     """
     activations = [X]
-    masks = []
-    a = X
-    for i in range(len(model.weights) - 1):
-        z = a @ model.weights[i].T + model.biases[i]
-        mask = z > 0
-        a = np.where(mask, z, 0.0)
-        activations.append(a)
-        masks.append(mask)
-    logits = a @ model.weights[-1].T + model.biases[-1]
-    return activations, masks, logits[:, 0]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = activations[-1] @ w.T
+        z += b
+        # ReLU in place: np.where(z > 0, z, 0.0), save that z = -0.0 may stay -0.0
+        activations.append(np.fmax(z, 0.0, out=z))
+    logits = activations[-1] @ model.weights[-1].T + model.biases[-1]
+    return activations, logits[:, 0]
 
 
 def logits_batch(model: MlpModel, X) -> np.ndarray:
@@ -170,7 +166,7 @@ def logits_batch(model: MlpModel, X) -> np.ndarray:
         raise ValueError(
             f"features have {X.shape[1]} columns, model expects {model.input_dim}"
         )
-    _, _, logits = _forward_parts(model, X)
+    _, logits = _forward_parts(model, X)
     return logits
 
 
@@ -200,11 +196,11 @@ def input_gradient_batch(model: MlpModel, X, target: ScalarTarget = ScalarTarget
         raise ValueError(
             f"features have {X.shape[1]} columns, model expects {model.input_dim}"
         )
-    _, masks, logits = _forward_parts(model, X)
+    activations, logits = _forward_parts(model, X)
     n = X.shape[0]
     g = np.repeat(model.weights[-1], n, axis=0)
     for i in range(len(model.weights) - 2, -1, -1):
-        g = (g * masks[i]) @ model.weights[i]
+        g = (g * (activations[i + 1] > 0)) @ model.weights[i]
     if target is ScalarTarget.PROBABILITY:
         p = _sigmoid(logits)
         g = g * (p * (1.0 - p))[:, None]
@@ -223,21 +219,53 @@ def _bce_loss(logits: np.ndarray, y: np.ndarray) -> float:
         return float(np.mean(np.logaddexp(0.0, logits) - y * logits))
 
 
-def _param_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray):
-    """Mean binary cross-entropy loss and its gradients for one batch."""
-    activations, masks, logits = _forward_parts(model, X)
-    n = X.shape[0]
+def _param_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray,
+                     grads_w: list[np.ndarray], grads_b: list[np.ndarray]) -> float:
+    """Mean binary cross-entropy loss of one batch; its gradients are written
+    into grads_w and grads_b."""
+    activations, logits = _forward_parts(model, X)
     loss = _bce_loss(logits, y)
-    dz = ((_sigmoid(logits) - y) / n)[:, None]
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.weights)
-    g = dz
+    g = ((_sigmoid(logits) - y) / X.shape[0])[:, None]
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = g.T @ activations[i]
-        grads_b[i] = g.sum(axis=0)
+        np.matmul(g.T, activations[i], out=grads_w[i])
+        np.sum(g, axis=0, out=grads_b[i])
         if i > 0:
-            g = (g @ model.weights[i]) * masks[i - 1]
-    return loss, grads_w, grads_b
+            g = g @ model.weights[i]
+            g *= activations[i] > 0
+    return loss
+
+
+def _flat_views(buf: np.ndarray, model: MlpModel) -> tuple[list, list]:
+    """Views shaped like the model's weights and biases into a flat buffer."""
+    shapes = [a.shape for wb in zip(model.weights, model.biases) for a in wb]
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    views = [buf[e - math.prod(s):e].reshape(s) for s, e in zip(shapes, ends)]
+    return views[0::2], views[1::2]
+
+
+def _adam_step(p, g, m, v, t: int, cfg: TrainConfig, s1, s2) -> None:
+    """Adam step t, in place, ADAM_BLOCK elements at a time with scratch s1
+    and s2: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, then
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps), each in this operation order."""
+    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.learning_rate
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    for lo in range(0, p.size, ADAM_BLOCK):
+        pb, gb, mb, vb = (x[lo:lo + ADAM_BLOCK] for x in (p, g, m, v))
+        a, d = s1[:pb.size], s2[:pb.size]
+        mb *= b1
+        np.multiply(gb, 1 - b1, out=a)
+        mb += a
+        vb *= b2
+        np.multiply(gb, gb, out=a)
+        a *= 1 - b2
+        vb += a
+        np.divide(mb, c1, out=a)
+        a *= lr
+        np.divide(vb, c2, out=d)
+        np.sqrt(d, out=d)
+        d += eps
+        a /= d
+        pb -= a
 
 
 def train(model: MlpModel, features, labels, cfg: TrainConfig) -> MlpModel:
@@ -264,34 +292,27 @@ def train(model: MlpModel, features, labels, cfg: TrainConfig) -> MlpModel:
     if cfg.epochs == 0:
         return out
 
+    # parameters, gradients and both Adam moments in four flat buffers
+    p = np.concatenate([a.ravel() for wb in zip(out.weights, out.biases) for a in wb])
+    g, m, v = np.zeros_like(p), np.zeros_like(p), np.zeros_like(p)
+    out.weights, out.biases = _flat_views(p, out)
+    grads_w, grads_b = _flat_views(g, out)
+    s1, s2 = np.empty(min(p.size, ADAM_BLOCK)), np.empty(min(p.size, ADAM_BLOCK))
     rng = np.random.default_rng(cfg.seed)
-    m_w = [np.zeros_like(w) for w in out.weights]
-    v_w = [np.zeros_like(w) for w in out.weights]
-    m_b = [np.zeros_like(b) for b in out.biases]
-    v_b = [np.zeros_like(b) for b in out.biases]
-    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.learning_rate
     t = 0
     n = X.shape[0]
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            loss, gw, gb = _param_gradients(out, X[idx], y[idx])
+            loss = _param_gradients(out, X[idx], y[idx], grads_w, grads_b)
             if not math.isfinite(loss):
                 raise TrainingDivergence(
                     f"non-finite training loss at epoch {epoch}, step {t}"
                 )
             t += 1
-            c1 = 1.0 - b1**t
-            c2 = 1.0 - b2**t
-            for i in range(len(out.weights)):
-                m_w[i] = b1 * m_w[i] + (1 - b1) * gw[i]
-                v_w[i] = b2 * v_w[i] + (1 - b2) * gw[i] ** 2
-                out.weights[i] -= lr * (m_w[i] / c1) / (np.sqrt(v_w[i] / c2) + eps)
-                m_b[i] = b1 * m_b[i] + (1 - b1) * gb[i]
-                v_b[i] = b2 * v_b[i] + (1 - b2) * gb[i] ** 2
-                out.biases[i] -= lr * (m_b[i] / c1) / (np.sqrt(v_b[i] / c2) + eps)
-    return out
+            _adam_step(p, g, m, v, t, cfg, s1, s2)
+    return out.copy()  # own contiguous arrays, not views of p
 
 
 def evaluate_accuracy(model: MlpModel, features, labels) -> float:

@@ -43,6 +43,7 @@ from .nn import MlpModel, ScalarTarget, forward_rows
 
 CHUNK_RECORDS = 256  # records per request sent by the client
 MAX_BODY_BYTES = 16 * 2**20  # a chunk of 100-feature records is about 0.7 MB
+POLL_SECONDS = 0.05  # serve_forever's poll, which bounds how long shutdown() waits
 
 
 class ServiceError(RuntimeError):
@@ -69,15 +70,17 @@ class _Endpoints:
             raise _HttpError(400, "body must contain a 'features' or a nonempty 'records' list")
         X = np.empty((len(rows), self.model.input_dim))
         for i, row in enumerate(rows):
-            try:
-                x = np.asarray(row, dtype=np.float64)
-                ok = x.shape == X.shape[1:] and bool(np.all(np.isfinite(x)))
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
+            # exact types: np.asarray would also take "1" and true as numbers
+            ok = (isinstance(row, list) and len(row) == X.shape[1]
+                  and all(type(v) in (int, float) for v in row))
+            if ok:
+                try:
+                    X[i] = row
+                except OverflowError:  # an integer beyond the float range
+                    ok = False
+            if not (ok and np.all(np.isfinite(X[i]))):
                 where = f"records[{i}]" if batch else "features"
                 raise _HttpError(422, f"{where} must be {X.shape[1]} finite numbers")
-            X[i] = x
         return X, batch
 
     def _record_ids(self, body: dict, n: int, batch: bool) -> list[int]:
@@ -226,11 +229,12 @@ def serve(
     httpd.daemon_threads = True
     if block:
         try:
-            httpd.serve_forever()
+            httpd.serve_forever(POLL_SECONDS)
         finally:
             httpd.server_close()
         return None
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread = threading.Thread(target=httpd.serve_forever, args=(POLL_SECONDS,),
+                              daemon=True)
     thread.start()
     return ExplanationServer(httpd, thread)
 

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from explinfer import attack, forest, metrics, nn
 from explinfer.attack import (AttackSurface, SurfaceError, ThreatModel,
-                              build_surface, calibrate, infer, score,
-                              train_attack)
+                              build_surface, calibrate, score, train_attack)
 from explinfer.explain import Algorithm, Attribution
 
 
@@ -111,6 +110,34 @@ class TestTrainAttack:
                          kind="svm")
 
 
+def per_feature_best_split(X, y, rows, features, min_leaf):
+    """Split search one candidate feature at a time: a later feature wins
+    only with a strictly lower cost, and argmin takes the first cut."""
+    n = len(rows)
+    best = None
+    for f in features:
+        v = X[rows, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        if vs[0] == vs[-1]:
+            continue
+        cum_pos = np.cumsum(y[rows][order])
+        ln = np.arange(1, n)
+        rn = n - ln
+        valid = (vs[1:] != vs[:-1]) & (ln >= min_leaf) & (rn >= min_leaf)
+        if not np.any(valid):
+            continue
+        lp = cum_pos[:-1]
+        rp = cum_pos[-1] - lp
+        gini_l = 2.0 * (lp / ln) * (1.0 - lp / ln)
+        gini_r = 2.0 * (rp / rn) * (1.0 - rp / rn)
+        cost = np.where(valid, (ln * gini_l + rn * gini_r) / n, np.inf)
+        i = int(np.argmin(cost))
+        if best is None or cost[i] < best[0]:
+            best = (float(cost[i]), int(f), float((vs[i] + vs[i + 1]) / 2.0))
+    return best
+
+
 class TestForest:
     def test_scores_match_independent_traversal(self):
         rng = np.random.default_rng(12)
@@ -159,6 +186,28 @@ class TestForest:
                         node = tree.right[node]
                 leaf_counts[node] = leaf_counts.get(node, 0) + 1
             assert min(leaf_counts.values()) >= 5
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 80), d=st.integers(1, 12),
+           levels=st.integers(1, 4), min_leaf=st.integers(1, 5),
+           max_depth=st.sampled_from([2, 6, 150]))
+    def test_bit_identical_to_per_feature_split_search(
+            self, seed, n, d, levels, min_leaf, max_depth):
+        # few distinct values give tied values and tied costs; column 0 is constant
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, levels, size=(n, d)).astype(float)
+        X[:, 0] = 1.0
+        s = (rng.random(n) < 0.4).astype(float)
+        kw = dict(n_trees=4, max_depth=max_depth, min_leaf=min_leaf, seed=seed)
+        got = forest.fit_forest(X, s, **kw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "_best_split", per_feature_best_split)
+            want = forest.fit_forest(X, s, **kw)
+        for tg, tw in zip(got.trees, want.trees):
+            for field in ("feature", "threshold", "left", "right", "value"):
+                a, b = getattr(tg, field), getattr(tw, field)
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes(), field
 
 
 class TestScore:
@@ -224,6 +273,8 @@ class TestCalibrate:
 
 
 class TestInfer:
+    """The pipeline's decision rule: s = 1 iff score >= tau_star."""
+
     def make_forest_model(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(60, 2))
@@ -234,12 +285,12 @@ class TestInfer:
         model, X, s = self.make_forest_model()
         thr = attack.CalibratedThreshold(0.5, 0.0, "c", None)
         sc = score(model, X)
-        assert np.array_equal(infer(model, thr, X), (sc >= 0.5).astype(float))
+        assert np.array_equal(sc >= thr.tau_star, sc >= 0.5)
 
     def test_zero_threshold_all_positive(self):
         model, X, _ = self.make_forest_model()
         thr = attack.CalibratedThreshold(0.0, 0.0, "c", None)
-        assert np.all(infer(model, thr, X) == 1.0)
+        assert np.all(score(model, X) >= thr.tau_star)
 
     def test_raising_tau_never_adds_positives(self):
         model, X, _ = self.make_forest_model()
@@ -247,7 +298,7 @@ class TestInfer:
         counts = []
         for tau in np.linspace(0, 1, 21):
             thr = attack.CalibratedThreshold(float(tau), 0.0, "c", None)
-            counts.append(int(infer(model, thr, X).sum()))
+            counts.append(int(np.sum(sc >= thr.tau_star)))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 

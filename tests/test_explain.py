@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from explinfer import explain, nn
+from explinfer.attack import AttackSurface, build_surface
 from explinfer.explain import Algorithm, Attribution, ExplainerConfig
 from explinfer.nn import ScalarTarget
 
@@ -266,27 +267,34 @@ class TestAttackVector:
 
 
 class TestRestrict:
+    """Scores restricted to a column group, as the attack surfaces take them."""
+
+    @staticmethod
+    def restrict(a, columns, surface=AttackSurface.PHI_SENSITIVE):
+        return build_surface(a, None, surface, {"s": columns}, "s")
+
     def test_all_columns(self):
         a = Attribution(Algorithm.SMOOTHGRAD, np.array([1.0, 2.0, 3.0]), 0.0,
                         None, "b")
-        assert np.array_equal(explain.restrict(a, [0, 1, 2]), a.scores)
+        assert np.array_equal(self.restrict(a, [0, 1, 2]), a.scores)
 
     def test_subset(self):
         a = Attribution(Algorithm.SMOOTHGRAD, np.array([1.0, 2.0, 3.0]), 0.0,
                         None, "b")
-        assert np.array_equal(explain.restrict(a, [1]), np.array([2.0]))
+        assert np.array_equal(self.restrict(a, [1]), np.array([2.0]))
 
     def test_partition(self):
         scores = np.array([5.0, -2.0, 7.0, 1.0])
-        a = Attribution(Algorithm.DEEPLIFT, scores, 0.0, None, "b")
-        left = explain.restrict(a, [0, 2])
-        right = explain.restrict(a, [1, 3])
-        assert sorted(np.concatenate([left, right])) == sorted(scores)
+        a = Attribution(Algorithm.DEEPLIFT, scores, 0.5, None, "b")
+        left = self.restrict(a, [0, 2])
+        right = self.restrict(a, [0, 2], AttackSurface.PHI_NON_SENSITIVE)
+        assert right[-1] == a.delta
+        assert sorted(np.concatenate([left, right[:-1]])) == sorted(scores)
 
     def test_out_of_range(self):
         a = Attribution(Algorithm.DEEPLIFT, np.array([1.0]), 0.0, None, "b")
         with pytest.raises(IndexError):
-            explain.restrict(a, [1])
+            self.restrict(a, [1])
 
 
 class TestReproducibility:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from explinfer import nn
 from explinfer.nn import MlpModel, ScalarTarget, TrainConfig, TrainingDivergence
@@ -55,6 +57,54 @@ def min_abs_preactivation(model, x):
     return worst
 
 
+def textbook_train(model, X, y, cfg):
+    """Adam on binary cross-entropy as a plain loop: a list of arrays per
+    parameter and moment, and a fresh array for every operation."""
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.learning_rate
+    rng = np.random.default_rng(cfg.seed)
+    t = 0
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            Xb, yb = X[idx], y[idx]
+            activations, masks, a = [Xb], [], Xb
+            for w, b in zip(weights[:-1], biases[:-1]):
+                z = a @ w.T + b
+                masks.append(z > 0)
+                a = np.where(masks[-1], z, 0.0)
+                activations.append(a)
+            logits = (a @ weights[-1].T + biases[-1])[:, 0]
+            g = ((nn._sigmoid(logits) - yb) / Xb.shape[0])[:, None]
+            gw, gb = [None] * len(weights), [None] * len(weights)
+            for i in range(len(weights) - 1, -1, -1):
+                gw[i] = g.T @ activations[i]
+                gb[i] = g.sum(axis=0)
+                if i > 0:
+                    g = (g @ weights[i]) * masks[i - 1]
+            t += 1
+            c1 = 1.0 - b1**t
+            c2 = 1.0 - b2**t
+            for i in range(len(weights)):
+                m_w[i] = b1 * m_w[i] + (1 - b1) * gw[i]
+                v_w[i] = b2 * v_w[i] + (1 - b2) * gw[i] ** 2
+                weights[i] -= lr * (m_w[i] / c1) / (np.sqrt(v_w[i] / c2) + eps)
+                m_b[i] = b1 * m_b[i] + (1 - b1) * gb[i]
+                v_b[i] = b2 * v_b[i] + (1 - b2) * gb[i] ** 2
+                biases[i] -= lr * (m_b[i] / c1) / (np.sqrt(v_b[i] / c2) + eps)
+    return weights, biases
+
+
+# a [3, BLOCK_WIDE, BLOCK_WIDE, 1] net has more than ADAM_BLOCK parameters
+BLOCK_WIDE = math.isqrt(nn.ADAM_BLOCK) + 1
+
+
 class TestInitModel:
     def test_same_seed_identical(self):
         a = nn.init_model([3, 1], seed=7)
@@ -80,7 +130,6 @@ class TestInitModel:
 
     def test_four_hidden_layer_stack(self):
         m = nn.init_model([14, 1024, 512, 256, 128, 1], seed=1)
-        assert m.n_hidden == 4
         assert [w.shape for w in m.weights] == [
             (1024, 14), (512, 1024), (256, 512), (128, 256), (1, 128)]
         assert [len(b) for b in m.biases] == [1024, 512, 256, 128, 1]
@@ -221,10 +270,32 @@ class TestTrain:
     def test_loss_decreases(self):
         X, y = self.separable_data(100, seed=7)
         m = nn.init_model([2, 6, 1], seed=3)
-        loss0, _, _ = nn._param_gradients(m, X, y)
+        loss0 = nn._bce_loss(nn.logits_batch(m, X), y)
         trained = nn.train(m, X, y, TrainConfig(epochs=10, seed=0, batch_size=25))
-        loss1, _, _ = nn._param_gradients(trained, X, y)
+        loss1 = nn._bce_loss(nn.logits_batch(trained, X), y)
         assert loss1 < loss0
+
+    @settings(deadline=None, max_examples=30)
+    @given(hidden=st.lists(st.integers(1, 9), max_size=3),
+           n=st.integers(1, 40), batch_size=st.integers(1, 50),
+           epochs=st.integers(1, 3), seed=st.integers(0, 2**16))
+    @example(hidden=[], n=30, batch_size=8, epochs=2, seed=1)  # no hidden layer
+    @example(hidden=[5, 3], n=20, batch_size=50, epochs=3, seed=2)  # batch > n
+    @example(hidden=[4], n=12, batch_size=1, epochs=2, seed=3)  # batch of one
+    @example(hidden=[BLOCK_WIDE, BLOCK_WIDE], n=40, batch_size=16, epochs=2, seed=4)
+    def test_bit_identical_to_textbook_loop(self, hidden, n, batch_size, epochs, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 3))
+        y = (rng.random(n) < 0.5).astype(float)
+        m = nn.init_model([3, *hidden, 1], seed=seed)
+        cfg = TrainConfig(epochs=epochs, learning_rate=1e-2, batch_size=batch_size,
+                          seed=seed)
+        trained = nn.train(m, X, y, cfg)
+        weights, biases = textbook_train(m, X, y, cfg)
+        for got, want in zip(trained.weights + trained.biases, weights + biases):
+            assert got.shape == want.shape
+            assert got.flags.c_contiguous and got.flags.owndata
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_shape_mismatch(self):
         m = nn.init_model([2, 1], seed=0)

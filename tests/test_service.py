@@ -99,6 +99,19 @@ class TestEndpoints:
         assert status == 422
         assert "error" in body
 
+    @pytest.mark.parametrize("features", [["1", 2, 3, 4], [True, 0.0, 0.0, 0.0],
+                                          [10**400, 0.0, 0.0, 0.0]])
+    @pytest.mark.parametrize("path,fields", [("/v1/predict", {}),
+                                             ("/v1/explain", {"algorithm": "deeplift"})])
+    def test_features_that_are_not_numbers_are_422(self, running_server, path, fields,
+                                                   features):
+        # json numbers arrive as int or float; a string, a bool or an int
+        # beyond the float range is not a feature value
+        server, *_ = running_server
+        status, body = post_json(server, path, {"features": features, **fields})
+        assert status == 422
+        assert "features" in body["error"]
+
     def test_malformed_json_is_400(self, running_server):
         server, *_ = running_server
         status, body = post_raw(server.url + "/v1/predict", b"{not json")
@@ -246,6 +259,15 @@ class TestClient:
         assert service.fetch_health(server.url) is False
 
 
+def test_idle_server_shuts_down_within_its_poll(small_trained_net_module):
+    model, X = small_trained_net_module
+    server = service.serve(model, explain.mean_baseline(X), ExplainerConfig())
+    time.sleep(0.02)  # serve_forever is now inside its first poll
+    start = time.perf_counter()
+    server.shutdown()
+    assert time.perf_counter() - start < 0.25  # serve_forever's default poll is 0.5 s
+
+
 class TestConcurrency:
     def test_parallel_requests(self, running_server):
         import concurrent.futures
@@ -270,7 +292,9 @@ class TestBatchContract:
         assert "record_id" in body["error"]
 
     @pytest.mark.parametrize("bad_row", [[1.0], ["x", 1.0, 2.0, 3.0],
-                                         [float("inf"), 0.0, 0.0, 0.0], 5.0])
+                                         [float("inf"), 0.0, 0.0, 0.0], 5.0,
+                                         ["1", 2, 3, 4], [True, 0.0, 0.0, 0.0],
+                                         [10**400, 0.0, 0.0, 0.0]])
     @pytest.mark.parametrize("path,fields", [("/v1/predict", {}),
                                              ("/v1/explain", {"algorithm": "deeplift"})])
     def test_bad_row_is_422_naming_its_index(self, running_server, path, fields, bad_row):
