@@ -10,12 +10,11 @@ calibration.
 from .attack import (AttackModel, AttackSurface, CalibratedThreshold,
                      ThreatModel, build_surface, calibrate, score, train_attack)
 from .data import DatasetSplits, TabularDataset, TabularSchema, encode, load_csv, split
-from .explain import (Algorithm, Attribution, ExplainerConfig, deeplift,
-                      gradient_shap, integrated_gradients, mean_baseline,
-                      smoothgrad, to_attack_vector)
+from .explain import (Algorithm, Attribution, ExplainerConfig, explain_batch,
+                      mean_baseline, to_attack_vector)
 from .metrics import ConfusionCounts, PrCurve, confusion, f1, pearson, pr_curve, precision, recall
 from .nn import (MlpModel, ScalarTarget, TrainConfig, evaluate_accuracy,
-                 forward, init_model, input_gradient, train)
+                 forward, init_model, input_gradient_batch, train)
 from .pipeline import AttackReport, ExperimentConfig, emit_report, run_experiment
 
 __version__ = "0.1.0"
@@ -25,10 +24,9 @@ __all__ = [
     "CalibratedThreshold", "ConfusionCounts", "DatasetSplits",
     "ExperimentConfig", "ExplainerConfig", "MlpModel", "PrCurve",
     "ScalarTarget", "TabularDataset", "TabularSchema", "ThreatModel",
-    "TrainConfig", "build_surface", "calibrate", "confusion", "deeplift",
-    "emit_report", "encode", "evaluate_accuracy", "f1", "forward",
-    "gradient_shap", "init_model", "input_gradient",
-    "integrated_gradients", "load_csv", "mean_baseline", "pearson",
-    "pr_curve", "precision", "recall", "run_experiment", "score",
-    "smoothgrad", "split", "to_attack_vector", "train", "train_attack",
+    "TrainConfig", "build_surface", "calibrate", "confusion", "emit_report",
+    "encode", "evaluate_accuracy", "explain_batch", "f1", "forward",
+    "init_model", "input_gradient_batch", "load_csv", "mean_baseline",
+    "pearson", "pr_curve", "precision", "recall", "run_experiment", "score",
+    "split", "to_attack_vector", "train", "train_attack",
 ]

@@ -1,6 +1,6 @@
 """Attribute-based explanations of the binary classifier.
 
-Four algorithms produce a per-feature score vector phi for one input record
+Four algorithms produce a per-feature score vector phi for each input record
 against a baseline (here conventionally the column-mean of the training
 inputs), plus a signed completeness residual
 
@@ -11,9 +11,14 @@ exact) completeness, so delta measures approximation error. SmoothGrad has
 no such guarantee; its delta is recorded with the same formula purely for
 uniformity of the attack vector.
 
-Stochastic explainers draw all noise from a generator derived from
-(config seed, record id), so serial, parallel and remote executions of the
-same record agree bit-for-bit.
+explain_batch is the one entry point, and a single record is a batch of one.
+A record's m gradient points are one slice of a stacked (k, m, d) input, and
+every layer runs as one stacked matmul, which numpy computes as one gemm per
+slice with the shape a lone record's call has. So a record's scores and
+delta never depend on how many records share a call or how they are chunked.
+Stochastic explainers draw all noise from a generator derived from (config
+seed, record id), so serial, parallel and remote executions of the same
+record agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ from . import nn
 from .nn import MlpModel, ScalarTarget
 
 # below this preactivation difference the DeepLift rescale ratio is replaced
-# by the ReLU derivative to avoid near-zero division
+# by the derivative of the unit to avoid near-zero division
 RESCALE_EPSILON = 1e-7
+GRAD_ROWS = 256  # gradient rows per stacked call: a chunk's ReLU masks stay small
 
 
 class Algorithm(Enum):
@@ -73,9 +79,7 @@ def baseline_id(baseline: np.ndarray) -> str:
     return hashlib.sha1(np.ascontiguousarray(baseline).tobytes()).hexdigest()[:12]
 
 
-def _rng(seed: int, record_id: int | None) -> np.random.Generator:
-    if record_id is None:
-        return np.random.default_rng([int(seed)])
+def _rng(seed: int, record_id: int) -> np.random.Generator:
     if record_id < 0:
         raise ValueError("record_id must be a nonnegative integer")
     return np.random.default_rng([int(seed), int(record_id)])
@@ -89,175 +93,102 @@ def mean_baseline(features) -> np.ndarray:
     return X.mean(axis=0)
 
 
-def _check_pair(model: MlpModel, x, baseline):
-    x = np.asarray(x, dtype=np.float64)
-    b = np.asarray(baseline, dtype=np.float64)
-    if x.shape != (model.input_dim,) or b.shape != (model.input_dim,):
-        raise ValueError(
-            f"input and baseline must both have length {model.input_dim}, "
-            f"got {x.shape} and {b.shape}"
-        )
-    return x, b
-
-
-def _attribution(algorithm, model, x, base, scores, target, fb) -> Attribution:
-    """scores plus delta = f(x) - f(base) - sum(scores); fb, when given, is
-    f(base) computed once by the caller."""
-    if fb is None:
-        fb = nn.forward(model, base, target)
-    return Attribution(
-        algorithm=algorithm,
-        scores=scores,
-        delta=nn.forward(model, x, target) - fb - float(np.sum(scores)),
-        target=target,
-        baseline_id=baseline_id(base),
-    )
-
-
-def integrated_gradients(
-    model: MlpModel,
-    x,
-    baseline,
-    cfg: ExplainerConfig,
-    target: ScalarTarget = ScalarTarget.LOGIT,
-    fb: float | None = None,
-) -> Attribution:
+def _integrated_gradients(model, X, base, cfg, target, ids) -> np.ndarray:
     """Path-integral attribution along the straight line baseline -> x.
 
     The integral of the gradient over the path is approximated by a midpoint
     Riemann sum over cfg.ig_steps points and multiplied elementwise by
     (x - baseline).
     """
-    x, base = _check_pair(model, x, baseline)
     alphas = (np.arange(cfg.ig_steps) + 0.5) / cfg.ig_steps
-    points = base[None, :] + alphas[:, None] * (x - base)[None, :]
-    grads = nn.input_gradient_batch(model, points, target)
-    scores = grads.mean(axis=0) * (x - base)
-    return _attribution(Algorithm.INTEGRATED_GRADIENTS, model, x, base, scores,
-                        target, fb)
+    points = base + alphas[:, None] * (X - base)[:, None, :]
+    return nn.input_gradient_batch(model, points, target).mean(axis=1) * (X - base)
 
 
-def _rescale_relu(z: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
+def _relu(z: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0)
+
+
+def _rescale(z, z_ref, f, slope) -> np.ndarray:
+    """Rescale-rule multipliers of the unit f: (f(z) - f(z_ref)) / (z - z_ref),
+    or slope where |z - z_ref| is at most RESCALE_EPSILON."""
     dz = z - z_ref
     use_ratio = np.abs(dz) > RESCALE_EPSILON
-    safe = np.where(use_ratio, dz, 1.0)
-    ratio = (np.maximum(z, 0.0) - np.maximum(z_ref, 0.0)) / safe
-    return np.where(use_ratio, ratio, (z > 0).astype(np.float64))
+    ratio = (f(z) - f(z_ref)) / np.where(use_ratio, dz, 1.0)
+    return np.where(use_ratio, ratio, slope)
 
 
-def deeplift(
-    model: MlpModel,
-    x,
-    baseline,
-    target: ScalarTarget = ScalarTarget.LOGIT,
-    fb: float | None = None,
-) -> Attribution:
+def _deeplift(model, X, base, cfg, target, ids) -> np.ndarray:
     """Rescale-rule attribution of the output difference against the baseline.
 
     Linear layers pass multipliers through their weights; each ReLU unit uses
     the ratio of its activation difference to its preactivation difference
     (or the ReLU derivative when that difference is below RESCALE_EPSILON).
     The scores sum to f(x) - f(baseline) up to float rounding; delta records
-    the residual.
+    the residual. The baseline pass runs once per chunk.
     """
-    x, base = _check_pair(model, x, baseline)
-    # preactivations of every layer for the input and the baseline
+    # preactivations of every layer: (k, 1, width) for X, (width,) for the baseline
     zs, zs_ref = [], []
-    a, a_ref = x, base
+    a, a_ref = X[:, None, :], base
     for w, b in zip(model.weights, model.biases):
-        z = w @ a + b
-        z_ref = w @ a_ref + b
-        zs.append(z)
-        zs_ref.append(z_ref)
-        a = np.maximum(z, 0.0)
-        a_ref = np.maximum(z_ref, 0.0)
+        zs.append(a @ w.T + b)
+        zs_ref.append(w @ a_ref + b)
+        a, a_ref = _relu(zs[-1]), _relu(zs_ref[-1])
 
+    m = model.weights[-1][0]
     if target is ScalarTarget.PROBABILITY:
         # the sigmoid head is a nonlinearity of its own; same rescale rule
-        dz = zs[-1][0] - zs_ref[-1][0]
-        if abs(dz) > RESCALE_EPSILON:
-            mult = (nn._sigmoid(zs[-1])[0] - nn._sigmoid(zs_ref[-1])[0]) / dz
-        else:
-            p = nn._sigmoid(zs[-1])[0]
-            mult = p * (1.0 - p)
-        m = model.weights[-1][0] * mult
-    else:
-        m = model.weights[-1][0].copy()
-
+        p = nn._sigmoid(zs[-1])
+        m = m * _rescale(zs[-1], zs_ref[-1], nn._sigmoid, p * (1.0 - p))
     for i in range(len(model.weights) - 2, -1, -1):
-        m = (m * _rescale_relu(zs[i], zs_ref[i])) @ model.weights[i]
-    scores = m * (x - base)
-    return _attribution(Algorithm.DEEPLIFT, model, x, base, scores, target, fb)
+        slope = (zs[i] > 0).astype(np.float64)
+        m = (m * _rescale(zs[i], zs_ref[i], _relu, slope)) @ model.weights[i]
+    return (m * (X - base)[:, None, :])[:, 0]
 
 
-def gradient_shap(
-    model: MlpModel,
-    x,
-    baseline,
-    cfg: ExplainerConfig,
-    target: ScalarTarget = ScalarTarget.LOGIT,
-    record_id: int | None = None,
-    fb: float | None = None,
-) -> Attribution:
+def _gradient_shap(model, X, base, cfg, target, ids) -> np.ndarray:
     """Expected-gradient attribution with Gaussian input smoothing.
 
     Each sample adds N(0, shap_stdev^2) noise to x, picks alpha uniform in
     [0, 1], evaluates the gradient at baseline + alpha * (noisy_x - baseline)
     and weights it by (x - baseline). Scores are the sample mean.
     """
-    x, base = _check_pair(model, x, baseline)
-    rng = _rng(cfg.seed, record_id)
     n = cfg.shap_samples
-    noisy = x[None, :] + rng.normal(0.0, cfg.shap_stdev, size=(n, len(x)))
-    alphas = rng.uniform(0.0, 1.0, size=(n, 1))
-    points = base[None, :] + alphas * (noisy - base[None, :])
-    grads = nn.input_gradient_batch(model, points, target)
-    scores = grads.mean(axis=0) * (x - base)
-    return _attribution(Algorithm.GRADIENT_SHAP, model, x, base, scores, target, fb)
+    points = np.empty((len(X), n, X.shape[1]))
+    for x, rid, out in zip(X, ids, points):
+        rng = _rng(cfg.seed, rid)
+        noisy = x + rng.normal(0.0, cfg.shap_stdev, size=(n, len(x)))
+        out[...] = base + rng.uniform(0.0, 1.0, size=(n, 1)) * (noisy - base)
+    return nn.input_gradient_batch(model, points, target).mean(axis=1) * (X - base)
 
 
-def smoothgrad(
-    model: MlpModel,
-    x,
-    baseline,
-    cfg: ExplainerConfig,
-    target: ScalarTarget = ScalarTarget.LOGIT,
-    record_id: int | None = None,
-    fb: float | None = None,
-) -> Attribution:
+def _smoothgrad(model, X, base, cfg, target, ids) -> np.ndarray:
     """Average gradient over Gaussian-perturbed copies of x.
 
     The baseline plays no part in the scores; it only anchors the
     informational delta so every algorithm emits the same vector layout.
     """
-    x, base = _check_pair(model, x, baseline)
-    rng = _rng(cfg.seed, record_id)
     n = cfg.smoothgrad_samples
-    points = x[None, :] + rng.normal(0.0, cfg.smoothgrad_sigma, size=(n, len(x)))
-    scores = nn.input_gradient_batch(model, points, target).mean(axis=0)
-    return _attribution(Algorithm.SMOOTHGRAD, model, x, base, scores, target, fb)
+    points = np.stack([x + _rng(cfg.seed, rid).normal(0.0, cfg.smoothgrad_sigma,
+                                                       size=(n, len(x)))
+                       for x, rid in zip(X, ids)])
+    return nn.input_gradient_batch(model, points, target).mean(axis=1)
 
 
-def explain_record(
-    model: MlpModel,
-    x,
-    baseline,
-    algorithm: Algorithm,
-    cfg: ExplainerConfig,
-    target: ScalarTarget = ScalarTarget.LOGIT,
-    record_id: int | None = None,
-    fb: float | None = None,
-) -> Attribution:
-    """Dispatch a single record to the requested algorithm; fb, when given,
-    is f(baseline)."""
+def _explainer(algorithm: Algorithm, cfg: ExplainerConfig):
+    """The algorithm's body, scores of a (k, d) chunk, and the rows each
+    record counts against GRAD_ROWS."""
     if algorithm is Algorithm.INTEGRATED_GRADIENTS:
-        return integrated_gradients(model, x, baseline, cfg, target, fb)
+        return _integrated_gradients, cfg.ig_steps
     if algorithm is Algorithm.DEEPLIFT:
-        return deeplift(model, x, baseline, target, fb)
+        # a record's float preactivations and rescale temporaries of every
+        # layer take several gradient rows' memory: at 64 or more records a
+        # chunk, the freed chunks raised the peak RSS of a later training
+        return _deeplift, 8
     if algorithm is Algorithm.GRADIENT_SHAP:
-        return gradient_shap(model, x, baseline, cfg, target, record_id, fb)
+        return _gradient_shap, cfg.shap_samples
     if algorithm is Algorithm.SMOOTHGRAD:
-        return smoothgrad(model, x, baseline, cfg, target, record_id, fb)
+        return _smoothgrad, cfg.smoothgrad_samples
     raise ValueError(f"unknown algorithm: {algorithm}")
 
 
@@ -270,20 +201,32 @@ def explain_batch(
     target: ScalarTarget = ScalarTarget.LOGIT,
     record_ids=None,
 ) -> list[Attribution]:
-    """Explain every row of X; record_ids seed the per-record noise streams.
-    f(baseline) is evaluated once for the whole batch."""
-    X = np.asarray(X, dtype=np.float64)
-    if record_ids is None:
-        record_ids = range(X.shape[0])
-    record_ids = [int(r) for r in record_ids]
-    if len(record_ids) != X.shape[0]:
+    """Explain every row of X; record_ids (default 0..n-1) seed the
+    per-record noise streams.
+
+    Records go through in chunks of at most GRAD_ROWS gradient rows (at
+    least one record). f(baseline) is evaluated once per call, and f(x) once
+    per chunk, after the chunk's scores.
+    """
+    X = nn._check_matrix(X, model)
+    base = np.asarray(baseline, dtype=np.float64)
+    if base.shape != (model.input_dim,):
+        raise ValueError(f"baseline must have length {model.input_dim}, got {base.shape}")
+    ids = list(range(len(X))) if record_ids is None else [int(r) for r in record_ids]
+    if len(ids) != len(X):
         raise ValueError("record_ids must match the number of rows")
-    fb = nn.forward(model, baseline, target) if record_ids else None
-    return [
-        explain_record(model, X[i], baseline, algorithm, cfg, target,
-                       record_ids[i], fb)
-        for i in range(X.shape[0])
-    ]
+    body, rows = _explainer(algorithm, cfg)
+    fb = nn.forward(model, base, target) if ids else None
+    bid = baseline_id(base)
+    out = []
+    k = max(1, GRAD_ROWS // rows)
+    for lo in range(0, len(ids), k):
+        chunk = X[lo:lo + k]
+        scores = body(model, chunk, base, cfg, target, ids[lo:lo + k])
+        fx = nn.forward_rows(model, chunk, target)
+        out += [Attribution(algorithm, s, float(f) - fb - float(np.sum(s)), target, bid)
+                for s, f in zip(scores, fx)]
+    return out
 
 
 def to_attack_vector(a: Attribution) -> np.ndarray:

@@ -118,6 +118,9 @@ def fit_forest(
         raise ValueError("features must be a matrix with one label per row")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be 0 or 1")
+    for name, size in (("n_trees", n_trees), ("max_depth", max_depth), ("min_leaf", min_leaf)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     n = X.shape[0]
     n_sub = max(1, int(round(math.sqrt(X.shape[1]))))
     trees = []

@@ -99,12 +99,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_matrix(X, name="features") -> np.ndarray:
+def _check_matrix(X, model: MlpModel | None = None, stack: bool = False) -> np.ndarray:
+    """X as float64 rows (n, d), or with stack=True also a stack (k, m, d);
+    with a model, d must be its input width."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D matrix, got ndim={X.ndim}")
+    if X.ndim != 2 and not (stack and X.ndim == 3):
+        raise ValueError(f"features must be a 2-D matrix, got ndim={X.ndim}")
     if not np.all(np.isfinite(X)):
-        raise ValueError(f"{name} contains non-finite values")
+        raise ValueError("features contains non-finite values")
+    if model is not None and X.shape[-1] != model.input_dim:
+        raise ValueError(
+            f"features have {X.shape[-1]} columns, model expects {model.input_dim}"
+        )
     return X
 
 
@@ -143,39 +149,37 @@ def init_model(layer_dims: list[int], seed: int) -> MlpModel:
     return MlpModel(layer_dims=dims, weights=weights, biases=biases, init_seed=int(seed))
 
 
-def _forward_parts(model: MlpModel, X: np.ndarray):
-    """Run the network on a batch, keeping the input of every layer.
+def _forward_parts(model: MlpModel, X: np.ndarray, keep=None):
+    """Run the network on rows X (n, d) or on a stack X (k, m, d).
 
-    Returns (activations, logits) where activations[i] is the input to layer
-    i, so activations[i + 1] > 0 is the ReLU mask of hidden layer i, and
-    logits has shape (n,).
+    Each layer is one `a @ w.T`. Over a stack numpy runs one gemm per slice,
+    of the shape a lone (m, d) call has, so a slice's result does not depend
+    on how many slices share the call. Returns (kept, logits): kept[0] is X,
+    kept[i + 1] is keep(output of hidden layer i) (None without keep), and
+    logits has the shape of X less its last axis.
     """
-    activations = [X]
+    kept, a = [X], X
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = activations[-1] @ w.T
+        z = a @ w.T
         z += b
         # ReLU in place: np.where(z > 0, z, 0.0), save that z = -0.0 may stay -0.0
-        activations.append(np.fmax(z, 0.0, out=z))
-    logits = activations[-1] @ model.weights[-1].T + model.biases[-1]
-    return activations, logits[:, 0]
+        a = np.fmax(z, 0.0, out=z)
+        kept.append(None if keep is None else keep(a))
+    logits = a @ model.weights[-1].T + model.biases[-1]
+    return kept, logits[..., 0]
+
+
+def _select(logits: np.ndarray, target: ScalarTarget) -> np.ndarray:
+    return logits if target is ScalarTarget.LOGIT else _sigmoid(logits)
 
 
 def logits_batch(model: MlpModel, X) -> np.ndarray:
-    X = _check_matrix(X)
-    if X.shape[1] != model.input_dim:
-        raise ValueError(
-            f"features have {X.shape[1]} columns, model expects {model.input_dim}"
-        )
-    _, logits = _forward_parts(model, X)
-    return logits
+    return _forward_parts(model, _check_matrix(X, model))[1]
 
 
 def forward_batch(model: MlpModel, X, target: ScalarTarget = ScalarTarget.PROBABILITY) -> np.ndarray:
     """Selected scalar output for every row of X."""
-    logits = logits_batch(model, X)
-    if target is ScalarTarget.LOGIT:
-        return logits
-    return _sigmoid(logits)
+    return _select(logits_batch(model, X), target)
 
 
 def forward(model: MlpModel, x, target: ScalarTarget = ScalarTarget.PROBABILITY) -> float:
@@ -184,32 +188,30 @@ def forward(model: MlpModel, x, target: ScalarTarget = ScalarTarget.PROBABILITY)
     return float(forward_batch(model, x[None, :], target)[0])
 
 
-def forward_rows(model: MlpModel, X) -> np.ndarray:
-    """Probability of each row alone; forward_batch may differ in the last bits."""
-    return np.array([forward(model, x) for x in X], dtype=np.float64)
+def forward_rows(model: MlpModel, X, target: ScalarTarget = ScalarTarget.PROBABILITY) -> np.ndarray:
+    """Selected scalar output of each row of X, each row one slice of one
+    stacked forward pass over X[:, None, :]. So every value equals
+    forward(model, row) bit for bit, however many rows share the call;
+    forward_batch may differ in the last bits."""
+    X = _check_matrix(X, model)
+    return _select(_forward_parts(model, X[:, None, :])[1][:, 0], target)
 
 
 def input_gradient_batch(model: MlpModel, X, target: ScalarTarget = ScalarTarget.LOGIT) -> np.ndarray:
-    """Gradient of the selected scalar w.r.t. each row of X, shape (n, d)."""
-    X = _check_matrix(X)
-    if X.shape[1] != model.input_dim:
-        raise ValueError(
-            f"features have {X.shape[1]} columns, model expects {model.input_dim}"
-        )
-    activations, logits = _forward_parts(model, X)
-    n = X.shape[0]
-    g = np.repeat(model.weights[-1], n, axis=0)
+    """Gradient of the selected scalar w.r.t. each row of X (n, d), or of
+    each row of each slice of a stack X (k, m, d); the result has X's shape.
+    The forward pass keeps only the ReLU masks, as bool."""
+    X = _check_matrix(X, model, stack=True)
+    masks, logits = _forward_parts(model, X, keep=lambda a: a > 0)
+    g = np.empty((*X.shape[:-1], model.layer_dims[-2]))
+    g[...] = model.weights[-1][0]
     for i in range(len(model.weights) - 2, -1, -1):
-        g = (g * (activations[i + 1] > 0)) @ model.weights[i]
+        g *= masks[i + 1]
+        g = g @ model.weights[i]
     if target is ScalarTarget.PROBABILITY:
         p = _sigmoid(logits)
-        g = g * (p * (1.0 - p))[:, None]
+        g *= (p * (1.0 - p))[..., None]
     return g
-
-
-def input_gradient(model: MlpModel, x, target: ScalarTarget = ScalarTarget.LOGIT) -> np.ndarray:
-    x = _check_input(model, x)
-    return input_gradient_batch(model, x[None, :], target)[0]
 
 
 def _bce_loss(logits: np.ndarray, y: np.ndarray) -> float:
@@ -223,7 +225,7 @@ def _param_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray,
                      grads_w: list[np.ndarray], grads_b: list[np.ndarray]) -> float:
     """Mean binary cross-entropy loss of one batch; its gradients are written
     into grads_w and grads_b."""
-    activations, logits = _forward_parts(model, X)
+    activations, logits = _forward_parts(model, X, keep=lambda a: a)
     loss = _bce_loss(logits, y)
     g = ((_sigmoid(logits) - y) / X.shape[0])[:, None]
     for i in range(len(model.weights) - 1, -1, -1):
@@ -276,14 +278,10 @@ def train(model: MlpModel, features, labels, cfg: TrainConfig) -> MlpModel:
     returned parameters. Raises TrainingDivergence if the loss goes
     non-finite.
     """
-    X = _check_matrix(features)
+    X = _check_matrix(features, model)
     y = np.asarray(labels, dtype=np.float64).ravel()
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"{X.shape[0]} feature rows vs {y.shape[0]} labels")
-    if X.shape[1] != model.input_dim:
-        raise ValueError(
-            f"features have {X.shape[1]} columns, model expects {model.input_dim}"
-        )
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
 

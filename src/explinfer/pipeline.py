@@ -101,10 +101,15 @@ class ExperimentConfig:
         if self.dataset_name is None:
             stem = os.path.splitext(os.path.basename(self.dataset_csv))[0]
             self.dataset_name = stem
-
-    @property
-    def explainer_config(self) -> ExplainerConfig:
-        return ExplainerConfig(
+        # exact int: bool is an int subclass, and "1" would fail deep in a stage
+        for name, low in (("split_seed", 0), ("model_seed", 0), ("attack_seed", 0),
+                          ("explainer_seed", 0), ("forest_trees", 1),
+                          ("forest_depth", 1), ("forest_min_leaf", 1), ("ig_steps", 1),
+                          ("shap_samples", 1), ("smoothgrad_samples", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        self.explainer_config = ExplainerConfig(
             ig_steps=self.ig_steps,
             shap_samples=self.shap_samples,
             shap_stdev=self.shap_stdev,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from explinfer import attack, explain, metrics, nn, pipeline, service
-from explinfer.explain import ExplainerConfig
+from explinfer.explain import Algorithm, ExplainerConfig
 from explinfer.nn import ScalarTarget
 from explinfer.synth import write_synthetic_dataset
 
@@ -33,6 +33,12 @@ def criterion(num, name, budget_seconds):
               f"(runtime {elapsed:.1f}s over budget {budget_seconds}s)")
         raise AssertionError(f"criterion {num} exceeded its runtime budget")
     print(f"\nACCEPTANCE {num:02d} {name}: PASS ({elapsed:.1f}s)")
+
+
+def explain_one(model, x, base, algorithm, cfg, record_id=0):
+    """One record through explain_batch, as a batch of one."""
+    return explain.explain_batch(model, x[None, :], base, algorithm, cfg,
+                                 record_ids=[record_id])[0]
 
 
 def min_abs_preactivation(model, x):
@@ -57,7 +63,7 @@ def test_criterion_1_gradient_correctness():
             x = rng.normal(size=dims[0]) * 2.0
             if min_abs_preactivation(model, x) < 1e-3:
                 continue
-            g = nn.input_gradient(model, x, ScalarTarget.LOGIT)
+            g = nn.input_gradient_batch(model, x[None, :], ScalarTarget.LOGIT)[0]
             fd = np.zeros_like(x)
             for i in range(len(x)):
                 xp, xm = x.copy(), x.copy()
@@ -86,10 +92,10 @@ def test_criterion_2_linear_closed_form():
                                   smoothgrad_samples=6,
                                   smoothgrad_sigma=float(rng.uniform(0, 3)),
                                   seed=trial)
-            ig = explain.integrated_gradients(model, x, base, cfg)
-            dl = explain.deeplift(model, x, base)
-            gs = explain.gradient_shap(model, x, base, cfg, record_id=trial)
-            sg = explain.smoothgrad(model, x, base, cfg, record_id=trial)
+            ig, dl, gs, sg = (
+                explain_one(model, x, base, alg, cfg, trial)
+                for alg in (Algorithm.INTEGRATED_GRADIENTS, Algorithm.DEEPLIFT,
+                            Algorithm.GRADIENT_SHAP, Algorithm.SMOOTHGRAD))
             assert np.max(np.abs(ig.scores - expected)) < 1e-9
             assert np.max(np.abs(dl.scores - expected)) < 1e-9
             assert np.max(np.abs(gs.scores - expected)) < 1e-9
@@ -105,9 +111,9 @@ def test_criterion_3_completeness(small_trained_net):
         within = 0
         for _ in range(500):
             x = rng.normal(size=5)
-            dl = explain.deeplift(model, x, base)
+            dl = explain_one(model, x, base, Algorithm.DEEPLIFT, cfg)
             assert abs(dl.delta) <= 1e-9
-            ig = explain.integrated_gradients(model, x, base, cfg)
+            ig = explain_one(model, x, base, Algorithm.INTEGRATED_GRADIENTS, cfg)
             fx = nn.forward(model, x, ScalarTarget.LOGIT)
             fb = nn.forward(model, base, ScalarTarget.LOGIT)
             within += abs(ig.delta) <= 1e-2 * max(1.0, abs(fx - fb))
@@ -132,7 +138,7 @@ def test_criterion_4_monte_carlo_consistency(small_trained_net):
             contrib = nn.input_gradient_batch(model, pts) * (x - base)[None, :]
             se = contrib.std(axis=0, ddof=1) * np.sqrt(
                 1.0 / cfg.shap_samples + 1.0 / n_oracle)
-            gs = explain.gradient_shap(model, x, base, cfg, record_id=point)
+            gs = explain_one(model, x, base, Algorithm.GRADIENT_SHAP, cfg, point)
             err = np.abs(gs.scores - contrib.mean(axis=0))
             assert np.all(err <= np.maximum(3.0 * se, 1e-10)), f"GS point {point}"
             z_squares.extend((err / np.maximum(se, 1e-300)) ** 2)
@@ -141,7 +147,7 @@ def test_criterion_4_monte_carlo_consistency(small_trained_net):
             grads = nn.input_gradient_batch(model, pts)
             se = grads.std(axis=0, ddof=1) * np.sqrt(
                 1.0 / cfg.smoothgrad_samples + 1.0 / n_oracle)
-            sg = explain.smoothgrad(model, x, base, cfg, record_id=point)
+            sg = explain_one(model, x, base, Algorithm.SMOOTHGRAD, cfg, point)
             err = np.abs(sg.scores - grads.mean(axis=0))
             assert np.all(err <= np.maximum(3.0 * se, 1e-10)), f"SG point {point}"
             z_squares.extend((err / np.maximum(se, 1e-300)) ** 2)

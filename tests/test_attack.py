@@ -161,6 +161,14 @@ class TestForest:
         assert np.array_equal(forest.forest_scores(a, Xq),
                               forest.forest_scores(b, Xq))
 
+    @pytest.mark.parametrize("size", ["n_trees", "max_depth", "min_leaf"])
+    def test_size_below_one_rejected(self, size):
+        # forest_trees 0 once scored every record nan and calibrated tau* = nan
+        X = np.arange(8.0).reshape(4, 2)
+        s = np.array([0.0, 1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match=size):
+            forest.fit_forest(X, s, **{size: 0})
+
     def test_pure_training_set_scores_constant_one(self):
         X = np.r_[np.ones((30, 2)), np.zeros((30, 2))]
         s = np.r_[np.ones(30), np.zeros(30)]

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from explinfer import cli, service
+from explinfer import cli, nn, service
 from explinfer.synth import write_synthetic_dataset
 
 
@@ -94,6 +94,26 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     bad.write_text("{ not json")
     assert cli.main(["attack", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    {"forest_trees": 0}, {"forest_depth": 0}, {"forest_min_leaf": 0},
+    {"ig_steps": 0}, {"ig_steps": "5"}, {"shap_samples": 0}, {"explainer_seed": -1},
+    {"model_seed": "1"}, {"split_seed": 1.5}, {"attack_seed": True},
+    {"explainer_seed": [3, -1]},
+])
+def test_bad_field_is_config_error_before_training(cli_setup, tmp_path, capsys,
+                                                   monkeypatch, override):
+    _, _, config = cli_setup
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("the target was trained before the config was checked")
+
+    monkeypatch.setattr(nn, "train", no_training)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(config, **override)))
+    assert cli.main(["experiment", str(path)]) == 2
+    assert "error [stage=config]" in capsys.readouterr().err
 
 
 def test_missing_dataset_reports_stage(cli_setup, tmp_path, capsys):

@@ -1,6 +1,15 @@
+import hashlib
+import os
+import subprocess
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import explinfer
 from explinfer import explain, nn
 from explinfer.attack import AttackSurface, build_surface
 from explinfer.explain import Algorithm, Attribution, ExplainerConfig
@@ -13,6 +22,17 @@ def linear_model(w):
     m.weights[0] = w[None, :].copy()
     m.biases[0] = np.array([0.25])
     return m
+
+
+def explain_one(model, x, base, algorithm, cfg=ExplainerConfig(),
+                target=ScalarTarget.LOGIT, record_id=0):
+    """One record through explain_batch, as a batch of one."""
+    return explain.explain_batch(model, np.asarray(x)[None, :], base, algorithm,
+                                 cfg, target, [record_id])[0]
+
+
+IG, DL = Algorithm.INTEGRATED_GRADIENTS, Algorithm.DEEPLIFT
+GS, SG = Algorithm.GRADIENT_SHAP, Algorithm.SMOOTHGRAD
 
 
 @pytest.fixture()
@@ -53,14 +73,14 @@ class TestIntegratedGradients:
         x = np.array([1.0, 2.0, -1.0])
         base = np.array([0.5, 0.0, 0.5])
         for steps in (1, 3, 50):
-            a = explain.integrated_gradients(
-                m, x, base, ExplainerConfig(ig_steps=steps), ScalarTarget.LOGIT)
+            a = explain_one(
+                m, x, base, IG, ExplainerConfig(ig_steps=steps), ScalarTarget.LOGIT)
             assert np.allclose(a.scores, w * (x - base), rtol=0, atol=1e-12)
             assert abs(a.delta) <= 1e-12
 
     def test_input_equals_baseline(self, random_net):
         x = np.full(4, 0.3)
-        a = explain.integrated_gradients(random_net, x, x, ExplainerConfig())
+        a = explain_one(random_net, x, x, IG, ExplainerConfig())
         assert np.array_equal(a.scores, np.zeros(4))
         assert a.delta == 0.0
 
@@ -70,10 +90,10 @@ class TestIntegratedGradients:
         rng = np.random.default_rng(17)
         for _ in range(5):
             x = rng.normal(size=5)
-            coarse = explain.integrated_gradients(
-                model, x, base, ExplainerConfig(ig_steps=50)).scores
-            fine = explain.integrated_gradients(
-                model, x, base, ExplainerConfig(ig_steps=5000)).scores
+            coarse = explain_one(
+                model, x, base, IG, ExplainerConfig(ig_steps=50)).scores
+            fine = explain_one(
+                model, x, base, IG, ExplainerConfig(ig_steps=5000)).scores
             denom = max(np.linalg.norm(fine), 1e-12)
             assert np.linalg.norm(coarse - fine) / denom < 1e-2
 
@@ -85,8 +105,8 @@ class TestIntegratedGradients:
         ok = 0
         for _ in range(20):
             x = rng.normal(size=5)
-            a = explain.integrated_gradients(
-                model, x, base, ExplainerConfig(ig_steps=200))
+            a = explain_one(
+                model, x, base, IG, ExplainerConfig(ig_steps=200))
             fx = nn.forward(model, x, ScalarTarget.LOGIT)
             fb = nn.forward(model, base, ScalarTarget.LOGIT)
             ok += abs(a.delta) <= 1e-2 * max(1.0, abs(fx - fb))
@@ -94,8 +114,11 @@ class TestIntegratedGradients:
 
     def test_dimension_mismatch(self, random_net):
         with pytest.raises(ValueError):
-            explain.integrated_gradients(
-                random_net, np.zeros(3), np.zeros(4), ExplainerConfig())
+            explain_one(
+                random_net, np.zeros(3), np.zeros(4), IG, ExplainerConfig())
+        with pytest.raises(ValueError):
+            explain_one(
+                random_net, np.zeros(4), np.zeros(3), IG, ExplainerConfig())
 
 
 class TestDeepLift:
@@ -104,14 +127,14 @@ class TestDeepLift:
         m = linear_model(w)
         x = np.array([2.0, 1.0])
         base = np.array([-1.0, 0.0])
-        dl = explain.deeplift(m, x, base)
-        ig = explain.integrated_gradients(m, x, base, ExplainerConfig())
+        dl = explain_one(m, x, base, DL)
+        ig = explain_one(m, x, base, IG, ExplainerConfig())
         assert np.allclose(dl.scores, w * (x - base), rtol=0, atol=1e-12)
         assert np.allclose(dl.scores, ig.scores, rtol=0, atol=1e-12)
 
     def test_input_equals_baseline(self, random_net):
         x = np.full(4, -0.2)
-        a = explain.deeplift(random_net, x, x)
+        a = explain_one(random_net, x, x, DL)
         assert np.array_equal(a.scores, np.zeros(4))
 
     def test_summation_to_delta_exact(self):
@@ -122,7 +145,7 @@ class TestDeepLift:
             x = rng.normal(size=6)
             base = rng.normal(size=6)
             for target in ScalarTarget:
-                a = explain.deeplift(m, x, base, target)
+                a = explain_one(m, x, base, DL, target=target)
                 fx = nn.forward(m, x, target)
                 fb = nn.forward(m, base, target)
                 assert abs(np.sum(a.scores) - (fx - fb)) <= 1e-9
@@ -154,12 +177,12 @@ class TestDeepLift:
                     a, a_ref = np.maximum(z, 0), np.maximum(z_ref, 0)
             oracle_scores = contrib[:, 0]
 
-            got = explain.deeplift(m, x, base).scores
+            got = explain_one(m, x, base, DL).scores
             assert np.allclose(got, oracle_scores, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self, random_net):
         with pytest.raises(ValueError):
-            explain.deeplift(random_net, np.zeros(5), np.zeros(4))
+            explain_one(random_net, np.zeros(5), np.zeros(4), DL)
 
 
 class TestGradientShap:
@@ -168,8 +191,8 @@ class TestGradientShap:
         m = linear_model(w)
         x = np.array([0.2, 0.4, 0.6])
         base = np.array([-0.5, 0.5, 0.0])
-        a = explain.gradient_shap(
-            m, x, base, ExplainerConfig(shap_samples=5, shap_stdev=3.0, seed=2))
+        a = explain_one(
+            m, x, base, GS, ExplainerConfig(shap_samples=5, shap_stdev=3.0, seed=2))
         assert np.allclose(a.scores, w * (x - base), rtol=0, atol=1e-12)
 
     def test_single_sample_definition(self, random_net):
@@ -177,18 +200,18 @@ class TestGradientShap:
         cfg = ExplainerConfig(shap_samples=1, shap_stdev=0.0, seed=77)
         x = np.array([0.1, -0.3, 0.5, 0.9])
         base = np.zeros(4)
-        rng = np.random.default_rng([77])
+        rng = np.random.default_rng([77, 5])
         rng.normal(0.0, 0.0, size=(1, 4))
         alpha = rng.uniform(0.0, 1.0, size=(1, 1))[0, 0]
         point = base + alpha * (x - base)
-        expected = nn.input_gradient(random_net, point) * (x - base)
-        a = explain.gradient_shap(random_net, x, base, cfg)
+        expected = nn.input_gradient_batch(random_net, point[None, :])[0] * (x - base)
+        a = explain_one(random_net, x, base, GS, cfg, record_id=5)
         assert np.array_equal(a.scores, expected)
 
     def test_input_equals_baseline(self, random_net):
         x = np.full(4, 0.7)
         cfg = ExplainerConfig(shap_samples=4, shap_stdev=0.5, seed=9)
-        a = explain.gradient_shap(random_net, x, x, cfg)
+        a = explain_one(random_net, x, x, GS, cfg)
         assert np.array_equal(a.scores, np.zeros(4))
 
     def test_against_large_sample_oracle(self, small_trained_net):
@@ -208,7 +231,7 @@ class TestGradientShap:
             mean_o = contrib.mean(axis=0)
             sd = contrib.std(axis=0, ddof=1)
             se = sd * np.sqrt(1.0 / cfg.shap_samples + 1.0 / n_oracle)
-            got = explain.gradient_shap(model, x, base, cfg).scores
+            got = explain_one(model, x, base, GS, cfg).scores
             assert np.all(np.abs(got - mean_o) <= np.maximum(3.0 * se, 1e-10))
 
 
@@ -216,15 +239,16 @@ class TestSmoothGrad:
     def test_zero_sigma_equals_gradient(self, random_net):
         x = np.array([0.4, -0.1, 0.2, 0.7])
         cfg = ExplainerConfig(smoothgrad_samples=10, smoothgrad_sigma=0.0, seed=1)
-        a = explain.smoothgrad(random_net, x, np.zeros(4), cfg)
+        a = explain_one(random_net, x, np.zeros(4), SG, cfg)
         assert np.allclose(
-            a.scores, nn.input_gradient(random_net, x), rtol=0, atol=1e-15)
+            a.scores, nn.input_gradient_batch(random_net, x[None, :])[0],
+            rtol=0, atol=1e-15)
 
     def test_linear_model_returns_weights(self):
         w = np.array([2.0, 0.0, -1.0])
         m = linear_model(w)
         cfg = ExplainerConfig(smoothgrad_samples=8, smoothgrad_sigma=2.5, seed=3)
-        a = explain.smoothgrad(m, np.ones(3), np.zeros(3), cfg)
+        a = explain_one(m, np.ones(3), np.zeros(3), SG, cfg)
         assert np.allclose(a.scores, w, rtol=0, atol=1e-12)
 
     def test_against_large_sample_oracle(self, small_trained_net):
@@ -241,7 +265,7 @@ class TestSmoothGrad:
             mean_o = grads.mean(axis=0)
             sd = grads.std(axis=0, ddof=1)
             se = sd * np.sqrt(1.0 / cfg.smoothgrad_samples + 1.0 / n_oracle)
-            got = explain.smoothgrad(model, x, base, cfg).scores
+            got = explain_one(model, x, base, SG, cfg).scores
             assert np.all(np.abs(got - mean_o) <= np.maximum(3.0 * se, 1e-10))
 
 
@@ -254,7 +278,7 @@ class TestAttackVector:
 
     def test_zero_attribution(self, random_net):
         x = np.full(4, 0.1)
-        a = explain.deeplift(random_net, x, x)
+        a = explain_one(random_net, x, x, DL)
         vec = explain.to_attack_vector(a)
         assert vec.shape == (5,)
         assert np.allclose(vec, 0.0, atol=1e-12)
@@ -262,7 +286,7 @@ class TestAttackVector:
     def test_last_element_is_delta(self, small_trained_net):
         model, X = small_trained_net
         base = explain.mean_baseline(X)
-        a = explain.integrated_gradients(model, X[0], base, ExplainerConfig())
+        a = explain_one(model, X[0], base, IG, ExplainerConfig())
         assert explain.to_attack_vector(a)[-1] == a.delta
 
 
@@ -304,8 +328,8 @@ class TestReproducibility:
         model, X = small_trained_net
         base = explain.mean_baseline(X)
         cfg = ExplainerConfig(seed=55)
-        a = explain.explain_record(model, X[3], base, algorithm, cfg, record_id=3)
-        b = explain.explain_record(model, X[3], base, algorithm, cfg, record_id=3)
+        a = explain_one(model, X[3], base, algorithm, cfg, record_id=3)
+        b = explain_one(model, X[3], base, algorithm, cfg, record_id=3)
         assert np.array_equal(a.scores, b.scores)
         assert a.delta == b.delta
 
@@ -313,8 +337,8 @@ class TestReproducibility:
         model, X = small_trained_net
         base = explain.mean_baseline(X)
         cfg = ExplainerConfig(seed=55)
-        a = explain.gradient_shap(model, X[3], base, cfg, record_id=3)
-        b = explain.gradient_shap(model, X[3], base, cfg, record_id=4)
+        a = explain_one(model, X[3], base, GS, cfg, record_id=3)
+        b = explain_one(model, X[3], base, GS, cfg, record_id=4)
         assert not np.array_equal(a.scores, b.scores)
 
     def test_batch_matches_single_records(self, small_trained_net):
@@ -325,11 +349,84 @@ class TestReproducibility:
             batch = explain.explain_batch(
                 model, X[:4], base, algorithm, cfg, record_ids=[10, 11, 12, 13])
             for i, rid in enumerate([10, 11, 12, 13]):
-                single = explain.explain_record(
+                single = explain_one(
                     model, X[i], base, algorithm, cfg, record_id=rid)
                 assert np.array_equal(batch[i].scores, single.scores)
                 # f(baseline) evaluated once per batch is the same float
                 assert batch[i].delta == single.delta
+
+
+def assert_batch_bit_identical(dims, n, steps, samples, grad_rows, seed,
+                               target=ScalarTarget.LOGIT) -> str:
+    """explain_batch over n records equals each record alone and a random
+    split of the records into calls, bit for bit, for all four algorithms,
+    with GRAD_ROWS gradient rows per stacked call; forward_rows equals
+    forward on each row. Returns a digest of the answers."""
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(seed)
+    model = nn.init_model(dims, seed=seed)
+    for b in model.biases:
+        b += rng.normal(0.0, 0.1, size=b.shape)
+    X = rng.normal(size=(n, dims[0]))
+    base = X.mean(axis=0)
+    ids = rng.integers(0, 2**31, size=n).tolist()
+    cuts = sorted(rng.choice(np.arange(1, n), size=min(n - 1, 3), replace=False).tolist())
+    cfg = ExplainerConfig(ig_steps=steps, shap_samples=samples,
+                          smoothgrad_samples=samples, seed=seed)
+    with mock.patch.object(explain, "GRAD_ROWS", grad_rows):
+        for algorithm in Algorithm:
+            whole = explain.explain_batch(model, X, base, algorithm, cfg, target, ids)
+            singles = [explain_one(model, X[i], base, algorithm, cfg, target, ids[i])
+                       for i in range(n)]
+            split = [a for lo, hi in zip([0, *cuts], [*cuts, n])
+                     for a in explain.explain_batch(model, X[lo:hi], base, algorithm,
+                                                    cfg, target, ids[lo:hi])]
+            for a, b, c in zip(whole, singles, split, strict=True):
+                assert a.scores.tobytes() == b.scores.tobytes() == c.scores.tobytes(), algorithm
+                assert a.delta == b.delta == c.delta, algorithm
+                digest.update(a.scores.tobytes() + np.float64(a.delta).tobytes())
+    alone = np.array([nn.forward(model, x, target) for x in X])
+    assert nn.forward_rows(model, X, target).tobytes() == alone.tobytes()
+    digest.update(alone.tobytes())
+    return digest.hexdigest()
+
+
+# each record is one slice of a stacked matmul; a flat (k*m, d) batch gives
+# some rows of these two nets different last bits
+WIDE_NET = dict(dims=[100, 512, 256, 128, 1], n=12, steps=5, samples=20,
+                   grad_rows=256, seed=1)
+NARROW_NET = dict(dims=[100, 64, 128, 32, 1], n=12, steps=50, samples=20,
+                     grad_rows=256, seed=2)
+
+
+class TestBatchBitIdentity:
+    @settings(deadline=None, max_examples=30)
+    @given(dims=st.builds(lambda d, hidden: [d, *hidden, 1], st.integers(1, 12),
+                          st.lists(st.integers(1, 48), max_size=3)),
+           n=st.integers(1, 9), steps=st.integers(1, 60), samples=st.integers(1, 30),
+           grad_rows=st.integers(1, 300), seed=st.integers(0, 2**16),
+           target=st.sampled_from(ScalarTarget))
+    @example(target=ScalarTarget.LOGIT, **WIDE_NET)
+    @example(target=ScalarTarget.LOGIT, **NARROW_NET)
+    def test_batch_equals_singles_and_splits(self, dims, n, steps, samples,
+                                             grad_rows, seed, target):
+        assert_batch_bit_identical(dims, n, steps, samples, grad_rows, seed, target)
+
+    def test_one_and_two_blas_threads(self):
+        # child processes, since OpenBLAS reads its thread count at load
+        src = os.path.dirname(os.path.dirname(explinfer.__file__))
+        code = ("from test_explain import *\n"
+                "print(assert_batch_bit_identical(**WIDE_NET))\n"
+                "print(assert_batch_bit_identical(**NARROW_NET))\n")
+        answers = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+            child = subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True, timeout=300)
+            assert child.returncode == 0, child.stderr
+            answers.append(child.stdout)
+        assert answers[0] == answers[1]
 
 
 class TestAttributionFile:

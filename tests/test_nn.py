@@ -39,6 +39,11 @@ def central_differences(model, x, target, h=1e-5):
     return g
 
 
+def gradient(model, x, target=ScalarTarget.LOGIT):
+    """Input gradient of one record, as a batch of one."""
+    return nn.input_gradient_batch(model, np.asarray(x)[None, :], target)[0]
+
+
 def linear_model(w, b=0.0):
     w = np.asarray(w, dtype=np.float64)
     m = nn.init_model([len(w), 1], seed=0)
@@ -184,7 +189,7 @@ class TestInputGradient:
     def test_linear_model_gradient_is_weights(self):
         w = np.array([0.5, -2.0, 3.0])
         m = linear_model(w)
-        g = nn.input_gradient(m, np.array([1.0, 2.0, 3.0]), ScalarTarget.LOGIT)
+        g = gradient(m, np.array([1.0, 2.0, 3.0]), ScalarTarget.LOGIT)
         assert np.array_equal(g, w)
 
     def test_matches_central_differences(self):
@@ -196,7 +201,7 @@ class TestInputGradient:
             if min_abs_preactivation(m, x) < 1e-3:
                 continue
             for target in ScalarTarget:
-                g = nn.input_gradient(m, x, target)
+                g = gradient(m, x, target)
                 fd = central_differences(m, x, target)
                 scale = np.maximum(np.abs(fd), 1e-8)
                 assert np.max(np.abs(g - fd) / scale) < 1e-4
@@ -205,7 +210,7 @@ class TestInputGradient:
     def test_dead_relu_region_zero_gradient(self):
         m = nn.init_model([3, 4, 1], seed=9)
         m.biases[0] = np.full(4, -100.0)  # all hidden units off near the origin
-        g = nn.input_gradient(m, np.zeros(3), ScalarTarget.LOGIT)
+        g = gradient(m, np.zeros(3), ScalarTarget.LOGIT)
         assert np.array_equal(g, np.zeros(3))
 
     def test_constant_within_activation_region(self):
@@ -213,9 +218,9 @@ class TestInputGradient:
         m = nn.init_model([4, 6, 5, 1], seed=21)
         rng = np.random.default_rng(3)
         x = rng.normal(size=4)
-        g0 = nn.input_gradient(m, x, ScalarTarget.LOGIT)
+        g0 = gradient(m, x, ScalarTarget.LOGIT)
         step = 1e-9 * rng.normal(size=4)
-        g1 = nn.input_gradient(m, x + step, ScalarTarget.LOGIT)
+        g1 = gradient(m, x + step, ScalarTarget.LOGIT)
         assert np.allclose(g0, g1, rtol=0, atol=1e-12)
         f0 = nn.forward(m, x, ScalarTarget.LOGIT)
         f1 = nn.forward(m, x + step, ScalarTarget.LOGIT)
@@ -224,7 +229,7 @@ class TestInputGradient:
     def test_dimension_mismatch(self):
         m = nn.init_model([3, 1], seed=0)
         with pytest.raises(ValueError):
-            nn.input_gradient(m, np.zeros(4))
+            nn.input_gradient_batch(m, np.zeros((1, 4)))
 
 
 class TestTrain:

@@ -153,9 +153,9 @@ class TestEndpoints:
             remote = service.client_fetch_explanations(
                 server.url, X[:3], algorithm, record_ids=[7, 8, 9])
             for i, rid in enumerate([7, 8, 9]):
-                local = explain.explain_record(
-                    model, X[i], baseline, algorithm, cfg,
-                    ScalarTarget.LOGIT, record_id=rid)
+                local = explain.explain_batch(
+                    model, X[i:i + 1], baseline, algorithm, cfg,
+                    ScalarTarget.LOGIT, record_ids=[rid])[0]
                 assert np.array_equal(remote[i].scores, local.scores), algorithm
                 assert remote[i].delta == local.delta
 
@@ -170,8 +170,8 @@ class TestEndpoints:
         # two fresh draws can give equal scores: compare the drawn noise ids
         assert len(rng.drawn) == 2 and rng.drawn[0] != rng.drawn[1]
         for attr, rid in zip((a[0], b[0]), rng.drawn):
-            local = explain.explain_record(model, X[0], baseline, Algorithm.SMOOTHGRAD,
-                                           cfg, ScalarTarget.LOGIT, record_id=rid)
+            local = explain.explain_batch(model, X[:1], baseline, Algorithm.SMOOTHGRAD,
+                                          cfg, ScalarTarget.LOGIT, record_ids=[rid])[0]
             assert attr.scores.tolist() == local.scores.tolist()
 
     def test_fresh_noise_per_record_in_a_batch(self, running_server):
