@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -42,6 +43,14 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[stage={stage}] {message}")
         self.stage = stage
+
+
+def _finite_number(value) -> bool:
+    """An int or float, not a bool, of finite float value."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 @dataclass
@@ -91,6 +100,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown attack_kind {self.attack_kind!r}")
         if self.surfaces is None:
             self.surfaces = [s.value for s in AttackSurface if s.valid_for(self.tm)]
+        if not (isinstance(self.surfaces, list) and self.surfaces):
+            raise ValueError(f"surfaces must be a nonempty list, got {self.surfaces!r}")
         self.surface_list = [AttackSurface(s) for s in self.surfaces]
         for s in self.surface_list:
             if not s.valid_for(self.tm):
@@ -101,14 +112,27 @@ class ExperimentConfig:
         if self.dataset_name is None:
             stem = os.path.splitext(os.path.basename(self.dataset_csv))[0]
             self.dataset_name = stem
-        # exact int: bool is an int subclass, and "1" would fail deep in a stage
+        # exact types: bool is an int subclass, and "1" would fail deep in a stage
         for name, low in (("split_seed", 0), ("model_seed", 0), ("attack_seed", 0),
-                          ("explainer_seed", 0), ("forest_trees", 1),
+                          ("explainer_seed", 0), ("target_epochs", 0),
+                          ("attack_epochs", 0), ("target_batch_size", 1),
+                          ("attack_batch_size", 1), ("forest_trees", 1),
                           ("forest_depth", 1), ("forest_min_leaf", 1), ("ig_steps", 1),
                           ("shap_samples", 1), ("smoothgrad_samples", 1)):
             value = getattr(self, name)
             if type(value) is not int or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("target_hidden", "attack_hidden"):
+            value = getattr(self, name)
+            if not isinstance(value, list) or any(type(v) is not int or v < 1 for v in value):
+                raise ValueError(f"{name} must be a list of integers >= 1, got {value!r}")
+        for name, positive in (("target_learning_rate", True),
+                               ("attack_learning_rate", True),
+                               ("shap_stdev", False), ("smoothgrad_sigma", False)):
+            value = getattr(self, name)
+            if not (_finite_number(value) and (value > 0 if positive else value >= 0)):
+                raise ValueError(f"{name} must be a finite number "
+                                 f"{'> 0' if positive else '>= 0'}, got {value!r}")
         self.explainer_config = ExplainerConfig(
             ig_steps=self.ig_steps,
             shap_samples=self.shap_samples,

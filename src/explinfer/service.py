@@ -14,8 +14,12 @@ with a in integrated_gradients, deeplift, gradient_shap, smoothgrad. Each
 record of a batch gets the arithmetic it gets alone, and floats round-trip,
 so answers are bit-identical to single-record and in-process ones for the
 same record id; without ids the server draws fresh noise per record. The
-client sends CHUNK_RECORDS records per request over one keep-alive http(s)
+client sends CHUNK_RECORDS records per request over a keep-alive http(s)
 connection, and its timeout bounds the connect and each record's answer time.
+Between calls the client keeps one idle connection, that of the last call
+that finished cleanly, and the next call to the same endpoint reuses it
+unless the server has closed it; the server closes a connection left idle
+for 10 s (_Handler.timeout).
 
 Errors are {"error": message}: 400 for malformed JSON, a negative or
 non-integer Content-Length, an unknown algorithm, an empty or non-list
@@ -28,12 +32,13 @@ data.
 
 from __future__ import annotations
 
+import atexit
 import http.client
 import json
+import selectors
 import threading
 import time
 import urllib.parse
-from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -239,31 +244,86 @@ def serve(
     return ExplanationServer(httpd, thread)
 
 
+# the connection of the last call that finished cleanly, as
+# ((scheme, host, port), connection), or None
+_idle = None
+_idle_lock = threading.Lock()
+
+
+def _swap_idle(kept=None):
+    """Put kept in the idle slot; returns what the slot held."""
+    global _idle
+    with _idle_lock:
+        old, _idle = _idle, kept
+    return old
+
+
+def close_idle_connection() -> None:
+    """Close the connection the client keeps between calls, if any."""
+    old = _swap_idle()
+    if old is not None:
+        old[1].close()
+
+
+atexit.register(close_idle_connection)
+
+
+def _closed_by_server(sock) -> bool:
+    """Whether an idle connection's socket reads as ready: the server
+    closed it, or sent what no request asked for."""
+    with selectors.DefaultSelector() as sel:  # select() takes no fd past 1023
+        sel.register(sock, selectors.EVENT_READ)
+        return bool(sel.select(0))
+
+
 def _exchange(endpoint: str, path: str, payloads, max_retries: int,
               timeout: float) -> list[dict]:
     """POST each payload (GET for None) over one keep-alive connection; the
-    answers in order."""
+    answers in order. The idle connection is reused if it leads to the same
+    endpoint and the server has not closed it; a call that finishes cleanly
+    leaves its connection idle."""
     url = endpoint.rstrip("/")
     parts = urllib.parse.urlsplit(url)
     connection = {"http": http.client.HTTPConnection,
                   "https": http.client.HTTPSConnection}.get(parts.scheme)
     if connection is None or not parts.hostname:
         raise ValueError(f"service endpoint must be an http(s):// URL, got {endpoint!r}")
-    with closing(connection(parts.hostname, parts.port, timeout=timeout)) as conn:
-        return [_request(conn, url + path, parts.path + path, p, max_retries, timeout)
-                for p in payloads]
+    key = (parts.scheme, parts.hostname, parts.port)
+    kept = _swap_idle()
+    if kept is not None and kept[0] == key and not _closed_by_server(kept[1].sock):
+        conn = kept[1]
+        conn.timeout = timeout  # for a reconnect
+    else:
+        if kept is not None:
+            kept[1].close()
+        conn = connection(parts.hostname, parts.port, timeout=timeout)
+    try:
+        answers = [_request(conn, url + path, parts.path + path, p, max_retries, timeout)
+                   for p in payloads]
+    except BaseException:
+        conn.close()
+        raise
+    if conn.sock is not None:  # else the server ended the connection
+        replaced = _swap_idle((key, conn))  # another thread's
+        if replaced is not None:
+            replaced[1].close()
+    return answers
 
 
 def _request(conn, url: str, path: str, payload, max_retries: int, timeout: float) -> dict:
     """A request that gets no answer reopens the connection and is sent
     again, with exponential backoff; an HTTP error answer raises at once.
+    A request that fails before its status line on a connection that has
+    carried an earlier one, which the server may have closed while idle,
+    is first resent at once on a fresh connection, outside the retry count.
     Connecting may take timeout seconds, the answer timeout per record."""
     body = None if payload is None else json.dumps(payload).encode("utf-8")
     n_records = 1 if payload is None else len(payload["records"])
-    last_exc = None
-    for attempt in range(max_retries):
+    attempt, last_exc = 0, None
+    while attempt < max_retries:
+        reused, resp = conn.sock is not None, None
         try:
-            if conn.sock is None:
+            if not reused:
                 conn.connect()
             conn.sock.settimeout(timeout * n_records)
             conn.request("GET" if body is None else "POST", path, body,
@@ -274,8 +334,12 @@ def _request(conn, url: str, path: str, payload, max_retries: int, timeout: floa
         except (http.client.HTTPException, OSError) as exc:
             conn.close()  # the next attempt reconnects
             last_exc = exc
-            if attempt + 1 < max_retries:
-                time.sleep(0.1 * 2**attempt)
+            # a timeout means a slow server, not a closed connection
+            if reused and resp is None and not isinstance(exc, TimeoutError):
+                continue
+            attempt += 1
+            if attempt < max_retries:
+                time.sleep(0.1 * 2**(attempt - 1))
     else:
         raise ServiceError(
             f"could not reach {url} after {max_retries} attempts: {last_exc}") from last_exc

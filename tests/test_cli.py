@@ -101,6 +101,13 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     {"ig_steps": 0}, {"ig_steps": "5"}, {"shap_samples": 0}, {"explainer_seed": -1},
     {"model_seed": "1"}, {"split_seed": 1.5}, {"attack_seed": True},
     {"explainer_seed": [3, -1]},
+    {"target_epochs": "3"}, {"target_epochs": -1}, {"attack_epochs": "2"},
+    {"attack_epochs": 1.5}, {"target_batch_size": 0}, {"attack_batch_size": True},
+    {"target_learning_rate": 0}, {"target_learning_rate": True},
+    {"attack_learning_rate": float("nan")}, {"shap_stdev": "x"},
+    {"shap_stdev": float("inf")}, {"smoothgrad_sigma": True},
+    {"target_hidden": [64, 0]}, {"target_hidden": 64}, {"attack_hidden": ["8"]},
+    {"surfaces": []},
 ])
 def test_bad_field_is_config_error_before_training(cli_setup, tmp_path, capsys,
                                                    monkeypatch, override):

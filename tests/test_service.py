@@ -1,8 +1,10 @@
 import http.client
 import json
 import math
+import select
 import socket
 import struct
+import sys
 import threading
 import time
 import urllib.request
@@ -15,6 +17,15 @@ from hypothesis import strategies as st
 from explinfer import explain, nn, service
 from explinfer.explain import Algorithm, ExplainerConfig
 from explinfer.nn import ScalarTarget
+
+
+@pytest.fixture(autouse=True)
+def no_idle_connection():
+    """Each test starts and ends with no client connection kept between
+    calls, so server-side counts start from a known state."""
+    service.close_idle_connection()
+    yield
+    service.close_idle_connection()
 
 
 @pytest.fixture(scope="module")
@@ -341,7 +352,7 @@ class TestBatchContract:
                                                   record_ids=range(600))
         assert calls == {"connect": 1, "request": chunks}
         preds = service.client_fetch_predictions(server.url, X600)
-        assert calls == {"connect": 2, "request": 2 * chunks}
+        assert calls == {"connect": 1, "request": 2 * chunks}  # the next call reuses it
         assert len(attrs) == len(preds) == 600
         assert preds[599] == nn.forward(model, X600[599], ScalarTarget.PROBABILITY)
 
@@ -378,6 +389,135 @@ class TestBatchContract:
                            "algorithm": "integrated_gradients",
                            "record_ids": [2**62] * service.CHUNK_RECORDS})
         assert 4 * len(body) < service.MAX_BODY_BYTES
+
+
+class ServerConnections:
+    """Counts the connections a server accepts, and lets a test wait until
+    the server has finished with them."""
+
+    def __init__(self, server, monkeypatch):
+        # patched on the class: undoing a patch on the instance would leave
+        # the old bound methods there, hiding later class-level patches
+        cls = service.ThreadingHTTPServer
+        process, shutdown = cls.process_request, cls.shutdown_request
+        self.accepted, self._mine, self._finished = 0, set(), threading.Semaphore(0)
+
+        def counted_process(httpd, request, client_address):
+            if httpd is server._httpd:
+                self.accepted += 1
+                self._mine.add(request)
+            process(httpd, request, client_address)
+
+        def counted_shutdown(httpd, request):
+            shutdown(httpd, request)
+            if request in self._mine:  # not a connection from an earlier test
+                self._finished.release()
+
+        monkeypatch.setattr(cls, "process_request", counted_process)
+        monkeypatch.setattr(cls, "shutdown_request", counted_shutdown)
+
+    def wait_finished(self, n: int, timeout: float = 5.0) -> bool:
+        return all(self._finished.acquire(timeout=timeout) for _ in range(n))
+
+
+class TestConnectionReuse:
+    def test_calls_to_one_endpoint_share_one_connection(self, running_server, monkeypatch):
+        server, model, baseline, cfg, X = running_server
+        conns = ServerConnections(server, monkeypatch)
+        preds = service.client_fetch_predictions(server.url, X[:3])
+        attrs = service.client_fetch_explanations(server.url, X[:3], Algorithm.DEEPLIFT,
+                                                  record_ids=[0, 1, 2])
+        assert service.fetch_health(server.url)
+        assert conns.accepted == 1
+        local = explain.explain_batch(model, X[:3], baseline, Algorithm.DEEPLIFT, cfg,
+                                      ScalarTarget.LOGIT, record_ids=[0, 1, 2])
+        assert [a.scores.tolist() for a in attrs] == [a.scores.tolist() for a in local]
+        assert preds.tolist() == [nn.forward(model, x, ScalarTarget.PROBABILITY)
+                                  for x in X[:3]]
+
+    @pytest.mark.parametrize("check_misses_the_close", [False, True])
+    def test_connection_closed_while_idle_is_replaced_at_once(
+            self, running_server, monkeypatch, check_misses_the_close):
+        """The server's idle close costs no retry and no backoff sleep, also
+        when the close lands after the readability check."""
+        server, model, _, _, X = running_server
+        monkeypatch.setattr(service._Handler, "timeout", 0.2)
+        conns = ServerConnections(server, monkeypatch)
+        service.client_fetch_predictions(server.url, X[:1])
+        assert conns.wait_finished(1)  # the server closed the idle connection
+        assert select.select([service._idle[1].sock], [], [], 5)[0]  # the close arrived
+        monkeypatch.setattr(service._Handler, "timeout", 10.0)  # for the replacement
+        if check_misses_the_close:
+            monkeypatch.setattr(service, "_closed_by_server", lambda sock: False)
+        sleeps, sent = [], []
+        request = http.client.HTTPConnection.request
+
+        def counted_request(self, *args, **kwargs):
+            sent.append(args[1])  # counted before the send, which may fail
+            return request(self, *args, **kwargs)
+
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        monkeypatch.setattr(http.client.HTTPConnection, "request", counted_request)
+        preds = service.client_fetch_predictions(server.url, X[:2], max_retries=1)
+        assert preds.tolist() == [nn.forward(model, x, ScalarTarget.PROBABILITY)
+                                  for x in X[:2]]
+        # a close that the check sees costs no request; one it misses, one resend
+        assert sent == ["/v1/predict"] * (2 if check_misses_the_close else 1)
+        assert sleeps == [] and conns.accepted == 2
+        service.client_fetch_predictions(server.url, X[:1], max_retries=1)
+        assert conns.accepted == 2  # the replacement was kept
+
+    @pytest.mark.parametrize("failure", ["http_error", "answer_dropped"])
+    def test_failed_call_keeps_no_connection(self, running_server, monkeypatch, failure):
+        server, _, _, _, X = running_server
+        conns = ServerConnections(server, monkeypatch)
+        service.client_fetch_predictions(server.url, X[:1])
+        assert service._idle is not None
+        records, match = np.zeros((1, 9)), "422"
+        if failure == "answer_dropped":
+            def dropping_getresponse(self):
+                self.close()
+                raise ConnectionResetError("connection dropped")
+
+            monkeypatch.setattr(http.client.HTTPConnection, "getresponse",
+                                dropping_getresponse)
+            records, match = X[:1], "could not reach"
+        with pytest.raises(service.ServiceError, match=match):
+            service.client_fetch_predictions(server.url, records, max_retries=1)
+        assert service._idle is None
+        assert conns.wait_finished(conns.accepted)  # every connection was closed
+
+    def test_call_to_another_server_closes_the_idle_connection(self, running_server,
+                                                               monkeypatch):
+        server, model, baseline, cfg, X = running_server
+        conns = ServerConnections(server, monkeypatch)
+        service.client_fetch_predictions(server.url, X[:1])
+        assert service._idle[0] == ("http", server.host, server.port)
+        with service.serve(model, baseline, cfg) as other:
+            preds = service.client_fetch_predictions(other.url, X[:1])
+            assert conns.wait_finished(1)
+            assert service._idle[0] == ("http", other.host, other.port)
+        assert preds[0] == nn.forward(model, X[0], ScalarTarget.PROBABILITY)
+
+    def test_parallel_calls_keep_one_connection(self, running_server, monkeypatch):
+        import concurrent.futures
+
+        server, model, _, _, X = running_server
+        conns = ServerConnections(server, monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches inside the slot swaps
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
+                preds = list(pool.map(
+                    lambda i: service.client_fetch_predictions(server.url, X[i:i + 1])[0],
+                    range(24)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert preds == [nn.forward(model, x, ScalarTarget.PROBABILITY) for x in X[:24]]
+        assert conns.wait_finished(conns.accepted - 1)
+        assert not conns.wait_finished(1, timeout=0.1)  # one stays open, idle
+        service.close_idle_connection()
+        assert conns.wait_finished(1)
 
 
 class TestBoundedReads:
