@@ -9,12 +9,13 @@ calibration.
 
 from .attack import (AttackModel, AttackSurface, CalibratedThreshold,
                      ThreatModel, build_surface, calibrate, score, train_attack)
-from .data import DatasetSplits, TabularDataset, TabularSchema, encode, load_csv, split
+from .data import DatasetSplits, TabularDataset, TabularSchema, encode, load_csv
 from .explain import (Algorithm, Attribution, ExplainerConfig, explain_batch,
                       mean_baseline, to_attack_vector)
-from .metrics import ConfusionCounts, PrCurve, confusion, f1, pearson, pr_curve, precision, recall
-from .nn import (MlpModel, ScalarTarget, TrainConfig, evaluate_accuracy,
-                 forward, init_model, input_gradient_batch, train)
+from .metrics import (ConfusionCounts, PrCurve, accuracy, confusion, f1, pearson, pr_curve,
+                      precision, recall)
+from .nn import (MlpModel, ScalarTarget, TrainConfig, forward, init_model,
+                 input_gradient_batch, train)
 from .pipeline import AttackReport, ExperimentConfig, emit_report, run_experiment
 
 __version__ = "0.1.0"
@@ -24,9 +25,9 @@ __all__ = [
     "CalibratedThreshold", "ConfusionCounts", "DatasetSplits",
     "ExperimentConfig", "ExplainerConfig", "MlpModel", "PrCurve",
     "ScalarTarget", "TabularDataset", "TabularSchema", "ThreatModel",
-    "TrainConfig", "build_surface", "calibrate", "confusion", "emit_report",
-    "encode", "evaluate_accuracy", "explain_batch", "f1", "forward",
-    "init_model", "input_gradient_batch", "load_csv", "mean_baseline",
-    "pearson", "pr_curve", "precision", "recall", "run_experiment", "score",
-    "split", "to_attack_vector", "train", "train_attack",
+    "TrainConfig", "accuracy", "build_surface", "calibrate", "confusion",
+    "emit_report", "encode", "explain_batch", "f1", "forward", "init_model",
+    "input_gradient_batch", "load_csv", "mean_baseline", "pearson", "pr_curve",
+    "precision", "recall", "run_experiment", "score", "to_attack_vector",
+    "train", "train_attack",
 ]

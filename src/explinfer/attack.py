@@ -9,9 +9,7 @@ records.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -155,7 +153,6 @@ def score(model: AttackModel, features) -> np.ndarray:
 class CalibratedThreshold:
     tau_star: float
     achieved_f1_on_aux: float
-    curve_id: str
     curve: metrics.PrCurve
 
 
@@ -169,66 +166,10 @@ def calibrate_scores(scores_aux, aux_s) -> CalibratedThreshold:
     curve = metrics.pr_curve(scores_aux, aux_s)
     best_f1 = float(np.max(curve.f1s))
     tau = float(np.min(curve.thresholds[curve.f1s == best_f1]))
-    curve_id = hashlib.sha1(curve.thresholds.tobytes()).hexdigest()[:12]
-    return CalibratedThreshold(
-        tau_star=tau, achieved_f1_on_aux=best_f1, curve_id=curve_id, curve=curve)
+    return CalibratedThreshold(tau_star=tau, achieved_f1_on_aux=best_f1, curve=curve)
 
 
 def calibrate(model: AttackModel, aux_features, aux_s) -> CalibratedThreshold:
     """Calibrate the decision threshold on auxiliary records with known s."""
     return calibrate_scores(score(model, aux_features), aux_s)
 
-
-def save_attack_model(model: AttackModel, path: str) -> None:
-    arrays = {"kind": np.array(model.kind), "input_dim": np.array(model.input_dim)}
-    if model.kind == "mlp":
-        m = model.mlp
-        arrays["layer_dims"] = np.asarray(m.layer_dims, dtype=np.int64)
-        for i, (w, b) in enumerate(zip(m.weights, m.biases)):
-            arrays[f"W{i}"] = w
-            arrays[f"b{i}"] = b
-        meta = {"init_seed": m.init_seed,
-                "train_config": None if m.train_config is None
-                else asdict(m.train_config)}
-        arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
-    else:
-        f = model.forest
-        arrays["forest_meta"] = np.asarray(
-            [f.n_features, f.n_trees, f.max_depth, f.min_leaf, f.seed],
-            dtype=np.int64)
-        for t, tree in enumerate(f.trees):
-            arrays[f"t{t}_feature"] = tree.feature
-            arrays[f"t{t}_threshold"] = tree.threshold
-            arrays[f"t{t}_left"] = tree.left
-            arrays[f"t{t}_right"] = tree.right
-            arrays[f"t{t}_value"] = tree.value
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_attack_model(path: str) -> AttackModel:
-    with np.load(path, allow_pickle=False) as f:
-        kind = str(f["kind"][()])
-        input_dim = int(f["input_dim"][()])
-        if kind == "mlp":
-            dims = [int(d) for d in f["layer_dims"]]
-            meta = json.loads(str(f["meta"][()]))
-            weights = [f[f"W{i}"] for i in range(len(dims) - 1)]
-            biases = [f[f"b{i}"] for i in range(len(dims) - 1)]
-            cfg = meta.get("train_config")
-            mlp = MlpModel(
-                layer_dims=dims, weights=weights, biases=biases,
-                init_seed=meta.get("init_seed"),
-                train_config=TrainConfig(**cfg) if cfg else None)
-            return AttackModel(kind="mlp", mlp=mlp, forest=None, input_dim=input_dim)
-        meta = f["forest_meta"]
-        trees = []
-        for t in range(int(meta[1])):
-            trees.append(forest_mod.FlatTree(
-                feature=f[f"t{t}_feature"], threshold=f[f"t{t}_threshold"],
-                left=f[f"t{t}_left"], right=f[f"t{t}_right"],
-                value=f[f"t{t}_value"]))
-        fm = forest_mod.ForestModel(
-            trees=trees, n_features=int(meta[0]), n_trees=int(meta[1]),
-            max_depth=int(meta[2]), min_leaf=int(meta[3]), seed=int(meta[4]))
-        return AttackModel(kind="forest", mlp=None, forest=fm, input_dim=input_dim)

@@ -1,15 +1,19 @@
 """Command-line entry points.
 
 Subcommands:
-    train       builder stages only; saves the target model and baseline
+    train       builder stages only; saves each target model and baseline
     explain     compute and dump explanations for the aux and eval splits
     attack      same as experiment
     audit       correlation audit (sensitive attribute vs observables)
     serve       expose the target model through the blackbox HTTP API
     experiment  full matrix run: attacks + audit + report emission
 
-explain, audit, attack and experiment train each distinct target and compute
-each distinct explanation set once per invocation (pipeline.run_cells).
+Every subcommand prepares each distinct target once per invocation
+(pipeline.prepare_cells), and those that explain compute each distinct
+explanation set once (pipeline.run_cells). train and explain name their
+files by the seeds that key them and write each file once. train and serve
+build the target in process and refuse a remote transport; with one, the
+other subcommands train nothing and query the service.
 
 Every subcommand takes a JSON experiment config; common flags override the
 config's output_dir, transport and seeds. Exit code 0 on success, 2 on a
@@ -56,13 +60,28 @@ def _load_cells(args) -> list[ExperimentConfig]:
     return pipeline.expand_matrix(raw)
 
 
+def _in_process_cells(args) -> list[ExperimentConfig]:
+    """The cells of train or serve, which build the target in this process."""
+    cells = _load_cells(args)
+    if any(cfg.transport != pipeline.IN_PROCESS for cfg in cells):
+        raise PipelineError("config", f"{args.command} builds the target in process "
+                            f"and takes no remote transport")
+    return cells
+
+
 def _cmd_train(args) -> int:
-    for cfg in _load_cells(args):
-        prep = pipeline.prepare(cfg)
+    written = set()
+    for prep in pipeline.prepare_cells(_in_process_cells(args)):
+        cfg = prep.cfg
+        # named by the matrix fields that key a target
+        tag = f"{cfg.tm.value}-s{cfg.split_seed}m{cfg.model_seed}"
+        if tag in written:  # the cell shares an earlier cell's target
+            continue
+        written.add(tag)
         os.makedirs(cfg.output_dir, exist_ok=True)
-        model_path = os.path.join(cfg.output_dir, f"target-{cfg.tm.value}.npz")
+        model_path = os.path.join(cfg.output_dir, f"target-{tag}.npz")
         nn.save_model(prep.model, model_path)
-        baseline_path = os.path.join(cfg.output_dir, f"baseline-{cfg.tm.value}.csv")
+        baseline_path = os.path.join(cfg.output_dir, f"baseline-{tag}.csv")
         with open(baseline_path, "w", encoding="utf-8") as fh:
             fh.write(",".join(repr(float(v)) for v in prep.baseline) + "\n")
         print(f"{cfg.dataset_name} {cfg.tm.value}: "
@@ -72,16 +91,22 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    written = set()
     for prep, aux_pack, eval_pack in pipeline.run_cells(_load_cells(args)):
         cfg = prep.cfg
+        # named by the matrix fields that key an explanation set
+        stem = os.path.join(
+            cfg.output_dir, f"explanations-{cfg.tm.value}-{cfg.algorithm.value}-"
+            f"s{cfg.split_seed}m{cfg.model_seed}e{cfg.explainer_seed}")
+        if stem in written:  # the cell shares an earlier cell's explanations
+            continue
+        written.add(stem)
         os.makedirs(cfg.output_dir, exist_ok=True)
         for name, (attrs, _), ds in (
             ("aux", aux_pack, prep.splits.aux),
             ("eval", eval_pack, prep.splits.eval),
         ):
-            path = os.path.join(
-                cfg.output_dir,
-                f"explanations-{cfg.tm.value}-{cfg.algorithm.value}-{name}.csv")
+            path = f"{stem}-{name}.csv"
             explain_mod.write_attributions(path, attrs, ds.row_ids)
             print(f"{len(attrs)} {name} explanations -> {path}")
     return 0
@@ -103,7 +128,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    cells = _load_cells(args)
+    cells = _in_process_cells(args)
     if len(cells) != 1:
         print("serve needs a config describing exactly one cell", file=sys.stderr)
         return 2

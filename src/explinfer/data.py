@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,7 +245,6 @@ class TabularDataset:
     labels: np.ndarray
     sensitive: np.ndarray
     column_groups: dict[str, list[int]]
-    includes_sensitive: bool
     row_ids: np.ndarray
     unknown_category_count: int = 0
 
@@ -256,18 +255,6 @@ class TabularDataset:
     @property
     def n_columns(self) -> int:
         return self.features.shape[1]
-
-    def take(self, indices) -> "TabularDataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return TabularDataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            sensitive=self.sensitive[idx],
-            column_groups=self.column_groups,
-            includes_sensitive=self.includes_sensitive,
-            row_ids=self.row_ids[idx],
-            unknown_category_count=0,
-        )
 
 
 def encode(
@@ -330,7 +317,6 @@ def encode(
         labels=_binarize_label(table.label_raw, schema),
         sensitive=sensitive,
         column_groups=column_groups,
-        includes_sensitive=include_sensitive,
         row_ids=np.asarray(table.row_ids, dtype=np.int64),
         unknown_category_count=unknown,
     )
@@ -350,22 +336,8 @@ def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 @dataclass
 class DatasetSplits:
     target_train: TabularDataset
-    test: TabularDataset
     aux: TabularDataset
     eval: TabularDataset
-    split_seed: int
-
-
-def split(ds: TabularDataset, seed: int) -> DatasetSplits:
-    """Partition an encoded dataset into the 70/30(=15+15) topology."""
-    train_idx, aux_idx, eval_idx = split_indices(ds.n_rows, seed)
-    return DatasetSplits(
-        target_train=ds.take(train_idx),
-        test=ds.take(np.concatenate([aux_idx, eval_idx])),
-        aux=ds.take(aux_idx),
-        eval=ds.take(eval_idx),
-        split_seed=int(seed),
-    )
 
 
 def sensitive_base_rate(ds: TabularDataset) -> float:

@@ -23,7 +23,6 @@ record agree bit-for-bit.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,12 +70,6 @@ class Attribution:
     scores: np.ndarray
     delta: float
     target: ScalarTarget | None
-    baseline_id: str
-
-
-def baseline_id(baseline: np.ndarray) -> str:
-    """Short content hash identifying a baseline vector."""
-    return hashlib.sha1(np.ascontiguousarray(baseline).tobytes()).hexdigest()[:12]
 
 
 def _rng(seed: int, record_id: int) -> np.random.Generator:
@@ -217,14 +210,13 @@ def explain_batch(
         raise ValueError("record_ids must match the number of rows")
     body, rows = _explainer(algorithm, cfg)
     fb = nn.forward(model, base, target) if ids else None
-    bid = baseline_id(base)
     out = []
     k = max(1, GRAD_ROWS // rows)
     for lo in range(0, len(ids), k):
         chunk = X[lo:lo + k]
         scores = body(model, chunk, base, cfg, target, ids[lo:lo + k])
         fx = nn.forward_rows(model, chunk, target)
-        out += [Attribution(algorithm, s, float(f) - fb - float(np.sum(s)), target, bid)
+        out += [Attribution(algorithm, s, float(f) - fb - float(np.sum(s)), target)
                 for s, f in zip(scores, fx)]
     return out
 
@@ -261,23 +253,3 @@ def write_attributions(path: str, attributions: list[Attribution], record_ids) -
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_attributions(path: str) -> tuple[list[int], list[Attribution]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"empty attribution file: {path}")
-    ids, attrs = [], []
-    for line in lines[1:]:
-        parts = line.split(",")
-        ids.append(int(parts[0]))
-        attrs.append(
-            Attribution(
-                algorithm=Algorithm(parts[1]),
-                scores=np.array([float(v) for v in parts[4:]]),
-                delta=float(parts[3]),
-                target=ScalarTarget(parts[2]) if parts[2] else None,
-                baseline_id="file",
-            )
-        )
-    return ids, attrs

@@ -31,10 +31,6 @@ class FlatTree:
 class ForestModel:
     trees: list[FlatTree]
     n_features: int
-    n_trees: int
-    max_depth: int
-    min_leaf: int
-    seed: int
 
 
 def _best_split(X, y, rows, features, min_leaf):
@@ -128,9 +124,7 @@ def fit_forest(
         rng = np.random.default_rng([int(seed), t])
         rows = rng.integers(0, n, size=n)  # bootstrap sample
         trees.append(_grow_tree(X, y, rows, rng, max_depth, min_leaf, n_sub))
-    return ForestModel(
-        trees=trees, n_features=X.shape[1], n_trees=n_trees,
-        max_depth=max_depth, min_leaf=min_leaf, seed=int(seed))
+    return ForestModel(trees=trees, n_features=X.shape[1])
 
 
 def tree_scores(tree: FlatTree, X: np.ndarray) -> np.ndarray:
@@ -154,4 +148,4 @@ def forest_scores(model: ForestModel, features) -> np.ndarray:
     acc = np.zeros(X.shape[0])
     for tree in model.trees:
         acc += tree_scores(tree, X)
-    return acc / model.n_trees
+    return acc / len(model.trees)

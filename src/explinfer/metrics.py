@@ -1,4 +1,4 @@
-"""Precision, recall, F1, precision-recall curves and Pearson correlation.
+"""Accuracy, precision, recall, F1, precision-recall curves and Pearson correlation.
 
 Zero-denominator conventions: precision, recall and F1 each return 0.0 when
 their denominator is 0. Decision rules everywhere are inclusive: a record is
@@ -18,10 +18,6 @@ class ConfusionCounts:
     fp: int
     tn: int
     fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
 
 
 def _binary_vector(v, name) -> np.ndarray:
@@ -43,6 +39,17 @@ def confusion(predicted, truth) -> ConfusionCounts:
     tn = int(np.sum((p == 0) & (t == 0)))
     fn = int(np.sum((p == 0) & (t == 1)))
     return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+
+
+def accuracy(probabilities, labels) -> float:
+    """Fraction of rows where (probability >= 0.5) equals the label."""
+    p = np.asarray(probabilities, dtype=np.float64).ravel()
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    if p.shape[0] == 0:
+        raise ValueError("cannot evaluate accuracy on an empty set")
+    if p.shape != y.shape:
+        raise ValueError(f"{p.shape[0]} probabilities vs {y.shape[0]} labels")
+    return float(np.mean((p >= 0.5) == y))
 
 
 def precision(c: ConfusionCounts) -> float:
@@ -135,17 +142,3 @@ def write_pr_curve(curve: PrCurve, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_pr_curve(path: str) -> PrCurve:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    base_rate = float(lines[0].split("=", 1)[1])
-    rows = [tuple(float(v) for v in line.split(",")) for line in lines[2:]]
-    arr = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
-    return PrCurve(
-        thresholds=arr[:, 0],
-        precisions=arr[:, 1],
-        recalls=arr[:, 2],
-        f1s=arr[:, 3],
-        base_rate=base_rate,
-    )

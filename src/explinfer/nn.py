@@ -114,19 +114,6 @@ def _check_matrix(X, model: MlpModel | None = None, stack: bool = False) -> np.n
     return X
 
 
-def _check_input(model: MlpModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"input must be a 1-D vector, got ndim={x.ndim}")
-    if x.shape[0] != model.input_dim:
-        raise ValueError(
-            f"input has length {x.shape[0]}, model expects {model.input_dim}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite values")
-    return x
-
-
 def init_model(layer_dims: list[int], seed: int) -> MlpModel:
     """Create a model with Glorot-uniform weights and zero biases.
 
@@ -184,7 +171,10 @@ def forward_batch(model: MlpModel, X, target: ScalarTarget = ScalarTarget.PROBAB
 
 def forward(model: MlpModel, x, target: ScalarTarget = ScalarTarget.PROBABILITY) -> float:
     """Selected scalar output for a single input vector."""
-    x = _check_input(model, x)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"input must be a 1-D vector, got ndim={x.ndim}")
+    # forward_batch checks the width and that the values are finite
     return float(forward_batch(model, x[None, :], target)[0])
 
 
@@ -311,19 +301,6 @@ def train(model: MlpModel, features, labels, cfg: TrainConfig) -> MlpModel:
             t += 1
             _adam_step(p, g, m, v, t, cfg, s1, s2)
     return out.copy()  # own contiguous arrays, not views of p
-
-
-def evaluate_accuracy(model: MlpModel, features, labels) -> float:
-    """Fraction of rows where (probability >= 0.5) equals the label."""
-    X = _check_matrix(features)
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    if X.shape[0] == 0:
-        raise ValueError("cannot evaluate accuracy on an empty set")
-    if X.shape[0] != y.shape[0]:
-        raise ValueError(f"{X.shape[0]} feature rows vs {y.shape[0]} labels")
-    probs = forward_batch(model, X, ScalarTarget.PROBABILITY)
-    preds = (probs >= 0.5).astype(np.float64)
-    return float(np.mean(preds == y))
 
 
 def save_model(model: MlpModel, path: str) -> None:

@@ -11,6 +11,9 @@ and emits a machine-readable report, PR-curve files, per-record prediction
 dumps and a manifest of every seed and config value. Identical config and
 seeds produce byte-identical report files.
 
+With a remote transport no target is trained: the target test accuracy,
+like the explanations, comes from the service.
+
 Evaluation hygiene: encoding statistics, the explanation baseline, attack
 training and threshold calibration never see an eval-split record.
 """
@@ -93,6 +96,13 @@ class ExperimentConfig:
     run_audit: bool = True
 
     def __post_init__(self):
+        # an int path would be opened as a file descriptor
+        for name in ("dataset_csv", "schema", "output_dir", "transport", "dataset_name"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (name == "dataset_name" and value is None)):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        if type(self.run_audit) is not bool:
+            raise ValueError(f"run_audit must be true or false, got {self.run_audit!r}")
         self.tm = ThreatModel(self.threat_model)
         self.algorithm = Algorithm(self.explainer)
         self.scalar_target = ScalarTarget(self.explanation_target)
@@ -114,8 +124,8 @@ class ExperimentConfig:
             self.dataset_name = stem
         # exact types: bool is an int subclass, and "1" would fail deep in a stage
         for name, low in (("split_seed", 0), ("model_seed", 0), ("attack_seed", 0),
-                          ("explainer_seed", 0), ("target_epochs", 0),
-                          ("attack_epochs", 0), ("target_batch_size", 1),
+                          ("explainer_seed", 0), ("target_epochs", 1),
+                          ("attack_epochs", 1), ("target_batch_size", 1),
                           ("attack_batch_size", 1), ("forest_trees", 1),
                           ("forest_depth", 1), ("forest_min_leaf", 1), ("ig_steps", 1),
                           ("shap_samples", 1), ("smoothgrad_samples", 1)):
@@ -227,15 +237,19 @@ class _Prepared:
     cfg: ExperimentConfig
     schema: data_mod.TabularSchema
     splits: data_mod.DatasetSplits
-    model: nn.MlpModel
-    baseline: np.ndarray
+    model: nn.MlpModel | None  # None when a service holds the target
+    baseline: np.ndarray | None
     test_accuracy: float
     n_dropped_missing: int
     unknown_categories: int
 
 
 def prepare(cfg: ExperimentConfig) -> _Prepared:
-    """Run the builder-side stages: load, split, encode, train, baseline."""
+    """Run the builder-side stages: load, split, encode, train, baseline.
+
+    With a remote transport nothing is trained: the adversary reaches the
+    target only through the service, whose predictions on the aux and eval
+    rows give the test accuracy."""
     try:
         schema = data_mod.TabularSchema.from_json(cfg.schema)
         table = data_mod.load_csv(cfg.dataset_csv, schema)
@@ -258,42 +272,36 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
     except ValueError as exc:
         raise PipelineError("encode", str(exc)) from exc
 
-    try:
-        model = nn.init_model(
-            [ds_train.n_columns, *cfg.target_hidden, 1], seed=cfg.model_seed)
-        train_cfg = TrainConfig(
-            epochs=cfg.target_epochs,
-            learning_rate=cfg.target_learning_rate,
-            batch_size=cfg.target_batch_size,
-            seed=cfg.model_seed,
-        )
-        model = nn.train(model, ds_train.features, ds_train.labels, train_cfg)
-        test_features = np.vstack([ds_aux.features, ds_eval.features])
-        test_labels = np.concatenate([ds_aux.labels, ds_eval.labels])
-        test_accuracy = nn.evaluate_accuracy(model, test_features, test_labels)
-    except (ValueError, nn.TrainingDivergence) as exc:
-        raise PipelineError("train-target", str(exc)) from exc
+    model = baseline = None
+    if cfg.transport == IN_PROCESS:
+        try:
+            model = nn.init_model(
+                [ds_train.n_columns, *cfg.target_hidden, 1], seed=cfg.model_seed)
+            train_cfg = TrainConfig(
+                epochs=cfg.target_epochs,
+                learning_rate=cfg.target_learning_rate,
+                batch_size=cfg.target_batch_size,
+                seed=cfg.model_seed,
+            )
+            model = nn.train(model, ds_train.features, ds_train.labels, train_cfg)
+        except (ValueError, nn.TrainingDivergence) as exc:
+            raise PipelineError("train-target", str(exc)) from exc
+        baseline = explain_mod.mean_baseline(ds_train.features)
 
-    baseline = explain_mod.mean_baseline(ds_train.features)
-    ds_test = data_mod.TabularDataset(
-        features=test_features,
-        labels=test_labels,
-        sensitive=np.concatenate([ds_aux.sensitive, ds_eval.sensitive]),
-        column_groups=ds_aux.column_groups,
-        includes_sensitive=ds_aux.includes_sensitive,
-        row_ids=np.concatenate([ds_aux.row_ids, ds_eval.row_ids]),
-    )
-    splits = data_mod.DatasetSplits(
-        target_train=ds_train,
-        test=ds_test,
-        aux=ds_aux,
-        eval=ds_eval,
-        split_seed=cfg.split_seed,
-    )
+    # built after training, so it does not add to training's peak memory
+    test_features = np.vstack([ds_aux.features, ds_eval.features])
+    try:
+        probabilities = (nn.forward_batch(model, test_features) if model is not None
+                         else service.client_fetch_predictions(cfg.transport, test_features))
+        test_accuracy = metrics_mod.accuracy(
+            probabilities, np.concatenate([ds_aux.labels, ds_eval.labels]))
+    except (service.ServiceError, ValueError) as exc:
+        raise PipelineError("predict", str(exc)) from exc
+
     return _Prepared(
         cfg=cfg,
         schema=schema,
-        splits=splits,
+        splits=data_mod.DatasetSplits(target_train=ds_train, aux=ds_aux, eval=ds_eval),
         model=model,
         baseline=baseline,
         test_accuracy=test_accuracy,
@@ -444,31 +452,43 @@ def correlation_audit(prep: _Prepared, attrs_aux, attrs_eval) -> list[Correlatio
 
 
 # config fields that determine a prepared target and, added to those, its
-# explanations; run_cells compares their JSON text (lists are unhashable)
+# explanations; their JSON text is the memo key (lists are unhashable)
 PREPARE_KEY = ("dataset_csv", "schema", "threat_model", "split_seed", "model_seed",
                "target_hidden", "target_epochs", "target_learning_rate",
-               "target_batch_size")
+               "target_batch_size", "transport")
 EXPLAIN_KEY = ("explainer", "explainer_seed", "ig_steps", "shap_samples", "shap_stdev",
                "smoothgrad_samples", "smoothgrad_sigma", "explanation_target",
-               "transport", "needs_predictions")
+               "needs_predictions")
+
+
+def _key(cfg: ExperimentConfig, names) -> tuple:
+    return tuple(json.dumps(getattr(cfg, n)) for n in names)
+
+
+def prepare_cells(cells: list[ExperimentConfig]):
+    """Yield the prepared target of each cell, in order.
+
+    Within one call each distinct target (keyed by PREPARE_KEY) is prepared
+    once, and every cell gets it rebound to its own config."""
+    prepared = {}
+    for cfg in cells:
+        key = _key(cfg, PREPARE_KEY)
+        if key not in prepared:
+            prepared[key] = prepare(cfg)
+        yield dataclasses.replace(prepared[key], cfg=cfg)
 
 
 def run_cells(cells: list[ExperimentConfig]):
     """Yield (prepared, aux pack, eval pack) for each cell, in order.
 
-    Within one call each distinct target is prepared once and each distinct
-    explanation set computed once (keyed by PREPARE_KEY and EXPLAIN_KEY);
-    every cell gets the shared artifacts rebound to its own config."""
-    prepared, packs = {}, {}
-    for cfg in cells:
-        pkey = tuple(json.dumps(getattr(cfg, n)) for n in PREPARE_KEY)
-        if pkey not in prepared:
-            prepared[pkey] = prepare(cfg)
-        prep = dataclasses.replace(prepared[pkey], cfg=cfg)
-        ekey = pkey + tuple(json.dumps(getattr(cfg, n)) for n in EXPLAIN_KEY)
-        if ekey not in packs:
-            packs[ekey] = compute_explanations(prep)
-        yield (prep, *packs[ekey])
+    Targets come from prepare_cells, and each distinct explanation set
+    (keyed by PREPARE_KEY and EXPLAIN_KEY) is computed once per call."""
+    packs = {}
+    for prep in prepare_cells(cells):
+        key = _key(prep.cfg, PREPARE_KEY + EXPLAIN_KEY)
+        if key not in packs:
+            packs[key] = compute_explanations(prep)
+        yield (prep, *packs[key])
 
 
 def run_matrix(cells: list[ExperimentConfig]) -> list[AttackReport]:

@@ -386,7 +386,7 @@ def client_fetch_explanations(
                         _chunks(X, record_ids, algorithm=algorithm.value),
                         max_retries, timeout)
     return [Attribution(algorithm=algorithm, scores=np.asarray(e["scores"], dtype=np.float64),
-                        delta=float(e["delta"]), target=None, baseline_id="remote")
+                        delta=float(e["delta"]), target=None)
             for a in answers for e in a["explanations"]]
 
 

@@ -35,7 +35,7 @@ def walk_tree(tree, x):
 def make_attribution(scores, delta=0.5):
     return Attribution(
         algorithm=Algorithm.DEEPLIFT, scores=np.asarray(scores, dtype=float),
-        delta=delta, target=None, baseline_id="b")
+        delta=delta, target=None)
 
 
 class TestSurfaces:
@@ -291,13 +291,13 @@ class TestInfer:
 
     def test_threshold_half(self):
         model, X, s = self.make_forest_model()
-        thr = attack.CalibratedThreshold(0.5, 0.0, "c", None)
+        thr = attack.CalibratedThreshold(0.5, 0.0, None)
         sc = score(model, X)
         assert np.array_equal(sc >= thr.tau_star, sc >= 0.5)
 
     def test_zero_threshold_all_positive(self):
         model, X, _ = self.make_forest_model()
-        thr = attack.CalibratedThreshold(0.0, 0.0, "c", None)
+        thr = attack.CalibratedThreshold(0.0, 0.0, None)
         assert np.all(score(model, X) >= thr.tau_star)
 
     def test_raising_tau_never_adds_positives(self):
@@ -305,30 +305,7 @@ class TestInfer:
         sc = score(model, X)
         counts = []
         for tau in np.linspace(0, 1, 21):
-            thr = attack.CalibratedThreshold(float(tau), 0.0, "c", None)
+            thr = attack.CalibratedThreshold(float(tau), 0.0, None)
             counts.append(int(np.sum(sc >= thr.tau_star)))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
-
-class TestSerialization:
-    def test_mlp_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(40, 3))
-        s = (X[:, 0] > 0).astype(float)
-        model = train_attack(X, s, kind="mlp", seed=4, mlp_epochs=5)
-        path = str(tmp_path / "attack.npz")
-        attack.save_attack_model(model, path)
-        loaded = attack.load_attack_model(path)
-        assert loaded.kind == "mlp" and loaded.input_dim == 3
-        assert np.array_equal(score(loaded, X), score(model, X))
-
-    def test_forest_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(40, 3))
-        s = (X[:, 0] > 0).astype(float)
-        model = train_attack(X, s, kind="forest", seed=4, forest_trees=6)
-        path = str(tmp_path / "attack.npz")
-        attack.save_attack_model(model, path)
-        loaded = attack.load_attack_model(path)
-        assert loaded.kind == "forest"
-        assert np.array_equal(score(loaded, X), score(model, X))

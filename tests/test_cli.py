@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import threading
@@ -5,7 +6,7 @@ import time
 
 import pytest
 
-from explinfer import cli, nn, service
+from explinfer import cli, explain, nn, pipeline, service
 from explinfer.synth import write_synthetic_dataset
 
 
@@ -38,8 +39,8 @@ def test_train_writes_model_and_baseline(cli_setup, capsys):
     assert cli.main(["train", config_path]) == 0
     out = capsys.readouterr().out
     assert "test accuracy" in out
-    assert os.path.exists(os.path.join(config["output_dir"], "target-tm1.npz"))
-    assert os.path.exists(os.path.join(config["output_dir"], "baseline-tm1.csv"))
+    assert os.path.exists(os.path.join(config["output_dir"], "target-tm1-s0m1.npz"))
+    assert os.path.exists(os.path.join(config["output_dir"], "baseline-tm1-s0m1.csv"))
 
 
 def test_explain_writes_attribution_files(cli_setup, capsys):
@@ -47,7 +48,7 @@ def test_explain_writes_attribution_files(cli_setup, capsys):
     assert cli.main(["explain", config_path]) == 0
     for name in ("aux", "eval"):
         path = os.path.join(
-            config["output_dir"], f"explanations-tm1-deeplift-{name}.csv")
+            config["output_dir"], f"explanations-tm1-deeplift-s0m1e3-{name}.csv")
         assert os.path.exists(path)
         with open(path, encoding="utf-8") as fh:
             header = fh.readline()
@@ -107,7 +108,9 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     {"attack_learning_rate": float("nan")}, {"shap_stdev": "x"},
     {"shap_stdev": float("inf")}, {"smoothgrad_sigma": True},
     {"target_hidden": [64, 0]}, {"target_hidden": 64}, {"attack_hidden": ["8"]},
-    {"surfaces": []},
+    {"surfaces": []}, {"target_epochs": 0}, {"attack_epochs": 0},
+    {"dataset_csv": 5}, {"schema": 10**6}, {"output_dir": 5}, {"transport": 5},
+    {"dataset_name": 5}, {"run_audit": "no"},
 ])
 def test_bad_field_is_config_error_before_training(cli_setup, tmp_path, capsys,
                                                    monkeypatch, override):
@@ -177,3 +180,115 @@ def test_serve_blocks_and_answers(cli_setup):
             break
         time.sleep(0.2)
     assert ok, "serve subcommand never became healthy"
+
+
+def _serve_target(config, **overrides):
+    """Serve the target that config, with overrides, trains in process."""
+    cfg = pipeline.expand_matrix(dict(config, **overrides))[0]
+    prep = pipeline.prepare(cfg)
+    server = service.serve(prep.model, prep.baseline, cfg.explainer_config,
+                           target=cfg.scalar_target)
+    return prep, server
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_remote_run_trains_no_target(cli_setup, tmp_path, monkeypatch):
+    _, _, config = cli_setup
+    # a forest attack, so that nothing in the remote run may call nn.train
+    forest = dict(config, attack_kind="forest", forest_trees=5)
+    path = tmp_path / "forest.json"
+    path.write_text(json.dumps(forest))
+    out_local, out_remote = str(tmp_path / "local"), str(tmp_path / "remote")
+    assert cli.main(["attack", str(path), "--out-dir", out_local]) == 0
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a remote run trained a model")
+
+    _, server = _serve_target(forest)
+    monkeypatch.setattr(nn, "train", no_training)
+    try:
+        assert cli.main(["attack", str(path), "--out-dir", out_remote,
+                         "--transport", server.url]) == 0
+    finally:
+        server.shutdown()
+    assert (_read(os.path.join(out_remote, "report.csv"))
+            == _read(os.path.join(out_local, "report.csv")))
+
+
+def test_remote_run_reports_served_model_accuracy(cli_setup, tmp_path):
+    _, config_path, config = cli_setup
+    # the served model has model_seed 4; the config asks for seed 1
+    served, server = _serve_target(config, model_seed=4)
+    try:
+        out = str(tmp_path / "remote")
+        assert cli.main(["attack", config_path, "--out-dir", out,
+                         "--transport", server.url, "--model-seed", "1"]) == 0
+    finally:
+        server.shutdown()
+    unserved = pipeline.prepare(pipeline.expand_matrix(dict(config, model_seed=1))[0])
+    assert unserved.test_accuracy != served.test_accuracy
+    with open(os.path.join(out, "report.csv"), encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["target_test_accuracy"] for r in rows] == [repr(served.test_accuracy)]
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert manifest["cells"][0]["target_test_accuracy"] == served.test_accuracy
+
+
+@pytest.mark.parametrize("command", ["train", "serve"])
+def test_train_and_serve_refuse_remote_transport(cli_setup, capsys, monkeypatch,
+                                                 command):
+    _, config_path, _ = cli_setup
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the transport was checked")
+
+    monkeypatch.setattr(pipeline, "prepare", no_work)
+    monkeypatch.setattr(service, "serve", no_work)
+    assert cli.main([command, config_path, "--transport", "http://127.0.0.1:9"]) == 2
+    assert "error [stage=config]" in capsys.readouterr().err
+
+
+def test_train_and_explain_on_a_seed_matrix(cli_setup, tmp_path, monkeypatch):
+    _, _, config = cli_setup
+    out = str(tmp_path / "matrix")
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(dict(config, model_seed=[1, 2], explainer_seed=[3, 4],
+                                    output_dir=out)))
+    prepared, written = [], []
+    real_prepare = pipeline.prepare
+
+    def counting_prepare(cfg):
+        prepared.append(cfg.model_seed)
+        return real_prepare(cfg)
+
+    def recording(write, path_arg):
+        def wrapper(*args):
+            written.append(args[path_arg])
+            return write(*args)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "prepare", counting_prepare)
+    monkeypatch.setattr(nn, "save_model", recording(nn.save_model, 1))
+    monkeypatch.setattr(explain, "write_attributions",
+                        recording(explain.write_attributions, 0))
+
+    assert cli.main(["train", str(path)]) == 0
+    assert prepared == [1, 2]
+    assert sorted(os.listdir(out)) == [
+        "baseline-tm1-s0m1.csv", "baseline-tm1-s0m2.csv",
+        "target-tm1-s0m1.npz", "target-tm1-s0m2.npz"]
+    for seed in (1, 2):
+        assert nn.load_model(os.path.join(out, f"target-tm1-s0m{seed}.npz")).init_seed == seed
+
+    assert cli.main(["explain", str(path)]) == 0
+    assert prepared == [1, 2, 1, 2]
+    names = sorted(f"explanations-tm1-deeplift-s0m{m}e{e}-{split}.csv"
+                   for m in (1, 2) for e in (3, 4) for split in ("aux", "eval"))
+    assert sorted(f for f in os.listdir(out) if f.startswith("explanations-")) == names
+    # every file was written once: 2 targets, then 4 explanation sets
+    assert len(written) == len(set(written)) == 2 + len(names)

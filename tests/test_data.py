@@ -4,7 +4,7 @@ import pytest
 from explinfer import data
 from explinfer.data import (DataError, RawTable, SchemaError, TabularSchema,
                             encode, fit_encoding, load_csv, sensitive_base_rate,
-                            split, split_indices)
+                            split_indices)
 from explinfer.synth import write_synthetic_dataset
 
 
@@ -82,7 +82,6 @@ class TestEncode:
     def test_censoring_excludes_sensitive_group(self):
         ds = encode(self.make_table(), toy_schema(), include_sensitive=False)
         assert "minority" not in ds.column_groups
-        assert not ds.includes_sensitive
         assert ds.n_columns == 3
 
     def test_sensitive_included_as_single_column(self):
@@ -167,25 +166,13 @@ class TestSplit:
             split_indices(9, seed=0)
 
     def test_split_dataset_topology(self):
-        rng = np.random.default_rng(0)
-        ds = data.TabularDataset(
-            features=rng.normal(size=(40, 3)),
-            labels=rng.integers(0, 2, 40).astype(float),
-            sensitive=rng.integers(0, 2, 40).astype(float),
-            column_groups={"a": [0], "b": [1], "c": [2]},
-            includes_sensitive=False,
-            row_ids=np.arange(40),
-        )
-        parts = split(ds, seed=5)
-        assert parts.target_train.n_rows == 28
-        assert parts.aux.n_rows == 6 and parts.eval.n_rows == 6
-        assert parts.test.n_rows == 12
-        all_ids = np.concatenate(
-            [parts.target_train.row_ids, parts.aux.row_ids, parts.eval.row_ids])
-        assert sorted(all_ids) == list(range(40))
-        # aux and eval together are exactly the test set
-        assert sorted(np.concatenate([parts.aux.row_ids, parts.eval.row_ids])) == \
-            sorted(parts.test.row_ids)
+        train, aux, ev = split_indices(40, seed=5)
+        assert len(train) == 28
+        assert len(aux) == 6 and len(ev) == 6
+        assert len(aux) + len(ev) == 12
+        assert sorted(np.concatenate([train, aux, ev])) == list(range(40))
+        # aux and eval together are exactly the 30% the target never trains on
+        assert sorted(np.concatenate([aux, ev])) == sorted(set(range(40)) - set(train))
 
 
 class TestBaseRate:
@@ -193,8 +180,7 @@ class TestBaseRate:
         s = np.asarray(s, dtype=float)
         return data.TabularDataset(
             features=np.zeros((len(s), 1)), labels=np.zeros(len(s)),
-            sensitive=s, column_groups={}, includes_sensitive=False,
-            row_ids=np.arange(len(s)))
+            sensitive=s, column_groups={}, row_ids=np.arange(len(s)))
 
     def test_half(self):
         assert sensitive_base_rate(self.make([1, 1, 0, 0])) == 0.5

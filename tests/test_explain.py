@@ -272,7 +272,7 @@ class TestSmoothGrad:
 class TestAttackVector:
     def test_append_delta(self):
         a = Attribution(Algorithm.DEEPLIFT, np.array([0.2, -0.1]), 0.05,
-                        ScalarTarget.LOGIT, "b")
+                        ScalarTarget.LOGIT)
         assert np.array_equal(
             explain.to_attack_vector(a), np.array([0.2, -0.1, 0.05]))
 
@@ -298,25 +298,23 @@ class TestRestrict:
         return build_surface(a, None, surface, {"s": columns}, "s")
 
     def test_all_columns(self):
-        a = Attribution(Algorithm.SMOOTHGRAD, np.array([1.0, 2.0, 3.0]), 0.0,
-                        None, "b")
+        a = Attribution(Algorithm.SMOOTHGRAD, np.array([1.0, 2.0, 3.0]), 0.0, None)
         assert np.array_equal(self.restrict(a, [0, 1, 2]), a.scores)
 
     def test_subset(self):
-        a = Attribution(Algorithm.SMOOTHGRAD, np.array([1.0, 2.0, 3.0]), 0.0,
-                        None, "b")
+        a = Attribution(Algorithm.SMOOTHGRAD, np.array([1.0, 2.0, 3.0]), 0.0, None)
         assert np.array_equal(self.restrict(a, [1]), np.array([2.0]))
 
     def test_partition(self):
         scores = np.array([5.0, -2.0, 7.0, 1.0])
-        a = Attribution(Algorithm.DEEPLIFT, scores, 0.5, None, "b")
+        a = Attribution(Algorithm.DEEPLIFT, scores, 0.5, None)
         left = self.restrict(a, [0, 2])
         right = self.restrict(a, [0, 2], AttackSurface.PHI_NON_SENSITIVE)
         assert right[-1] == a.delta
         assert sorted(np.concatenate([left, right[:-1]])) == sorted(scores)
 
     def test_out_of_range(self):
-        a = Attribution(Algorithm.DEEPLIFT, np.array([1.0]), 0.0, None, "b")
+        a = Attribution(Algorithm.DEEPLIFT, np.array([1.0]), 0.0, None)
         with pytest.raises(IndexError):
             self.restrict(a, [1])
 
@@ -438,10 +436,14 @@ class TestAttributionFile:
             model, X[:5], base, Algorithm.INTEGRATED_GRADIENTS, cfg)
         path = str(tmp_path / "attr.csv")
         explain.write_attributions(path, attrs, record_ids=range(5))
-        ids, loaded = explain.read_attributions(path)
-        assert ids == list(range(5))
-        for a, b in zip(attrs, loaded):
-            assert np.array_equal(a.scores, b.scores)
-            assert a.delta == b.delta
-            assert a.algorithm == b.algorithm
-            assert a.target == b.target
+        with open(path, encoding="utf-8") as fh:
+            header, *lines = fh.read().splitlines()
+        assert header.split(",") == (["record_id", "algorithm", "target", "delta"]
+                                     + [f"score_{i}" for i in range(X.shape[1])])
+        rows = [line.split(",") for line in lines]
+        assert [int(r[0]) for r in rows] == list(range(5))
+        for a, r in zip(attrs, rows, strict=True):
+            assert np.array_equal(a.scores, np.array([float(v) for v in r[4:]]))
+            assert a.delta == float(r[3])
+            assert a.algorithm == Algorithm(r[1])
+            assert a.target == ScalarTarget(r[2])

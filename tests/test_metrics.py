@@ -41,7 +41,7 @@ class TestConfusion:
         truth = [1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1]
         c = metrics.confusion(pred, truth)
         assert c == ConfusionCounts(tp=4, fp=3, tn=8, fn=5)
-        assert c.total == 20
+        assert c.tp + c.fp + c.tn + c.fn == 20
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -143,10 +143,13 @@ class TestPrCurve:
         curve = metrics.pr_curve(rng.random(40), rng.integers(0, 2, 40))
         path = str(tmp_path / "curve.csv")
         metrics.write_pr_curve(curve, path)
-        loaded = metrics.read_pr_curve(path)
-        assert np.array_equal(loaded.thresholds, curve.thresholds)
-        assert np.array_equal(loaded.precisions, curve.precisions)
-        assert loaded.base_rate == curve.base_rate
+        with open(path, encoding="utf-8") as fh:
+            comment, header, *lines = fh.read().splitlines()
+        assert header == "threshold,precision,recall,f1"
+        loaded = np.array([[float(v) for v in line.split(",")] for line in lines])
+        assert np.array_equal(loaded[:, 0], curve.thresholds)
+        assert np.array_equal(loaded[:, 1], curve.precisions)
+        assert float(comment.removeprefix("# base_rate=")) == curve.base_rate
 
 
 class TestPearson:

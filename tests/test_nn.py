@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from explinfer import nn
+from explinfer import metrics, nn
 from explinfer.nn import MlpModel, ScalarTarget, TrainConfig, TrainingDivergence
 
 
@@ -246,7 +246,7 @@ class TestTrain:
         m = nn.init_model([2, 8, 1], seed=1)
         cfg = TrainConfig(epochs=30, learning_rate=1e-2, batch_size=32, seed=4)
         trained = nn.train(m, X, y, cfg)
-        assert nn.evaluate_accuracy(trained, X, y) >= 0.99
+        assert metrics.accuracy(nn.forward_batch(trained, X), y) >= 0.99
 
     def test_zero_epochs_identity(self):
         X, y = self.separable_data(50)
@@ -327,14 +327,14 @@ class TestEvaluateAccuracy:
         m = linear_model([10.0])
         X = np.array([[1.0], [-1.0], [2.0]])
         y = np.array([1.0, 0.0, 1.0])
-        assert nn.evaluate_accuracy(m, X, y) == 1.0
+        assert metrics.accuracy(nn.forward_batch(m, X), y) == 1.0
 
     def test_tie_rule_predicts_positive(self):
         # constant-0.5 model: every row predicted 1, half the labels are 1
         m = linear_model([0.0])
         X = np.zeros((10, 1))
         y = np.array([1.0] * 5 + [0.0] * 5)
-        assert nn.evaluate_accuracy(m, X, y) == 0.5
+        assert metrics.accuracy(nn.forward_batch(m, X), y) == 0.5
 
     def test_matches_hand_count(self):
         # predictions follow the sign of x: [1,0,1,1,0,1,0,1,0,1];
@@ -343,12 +343,11 @@ class TestEvaluateAccuracy:
         X = np.array([[2.0], [-3.0], [1.0], [4.0], [-2.0],
                       [0.5], [-1.0], [3.0], [-0.2], [1.5]])
         y = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
-        assert nn.evaluate_accuracy(m, X, y) == 0.6
+        assert metrics.accuracy(nn.forward_batch(m, X), y) == 0.6
 
     def test_empty_set(self):
-        m = linear_model([1.0])
         with pytest.raises(ValueError):
-            nn.evaluate_accuracy(m, np.zeros((0, 1)), np.zeros(0))
+            metrics.accuracy(np.zeros(0), np.zeros(0))
 
 
 class TestSerialization:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import socket
 
 import numpy as np
 import pytest
@@ -99,6 +100,17 @@ class TestConfig:
         with pytest.raises(PipelineError) as err:
             pipeline.run_experiment(cfg)
         assert err.value.stage == "load"
+
+    def test_unreachable_service_is_predict_stage_error(self, synth_paths, tmp_path):
+        # a bound socket that does not listen refuses connections; asking the
+        # service for the target's accuracy is a remote run's first query
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            cfg = fast_config(synth_paths, str(tmp_path),
+                              transport=f"http://127.0.0.1:{sock.getsockname()[1]}")
+            with pytest.raises(PipelineError) as err:
+                pipeline.run_experiment(cfg)
+        assert err.value.stage == "predict"
 
 
 class TestRunExperiment:
