@@ -8,10 +8,10 @@ calibration.
 """
 
 from .attack import (AttackModel, AttackSurface, CalibratedThreshold,
-                     ThreatModel, build_surface, calibrate, score, train_attack)
+                     ThreatModel, build_surface_matrix, calibrate, score, train_attack)
 from .data import DatasetSplits, TabularDataset, TabularSchema, encode, load_csv
-from .explain import (Algorithm, Attribution, ExplainerConfig, explain_batch,
-                      mean_baseline, to_attack_vector)
+from .explain import (Algorithm, Attribution, ExplainerConfig, attack_vectors,
+                      explain_batch, mean_baseline)
 from .metrics import (ConfusionCounts, PrCurve, accuracy, confusion, f1, pearson, pr_curve,
                       precision, recall)
 from .nn import (MlpModel, ScalarTarget, TrainConfig, forward, init_model,
@@ -25,9 +25,9 @@ __all__ = [
     "CalibratedThreshold", "ConfusionCounts", "DatasetSplits",
     "ExperimentConfig", "ExplainerConfig", "MlpModel", "PrCurve",
     "ScalarTarget", "TabularDataset", "TabularSchema", "ThreatModel",
-    "TrainConfig", "accuracy", "build_surface", "calibrate", "confusion",
-    "emit_report", "encode", "explain_batch", "f1", "forward", "init_model",
-    "input_gradient_batch", "load_csv", "mean_baseline", "pearson", "pr_curve",
-    "precision", "recall", "run_experiment", "score", "to_attack_vector",
+    "TrainConfig", "accuracy", "attack_vectors", "build_surface_matrix",
+    "calibrate", "confusion", "emit_report", "encode", "explain_batch", "f1",
+    "forward", "init_model", "input_gradient_batch", "load_csv", "mean_baseline",
+    "pearson", "pr_curve", "precision", "recall", "run_experiment", "score",
     "train", "train_attack",
 ]

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import forest as forest_mod
 from . import metrics, nn
-from .explain import Attribution, to_attack_vector
 from .nn import MlpModel, TrainConfig
 
 
@@ -42,57 +41,41 @@ class SurfaceError(ValueError):
     """Surface is incompatible with the threat model or its inputs."""
 
 
-def _split_columns(column_groups: dict[str, list[int]], sensitive_column: str,
-                   n_scores: int) -> tuple[list[int], list[int]]:
-    sens = sorted(column_groups.get(sensitive_column, []))
-    non_sens = sorted(set(range(n_scores)) - set(sens))
-    return sens, non_sens
-
-
-def build_surface(
-    attribution: Attribution,
-    prediction: float | None,
-    surface: AttackSurface,
-    column_groups: dict[str, list[int]],
-    sensitive_column: str,
-) -> np.ndarray:
-    """Feature vector the attack model sees for one record."""
-    scores = attribution.scores
-    sens, non_sens = _split_columns(column_groups, sensitive_column, len(scores))
-    if surface is AttackSurface.PHI_ALL:
-        return to_attack_vector(attribution)
-    if surface is AttackSurface.PHI_SENSITIVE:
-        if not sens:
-            raise SurfaceError(
-                "phi_sensitive needs sensitive columns in the explained input")
-        return scores[sens]
-    if surface is AttackSurface.PHI_NON_SENSITIVE:
-        return np.concatenate([scores[non_sens], [attribution.delta]])
-    if surface is AttackSurface.PRED_PLUS_PHI:
-        if prediction is None:
-            raise SurfaceError("pred_plus_phi needs the model prediction")
-        return np.concatenate([[prediction], scores[non_sens], [attribution.delta]])
-    if surface is AttackSurface.PRED_ONLY:
-        if prediction is None:
-            raise SurfaceError("pred_only needs the model prediction")
-        return np.array([prediction])
-    raise SurfaceError(f"unknown surface {surface}")
+def sensitive_columns(column_groups: dict[str, list[int]],
+                      sensitive_column: str) -> list[int]:
+    """The encoded columns of the sensitive attribute, sorted; none under tm2.
+    Every other column is non-sensitive."""
+    return sorted(column_groups.get(sensitive_column, []))
 
 
 def build_surface_matrix(
-    attributions: list[Attribution],
+    vectors,
     predictions,
     surface: AttackSurface,
-    column_groups: dict[str, list[int]],
-    sensitive_column: str,
+    sensitive_cols: list[int],
 ) -> np.ndarray:
+    """Feature matrix the attack model sees: columns of the (n, d+1)
+    scores-with-delta matrix of explain.attack_vectors, after the
+    prediction column for pred_* surfaces."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    d = vectors.shape[1] - 1
+    if surface is AttackSurface.PHI_ALL:
+        return vectors
+    if surface is AttackSurface.PHI_SENSITIVE:
+        if not sensitive_cols:
+            raise SurfaceError(
+                "phi_sensitive needs sensitive columns in the explained input")
+        return vectors[:, :d][:, sensitive_cols]  # the delta column is no score
+    # the non-sensitive scores, then delta
+    rest = vectors[:, [c for c in range(d) if c not in sensitive_cols] + [d]]
+    if surface is AttackSurface.PHI_NON_SENSITIVE:
+        return rest
+    if surface not in (AttackSurface.PRED_PLUS_PHI, AttackSurface.PRED_ONLY):
+        raise SurfaceError(f"unknown surface {surface}")
     if predictions is None:
-        predictions = [None] * len(attributions)
-    rows = [
-        build_surface(a, p, surface, column_groups, sensitive_column)
-        for a, p in zip(attributions, predictions)
-    ]
-    return np.vstack(rows)
+        raise SurfaceError(f"{surface.value} needs the model prediction")
+    pred = np.asarray(predictions, dtype=np.float64)[:, None]
+    return np.hstack([pred, rest]) if surface is AttackSurface.PRED_PLUS_PHI else pred
 
 
 @dataclass
@@ -100,7 +83,6 @@ class AttackModel:
     kind: str  # "mlp" or "forest"
     mlp: MlpModel | None
     forest: forest_mod.ForestModel | None
-    input_dim: int
 
 
 def train_attack(
@@ -129,24 +111,21 @@ def train_attack(
             epochs=mlp_epochs, learning_rate=mlp_learning_rate,
             batch_size=mlp_batch_size, seed=seed)
         trained = nn.train(model, X, s, cfg)
-        return AttackModel(kind="mlp", mlp=trained, forest=None, input_dim=X.shape[1])
+        return AttackModel(kind="mlp", mlp=trained, forest=None)
     if kind == "forest":
         f = forest_mod.fit_forest(
             X, s, n_trees=forest_trees, max_depth=forest_depth,
             min_leaf=forest_min_leaf, seed=seed)
-        return AttackModel(kind="forest", mlp=None, forest=f, input_dim=X.shape[1])
+        return AttackModel(kind="forest", mlp=None, forest=f)
     raise ValueError(f"unknown attack model kind {kind!r}")
 
 
 def score(model: AttackModel, features) -> np.ndarray:
-    """Per-row P(s=1) estimates in [0, 1]."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ValueError(
-            f"features must have {model.input_dim} columns, got {X.shape}")
+    """Per-row P(s=1) estimates in [0, 1]. The features must be a matrix of
+    the training width; either model raises ValueError otherwise."""
     if model.kind == "mlp":
-        return nn.forward_batch(model.mlp, X, nn.ScalarTarget.PROBABILITY)
-    return forest_mod.forest_scores(model.forest, X)
+        return nn.forward_batch(model.mlp, features, nn.ScalarTarget.PROBABILITY)
+    return forest_mod.forest_scores(model.forest, features)
 
 
 @dataclass

@@ -130,8 +130,8 @@ def _cmd_audit(args) -> int:
 def _cmd_serve(args) -> int:
     cells = _in_process_cells(args)
     if len(cells) != 1:
-        print("serve needs a config describing exactly one cell", file=sys.stderr)
-        return 2
+        raise PipelineError("config", f"serve needs a config describing exactly one "
+                            f"cell, got {len(cells)}")
     cfg = cells[0]
     prep = pipeline.prepare(cfg)
     print(f"serving {cfg.dataset_name} ({cfg.tm.value}) on "

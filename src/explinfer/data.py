@@ -146,18 +146,10 @@ def load_csv(path: str, schema: TabularSchema) -> RawTable:
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
-            values = {}
-            missing_value = False
-            for c in needed:
-                if col_idx[c] >= len(row):
-                    missing_value = True
-                    break
-                v = row[col_idx[c]].strip()
-                if v in MISSING_MARKERS:
-                    missing_value = True
-                    break
-                values[c] = v
-            if missing_value:
+            # a short row lacks its last values: "" is a missing marker
+            values = {c: row[col_idx[c]].strip() if col_idx[c] < len(row) else ""
+                      for c in needed}
+            if any(v in MISSING_MARKERS for v in values.values()):
                 n_dropped += 1
                 continue
             typed = []
@@ -261,19 +253,17 @@ def encode(
     table: RawTable,
     schema: TabularSchema,
     include_sensitive: bool,
-    stats: EncodingStats | None = None,
+    stats: EncodingStats,
 ) -> TabularDataset:
     """Encode a typed table into the model's feature matrix.
 
-    Numerics are z-scored and categoricals one-hot encoded against `stats`
-    (fit on `table` itself when omitted). A categorical value unseen at fit
+    Numerics are z-scored and categoricals one-hot encoded against `stats`,
+    from fit_encoding on the training split. A categorical value unseen at fit
     time encodes as the all-zero pattern within its indicator group and is
     counted. The binarized sensitive attribute becomes one 0/1 column iff
     include_sensitive.
     """
     schema.validate()
-    if stats is None:
-        stats = fit_encoding(table, schema)
 
     blocks: list[np.ndarray] = []
     column_groups: dict[str, list[int]] = {}

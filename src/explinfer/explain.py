@@ -221,9 +221,10 @@ def explain_batch(
     return out
 
 
-def to_attack_vector(a: Attribution) -> np.ndarray:
-    """scores with delta appended: the feature vector the adversary consumes."""
-    return np.concatenate([a.scores, [a.delta]])
+def attack_vectors(attributions: list[Attribution]) -> np.ndarray:
+    """(n, d+1): each record's scores with its delta appended, the matrix
+    every attack surface takes its columns from."""
+    return np.array([np.append(a.scores, a.delta) for a in attributions])
 
 
 def write_attributions(path: str, attributions: list[Attribution], record_ids) -> None:

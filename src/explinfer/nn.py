@@ -1,9 +1,11 @@
 """Fully-connected ReLU binary classifier with exact input gradients.
 
 The network is a stack of linear layers with ReLU on the hidden layers and a
-single sigmoid output unit. Besides training (Adam, binary cross-entropy) it
-exposes reverse-mode gradients of a chosen scalar output with respect to the
-input vector, which is the primitive every explanation algorithm consumes.
+single sigmoid output unit. Besides training (binary cross-entropy, Adam
+with the usual fixed betas and epsilon) it exposes reverse-mode gradients of
+a chosen scalar output with respect to the input vector, which is the
+primitive every explanation algorithm consumes. A model file holds the
+layer widths and the parameters, nothing else.
 
 All arithmetic is 64-bit. The ReLU subgradient at exactly zero is defined
 as 0 so that gradients are a deterministic function of (model, input).
@@ -11,14 +13,14 @@ as 0 so that gradients are a deterministic function of (model, input).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 ADAM_BLOCK = 32768  # elements per Adam block: its p, g, m, v and scratch stay in cache
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 class ScalarTarget(Enum):
@@ -42,9 +44,6 @@ class TrainConfig:
     epochs: int
     learning_rate: float = 1e-3
     batch_size: int = 256
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -54,10 +53,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
-            raise ValueError("adam betas must lie in (0, 1)")
-        if self.adam_epsilon <= 0:
-            raise ValueError("adam_epsilon must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -73,8 +68,6 @@ class MlpModel:
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    init_seed: int | None = None
-    train_config: TrainConfig | None = None
 
     @property
     def input_dim(self) -> int:
@@ -85,8 +78,6 @@ class MlpModel:
             layer_dims=list(self.layer_dims),
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
-            init_seed=self.init_seed,
-            train_config=self.train_config,
         )
 
 
@@ -99,15 +90,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_matrix(X, model: MlpModel | None = None, stack: bool = False) -> np.ndarray:
-    """X as float64 rows (n, d), or with stack=True also a stack (k, m, d);
-    with a model, d must be its input width."""
+def _check_matrix(X, model: MlpModel, stack: bool = False) -> np.ndarray:
+    """X as float64 rows (n, d), or with stack=True also a stack (k, m, d),
+    where d is the model's input width."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 and not (stack and X.ndim == 3):
         raise ValueError(f"features must be a 2-D matrix, got ndim={X.ndim}")
     if not np.all(np.isfinite(X)):
         raise ValueError("features contains non-finite values")
-    if model is not None and X.shape[-1] != model.input_dim:
+    if X.shape[-1] != model.input_dim:
         raise ValueError(
             f"features have {X.shape[-1]} columns, model expects {model.input_dim}"
         )
@@ -133,7 +124,7 @@ def init_model(layer_dims: list[int], seed: int) -> MlpModel:
         lim = math.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-lim, lim, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(layer_dims=dims, weights=weights, biases=biases, init_seed=int(seed))
+    return MlpModel(layer_dims=dims, weights=weights, biases=biases)
 
 
 def _forward_parts(model: MlpModel, X: np.ndarray, keep=None):
@@ -160,13 +151,9 @@ def _select(logits: np.ndarray, target: ScalarTarget) -> np.ndarray:
     return logits if target is ScalarTarget.LOGIT else _sigmoid(logits)
 
 
-def logits_batch(model: MlpModel, X) -> np.ndarray:
-    return _forward_parts(model, _check_matrix(X, model))[1]
-
-
 def forward_batch(model: MlpModel, X, target: ScalarTarget = ScalarTarget.PROBABILITY) -> np.ndarray:
     """Selected scalar output for every row of X."""
-    return _select(logits_batch(model, X), target)
+    return _select(_forward_parts(model, _check_matrix(X, model))[1], target)
 
 
 def forward(model: MlpModel, x, target: ScalarTarget = ScalarTarget.PROBABILITY) -> float:
@@ -239,7 +226,7 @@ def _adam_step(p, g, m, v, t: int, cfg: TrainConfig, s1, s2) -> None:
     """Adam step t, in place, ADAM_BLOCK elements at a time with scratch s1
     and s2: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, then
     p -= lr*(m/c1) / (sqrt(v/c2) + eps), each in this operation order."""
-    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, cfg.learning_rate
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     for lo in range(0, p.size, ADAM_BLOCK):
         pb, gb, mb, vb = (x[lo:lo + ADAM_BLOCK] for x in (p, g, m, v))
@@ -276,7 +263,6 @@ def train(model: MlpModel, features, labels, cfg: TrainConfig) -> MlpModel:
         raise ValueError("labels must be 0 or 1")
 
     out = model.copy()
-    out.train_config = cfg
     if cfg.epochs == 0:
         return out
 
@@ -305,12 +291,7 @@ def train(model: MlpModel, features, labels, cfg: TrainConfig) -> MlpModel:
 
 def save_model(model: MlpModel, path: str) -> None:
     """Write the model to an npz container; parameters round-trip bit-exactly."""
-    meta = {
-        "init_seed": model.init_seed,
-        "train_config": asdict(model.train_config) if model.train_config else None,
-    }
-    arrays = {"layer_dims": np.asarray(model.layer_dims, dtype=np.int64),
-              "meta": np.array(json.dumps(meta, sort_keys=True))}
+    arrays = {"layer_dims": np.asarray(model.layer_dims, dtype=np.int64)}
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         arrays[f"W{i}"] = w
         arrays[f"b{i}"] = b
@@ -321,14 +302,6 @@ def save_model(model: MlpModel, path: str) -> None:
 def load_model(path: str) -> MlpModel:
     with np.load(path, allow_pickle=False) as f:
         dims = [int(d) for d in f["layer_dims"]]
-        meta = json.loads(str(f["meta"][()]))
         weights = [f[f"W{i}"] for i in range(len(dims) - 1)]
         biases = [f[f"b{i}"] for i in range(len(dims) - 1)]
-    cfg = meta.get("train_config")
-    return MlpModel(
-        layer_dims=dims,
-        weights=weights,
-        biases=biases,
-        init_seed=meta.get("init_seed"),
-        train_config=TrainConfig(**cfg) if cfg else None,
-    )
+    return MlpModel(layer_dims=dims, weights=weights, biases=biases)

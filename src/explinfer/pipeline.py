@@ -4,15 +4,18 @@ One experiment cell = (dataset, threat model, explainer, attack kind) plus a
 list of attack surfaces. A run executes:
 
     load/encode/split -> train target -> explain aux+eval (in process or
-    through the blackbox API) -> build surfaces -> train the attack model on
-    aux -> calibrate the threshold on aux -> infer on eval -> metrics
+    through the blackbox API) -> stack each split's scores and deltas once
+    -> pick each surface's columns -> train the attack model on aux ->
+    calibrate the threshold on aux -> infer on eval -> metrics, plus the
+    correlation audit
 
 and emits a machine-readable report, PR-curve files, per-record prediction
 dumps and a manifest of every seed and config value. Identical config and
 seeds produce byte-identical report files.
 
 With a remote transport no target is trained: the target test accuracy,
-like the explanations, comes from the service.
+like the explanations, comes from the service. Its predictions for the aux
+and eval rows are fetched once and serve the accuracy and the pred_* surfaces.
 
 Evaluation hygiene: encoding statistics, the explanation baseline, attack
 training and threshold calibration never see an eval-split record.
@@ -93,7 +96,6 @@ class ExperimentConfig:
 
     output_dir: str = "out"
     transport: str = IN_PROCESS
-    run_audit: bool = True
 
     def __post_init__(self):
         # an int path would be opened as a file descriptor
@@ -101,8 +103,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (isinstance(value, str) or (name == "dataset_name" and value is None)):
                 raise ValueError(f"{name} must be a string, got {value!r}")
-        if type(self.run_audit) is not bool:
-            raise ValueError(f"run_audit must be true or false, got {self.run_audit!r}")
         self.tm = ThreatModel(self.threat_model)
         self.algorithm = Algorithm(self.explainer)
         self.scalar_target = ScalarTarget(self.explanation_target)
@@ -175,6 +175,8 @@ def expand_matrix(raw: dict) -> list[ExperimentConfig]:
     for key in ("threat_model", "explainer", "attack_kind", "split_seed",
                 "model_seed", "attack_seed", "explainer_seed"):
         if isinstance(raw.get(key), list):
+            if not raw[key]:  # it would expand to no cells
+                raise ValueError(f"{key} must not be an empty list")
             cells = [dict(c, **{key: v}) for c in cells for v in raw[key]]
     return [ExperimentConfig(**c) for c in cells]
 
@@ -240,6 +242,8 @@ class _Prepared:
     model: nn.MlpModel | None  # None when a service holds the target
     baseline: np.ndarray | None
     test_accuracy: float
+    # the service's answers for the aux and eval rows, by split; None in process
+    served_predictions: dict[str, np.ndarray] | None
     n_dropped_missing: int
     unknown_categories: int
 
@@ -297,6 +301,8 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
             probabilities, np.concatenate([ds_aux.labels, ds_eval.labels]))
     except (service.ServiceError, ValueError) as exc:
         raise PipelineError("predict", str(exc)) from exc
+    served = None if model is not None else {
+        "aux": probabilities[:ds_aux.n_rows], "eval": probabilities[ds_aux.n_rows:]}
 
     return _Prepared(
         cfg=cfg,
@@ -305,6 +311,7 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
         model=model,
         baseline=baseline,
         test_accuracy=test_accuracy,
+        served_predictions=served,
         n_dropped_missing=table.n_dropped_missing,
         unknown_categories=ds_aux.unknown_category_count
         + ds_eval.unknown_category_count,
@@ -313,7 +320,7 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
 
 def compute_explanations(prep: _Prepared):
     """Explanations (and predictions) for aux and eval via the configured
-    transport."""
+    transport. A remote run reuses the predictions prepare fetched."""
     cfg = prep.cfg
     need_preds = cfg.needs_predictions
     out = {}
@@ -329,8 +336,7 @@ def compute_explanations(prep: _Prepared):
                 attrs = service.client_fetch_explanations(
                     cfg.transport, ds.features, cfg.algorithm,
                     record_ids=ds.row_ids)
-                preds = (service.client_fetch_predictions(cfg.transport, ds.features)
-                         if need_preds else None)
+                preds = prep.served_predictions[name] if need_preds else None
             out[name] = (attrs, preds)
     except (service.ServiceError, ValueError) as exc:
         raise PipelineError("explain", str(exc)) from exc
@@ -347,14 +353,14 @@ def run_attacks(prep: _Prepared, aux_pack, eval_pack) -> list[AttackCell]:
     attrs_aux, preds_aux = aux_pack
     attrs_eval, preds_eval = eval_pack
     ds_aux, ds_eval = prep.splits.aux, prep.splits.eval
-    groups = ds_aux.column_groups
+    sens = attack_mod.sensitive_columns(ds_aux.column_groups, prep.schema.sensitive_column)
+    vectors_aux = explain_mod.attack_vectors(attrs_aux)
+    vectors_eval = explain_mod.attack_vectors(attrs_eval)
     cells = []
     for surface in cfg.surface_list:
         try:
-            Xa = attack_mod.build_surface_matrix(
-                attrs_aux, preds_aux, surface, groups, prep.schema.sensitive_column)
-            Xe = attack_mod.build_surface_matrix(
-                attrs_eval, preds_eval, surface, groups, prep.schema.sensitive_column)
+            Xa = attack_mod.build_surface_matrix(vectors_aux, preds_aux, surface, sens)
+            Xe = attack_mod.build_surface_matrix(vectors_eval, preds_eval, surface, sens)
             fadv = attack_mod.train_attack(
                 Xa, ds_aux.sensitive, kind=cfg.attack_kind, seed=cfg.attack_seed,
                 mlp_hidden=tuple(cfg.attack_hidden),
@@ -403,26 +409,23 @@ def correlation_audit(prep: _Prepared, attrs_aux, attrs_eval) -> list[Correlatio
     columns over all explained records; constant columns are skipped and
     counted."""
     cfg = prep.cfg
-    ds = prep.splits.aux
     s = np.concatenate([prep.splits.aux.sensitive, prep.splits.eval.sensitive])
     labels = np.concatenate([prep.splits.aux.labels, prep.splits.eval.labels])
     features = np.vstack([prep.splits.aux.features, prep.splits.eval.features])
     scores = np.vstack(
         [a.scores for a in attrs_aux] + [a.scores for a in attrs_eval])
 
-    sens_cols = sorted(ds.column_groups.get(prep.schema.sensitive_column, []))
-    non_sens = sorted(set(range(features.shape[1])) - set(sens_cols))
+    sens_cols = attack_mod.sensitive_columns(prep.splits.aux.column_groups,
+                                             prep.schema.sensitive_column)
+    non_sens = [c for c in range(features.shape[1]) if c not in sens_cols]
 
-    def column_group(matrix, cols):
+    def row(group, matrix, cols):
         rs, skipped = [], 0
         for c in cols:
             try:
                 rs.append(metrics_mod.pearson(s, matrix[:, c]))
-            except ValueError:
+            except ValueError:  # a constant column
                 skipped += 1
-        return rs, skipped
-
-    def row(group, rs, skipped):
         return CorrelationRow(
             dataset=cfg.dataset_name,
             threat_model=cfg.tm.value,
@@ -435,20 +438,11 @@ def correlation_audit(prep: _Prepared, attrs_aux, attrs_eval) -> list[Correlatio
             coefficients=[float(r) for r in rs],
         )
 
-    rows = []
-    try:
-        rs_y = [metrics_mod.pearson(s, labels)]
-        rows.append(row("y", rs_y, 0))
-    except ValueError:
-        rows.append(row("y", [], 1))
-    rs, skipped = column_group(features, non_sens)
-    rows.append(row("x", rs, skipped))
+    groups = [("y", labels[:, None], [0]), ("x", features, non_sens)]
     if sens_cols:
-        rs, skipped = column_group(scores, sens_cols)
-        rows.append(row("phi_sensitive", rs, skipped))
-    rs, skipped = column_group(scores, non_sens)
-    rows.append(row("phi_non_sensitive", rs, skipped))
-    return rows
+        groups.append(("phi_sensitive", scores, sens_cols))
+    groups.append(("phi_non_sensitive", scores, non_sens))
+    return [row(*group) for group in groups]
 
 
 # config fields that determine a prepared target and, added to those, its
@@ -497,10 +491,9 @@ def run_matrix(cells: list[ExperimentConfig]) -> list[AttackReport]:
     for prep, aux_pack, eval_pack in run_cells(cells):
         cfg, splits = prep.cfg, prep.splits
         rows = run_attacks(prep, aux_pack, eval_pack)
-        correlations = (correlation_audit(prep, aux_pack[0], eval_pack[0])
-                        if cfg.run_audit else [])
+        correlations = correlation_audit(prep, aux_pack[0], eval_pack[0])
         manifest = {
-            "config": _config_dict(cfg),
+            "config": dataclasses.asdict(cfg),
             "dataset": {
                 "rows_after_filtering": int(splits.target_train.n_rows
                                             + splits.aux.n_rows + splits.eval.n_rows),
@@ -520,10 +513,6 @@ def run_matrix(cells: list[ExperimentConfig]) -> list[AttackReport]:
 def run_experiment(cfg: ExperimentConfig) -> AttackReport:
     """Execute one experiment cell end to end."""
     return run_matrix([cfg])[0]
-
-
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
 
 
 def merge_reports(reports: list[AttackReport]) -> AttackReport:

@@ -2,40 +2,40 @@
 
 The server exposes the trained model strictly through JSON-over-HTTP:
 
-    POST /v1/predict  {"features": [...]}       -> {"probability": p}
-                      {"records": [[...], ...]}  -> {"probabilities": [p, ...]}
-    POST /v1/explain  {"features": [...], "algorithm": a, "record_id": optional int}
-                                                -> {"scores": [...], "delta": d}
-                      {"records": [[...], ...], "algorithm": a, "record_ids": optional
+    POST /v1/predict  {"records": [[...], ...]}  -> {"probabilities": [p, ...]}
+    POST /v1/explain  {"records": [[...], ...], "algorithm": a, "record_ids": optional
                        [int, ...]}  -> {"explanations": [{"scores": [...], "delta": d}, ...]}
     GET  /v1/health                             -> {"status": "ok"}
 
-with a in integrated_gradients, deeplift, gradient_shap, smoothgrad. Each
-record of a batch gets the arithmetic it gets alone, and floats round-trip,
-so answers are bit-identical to single-record and in-process ones for the
-same record id; without ids the server draws fresh noise per record. The
-client sends CHUNK_RECORDS records per request over a keep-alive http(s)
-connection, and its timeout bounds the connect and each record's answer time.
-Between calls the client keeps one idle connection, that of the last call
-that finished cleanly, and the next call to the same endpoint reuses it
-unless the server has closed it; the server closes a connection left idle
-for 10 s (_Handler.timeout).
+with a in integrated_gradients, deeplift, gradient_shap, smoothgrad. A
+single record is a batch of one. Each record of a batch gets the arithmetic
+it gets alone, and floats round-trip, so answers are bit-identical to
+one-record and in-process ones for the same record id; without ids the
+server draws fresh noise per record. The client sends CHUNK_RECORDS records
+per request over a keep-alive http(s) connection, and its timeout bounds
+the connect and each record's answer time. Between calls the client keeps
+one idle connection, that of the last call that finished cleanly, and the
+next call to the same endpoint reuses it unless the server has closed it;
+the server closes a connection left idle for 10 s (_Handler.timeout), and
+every open connection when it shuts down.
 
 Errors are {"error": message}: 400 for malformed JSON, a negative or
-non-integer Content-Length, an unknown algorithm, an empty or non-list
-"records" or ids that are not nonnegative integers, one per record; 413,
-unread, for a body over MAX_BODY_BYTES; 422 for a bad feature row, named by
-its index; 404/405 otherwise. A connection blocked past the handler's
-timeout is closed. No endpoint exposes parameters, architecture or training
-data.
+non-integer Content-Length, an unknown algorithm, a body without a nonempty
+"records" list or ids that are not nonnegative integers, one per record;
+413, unread, for a body over MAX_BODY_BYTES; 422 for a bad feature row,
+named by its index; 404/405 otherwise. A connection blocked past the
+handler's timeout is closed. No endpoint exposes parameters, architecture
+or training data.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import http.client
 import json
 import selectors
+import socket
 import threading
 import time
 import urllib.parse
@@ -67,12 +67,11 @@ class _Endpoints:
         self._fresh_rng = np.random.default_rng()
         self._rng_lock = threading.Lock()
 
-    def _rows(self, body: dict) -> tuple[np.ndarray, bool]:
-        """The feature rows as an (n, d) matrix, and whether it was a batch."""
-        batch = "records" in body
-        rows = body["records"] if batch else [body.get("features")]
-        if not (isinstance(rows, list) and rows and (batch or isinstance(rows[0], list))):
-            raise _HttpError(400, "body must contain a 'features' or a nonempty 'records' list")
+    def _rows(self, body: dict) -> np.ndarray:
+        """The feature rows as an (n, d) matrix."""
+        rows = body.get("records")
+        if not (isinstance(rows, list) and rows):
+            raise _HttpError(400, "body must contain a nonempty 'records' list")
         X = np.empty((len(rows), self.model.input_dim))
         for i, row in enumerate(rows):
             # exact types: np.asarray would also take "1" and true as numbers
@@ -84,39 +83,35 @@ class _Endpoints:
                 except OverflowError:  # an integer beyond the float range
                     ok = False
             if not (ok and np.all(np.isfinite(X[i]))):
-                where = f"records[{i}]" if batch else "features"
-                raise _HttpError(422, f"{where} must be {X.shape[1]} finite numbers")
-        return X, batch
+                raise _HttpError(422, f"records[{i}] must be {X.shape[1]} finite numbers")
+        return X
 
-    def _record_ids(self, body: dict, n: int, batch: bool) -> list[int]:
-        ids = body.get("record_ids") if batch else body.get("record_id")
+    def _record_ids(self, body: dict, n: int) -> list[int]:
+        ids = body.get("record_ids")
         if ids is None:
             with self._rng_lock:
                 return self._fresh_rng.integers(2**62, size=n).tolist()
-        ids = ids if batch else [ids]
         # exact type: bool is an int subclass, but true is not a record id
         if (not isinstance(ids, list) or len(ids) != n
                 or any(type(r) is not int or r < 0 for r in ids)):
-            raise _HttpError(400, "record_id(s) must be nonnegative integers, one per record")
+            raise _HttpError(400, "record_ids must be nonnegative integers, one per record")
         return ids
 
     def predict(self, body: dict) -> dict:
-        X, batch = self._rows(body)
-        p = forward_rows(self.model, X).tolist()
-        return {"probabilities": p} if batch else {"probability": p[0]}
+        return {"probabilities": forward_rows(self.model, self._rows(body)).tolist()}
 
     def explain(self, body: dict) -> dict:
-        X, batch = self._rows(body)
+        X = self._rows(body)
         raw_alg = body.get("algorithm")
         try:
             algorithm = Algorithm(raw_alg)
         except ValueError:
             raise _HttpError(400, f"unknown algorithm {raw_alg!r}")
-        ids = self._record_ids(body, X.shape[0], batch)
-        out = [{"scores": a.scores.tolist(), "delta": float(a.delta)}
-               for a in explain_batch(self.model, X, self.baseline, algorithm,
-                                      self.cfg, self.target, ids)]
-        return {"explanations": out} if batch else out[0]
+        ids = self._record_ids(body, X.shape[0])
+        return {"explanations": [
+            {"scores": a.scores.tolist(), "delta": float(a.delta)}
+            for a in explain_batch(self.model, X, self.baseline, algorithm,
+                                   self.cfg, self.target, ids)]}
 
 
 class _HttpError(Exception):
@@ -186,6 +181,34 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(500, {"error": f"internal error: {exc}"})
 
 
+class _Server(ThreadingHTTPServer):
+    """Keeps its open connections, so that closing the server ends them:
+    else a kept-alive client would go on reaching the old model."""
+
+    daemon_threads = True
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._open, self._open_lock = set(), threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        with self._open_lock:
+            for request in self._open:  # each handler then reads EOF and closes it
+                with contextlib.suppress(OSError):  # the peer is already gone
+                    request.shutdown(socket.SHUT_RDWR)
+
+
 class ExplanationServer:
     """A running predict/explain service; use as a context manager or call
     shutdown() explicitly."""
@@ -230,13 +253,10 @@ def serve(
             f"baseline must have length {model.input_dim}, got {baseline.shape}")
     endpoints = _Endpoints(model, baseline, cfg, target)
     handler = type("BoundHandler", (_Handler,), {"endpoints": endpoints})
-    httpd = ThreadingHTTPServer((host, port), handler)
-    httpd.daemon_threads = True
+    httpd = _Server((host, port), handler)
     if block:
-        try:
+        with httpd:  # closes the server, and its connections, on the way out
             httpd.serve_forever(POLL_SECONDS)
-        finally:
-            httpd.server_close()
         return None
     thread = threading.Thread(target=httpd.serve_forever, args=(POLL_SECONDS,),
                               daemon=True)

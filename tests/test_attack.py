@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from explinfer import attack, forest, metrics, nn
 from explinfer.attack import (AttackSurface, SurfaceError, ThreatModel,
-                              build_surface, calibrate, score, train_attack)
-from explinfer.explain import Algorithm, Attribution
+                              build_surface_matrix, calibrate, score,
+                              sensitive_columns, train_attack)
+from explinfer.explain import Algorithm, Attribution, attack_vectors
 
 
 def brute_force_best_threshold(scores, truth):
@@ -36,6 +37,13 @@ def make_attribution(scores, delta=0.5):
     return Attribution(
         algorithm=Algorithm.DEEPLIFT, scores=np.asarray(scores, dtype=float),
         delta=delta, target=None)
+
+
+def build_surface(a, prediction, surface, groups, sensitive_column):
+    """The surface row of one record, through the batch form."""
+    predictions = None if prediction is None else [prediction]
+    return build_surface_matrix(attack_vectors([a]), predictions, surface,
+                                sensitive_columns(groups, sensitive_column))[0]
 
 
 class TestSurfaces:
@@ -73,6 +81,21 @@ class TestSurfaces:
         a = make_attribution([1.0, 2.0])
         with pytest.raises(SurfaceError):
             build_surface(a, None, AttackSurface.PRED_PLUS_PHI, {}, "s")
+
+    def test_matrix_rows_are_records(self):
+        attrs = [make_attribution([1.0, 2.0, 3.0, 4.0, 5.0], delta=0.5),
+                 make_attribution([6.0, 7.0, 8.0, 9.0, 10.0], delta=-0.5)]
+        vectors = attack_vectors(attrs)
+        assert vectors.shape == (2, 6)
+        sens = sensitive_columns(self.groups, "s")
+        m = build_surface_matrix(vectors, [0.1, 0.9], AttackSurface.PRED_PLUS_PHI, sens)
+        assert np.array_equal(m, np.array([[0.1, 1.0, 2.0, 3.0, 0.5],
+                                           [0.9, 6.0, 7.0, 8.0, -0.5]]))
+        for surface in AttackSurface:
+            rows = [build_surface(a, p, surface, self.groups, "s")
+                    for a, p in zip(attrs, [0.1, 0.9])]
+            assert np.array_equal(build_surface_matrix(vectors, [0.1, 0.9], surface, sens),
+                                  np.vstack(rows))
 
     def test_threat_model_validity(self):
         assert AttackSurface.PHI_ALL.valid_for(ThreatModel.TM1)
@@ -222,7 +245,7 @@ class TestScore:
     def test_zero_weight_mlp_scores_half(self):
         m = nn.init_model([3, 1], seed=0)
         m.weights[0][:] = 0.0
-        model = attack.AttackModel(kind="mlp", mlp=m, forest=None, input_dim=3)
+        model = attack.AttackModel(kind="mlp", mlp=m, forest=None)
         assert np.all(score(model, np.random.default_rng(0).normal(size=(5, 3))) == 0.5)
 
     def test_batch_equals_rowwise(self):
@@ -239,6 +262,14 @@ class TestScore:
         X = rng.normal(size=(20, 3))
         s = (X[:, 0] > 0).astype(float)
         model = train_attack(X, s, kind="mlp", seed=1, mlp_epochs=2)
+        with pytest.raises(ValueError):
+            score(model, np.zeros((5, 4)))
+
+    def test_dimension_mismatch_forest(self):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(20, 3))
+        s = (X[:, 0] > 0).astype(float)
+        model = train_attack(X, s, kind="forest", seed=1, forest_trees=2)
         with pytest.raises(ValueError):
             score(model, np.zeros((5, 4)))
 

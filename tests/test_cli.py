@@ -4,6 +4,7 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from explinfer import cli, explain, nn, pipeline, service
@@ -110,7 +111,8 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     {"target_hidden": [64, 0]}, {"target_hidden": 64}, {"attack_hidden": ["8"]},
     {"surfaces": []}, {"target_epochs": 0}, {"attack_epochs": 0},
     {"dataset_csv": 5}, {"schema": 10**6}, {"output_dir": 5}, {"transport": 5},
-    {"dataset_name": 5}, {"run_audit": "no"},
+    {"dataset_name": 5}, {"run_audit": "no"}, {"run_audit": True},
+    {"model_seed": []}, {"threat_model": []}, {"attack_kind": []},
 ])
 def test_bad_field_is_config_error_before_training(cli_setup, tmp_path, capsys,
                                                    monkeypatch, override):
@@ -123,6 +125,26 @@ def test_bad_field_is_config_error_before_training(cli_setup, tmp_path, capsys,
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(config, **override)))
     assert cli.main(["experiment", str(path)]) == 2
+    assert "error [stage=config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "explain", "audit", "serve"])
+def test_empty_matrix_list_is_config_error(cli_setup, tmp_path, capsys, monkeypatch,
+                                           command):
+    _, _, config = cli_setup
+    monkeypatch.setattr(pipeline, "prepare", lambda cfg: pytest.fail("work started"))
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(dict(config, model_seed=[])))
+    assert cli.main([command, str(path)]) == 2
+    assert "error [stage=config]" in capsys.readouterr().err
+
+
+def test_serve_on_two_cells_is_config_error(cli_setup, tmp_path, capsys, monkeypatch):
+    _, _, config = cli_setup
+    monkeypatch.setattr(pipeline, "prepare", lambda cfg: pytest.fail("work started"))
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(dict(config, model_seed=[1, 2])))
+    assert cli.main(["serve", str(path)]) == 2
     assert "error [stage=config]" in capsys.readouterr().err
 
 
@@ -259,12 +281,14 @@ def test_train_and_explain_on_a_seed_matrix(cli_setup, tmp_path, monkeypatch):
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(dict(config, model_seed=[1, 2], explainer_seed=[3, 4],
                                     output_dir=out)))
-    prepared, written = [], []
+    prepared, written, models = [], [], {}
     real_prepare = pipeline.prepare
 
     def counting_prepare(cfg):
         prepared.append(cfg.model_seed)
-        return real_prepare(cfg)
+        prep = real_prepare(cfg)
+        models.setdefault(cfg.model_seed, prep.model)
+        return prep
 
     def recording(write, path_arg):
         def wrapper(*args):
@@ -283,7 +307,8 @@ def test_train_and_explain_on_a_seed_matrix(cli_setup, tmp_path, monkeypatch):
         "baseline-tm1-s0m1.csv", "baseline-tm1-s0m2.csv",
         "target-tm1-s0m1.npz", "target-tm1-s0m2.npz"]
     for seed in (1, 2):
-        assert nn.load_model(os.path.join(out, f"target-tm1-s0m{seed}.npz")).init_seed == seed
+        saved = nn.load_model(os.path.join(out, f"target-tm1-s0m{seed}.npz"))
+        assert all(np.array_equal(a, b) for a, b in zip(saved.weights, models[seed].weights))
 
     assert cli.main(["explain", str(path)]) == 0
     assert prepared == [1, 2, 1, 2]

@@ -45,6 +45,13 @@ class TestLoadCsv:
         assert table.n_rows == 2
         assert table.n_dropped_missing == 2
 
+    def test_short_row_dropped_and_counted(self, tmp_path):
+        # a row that ends before the label and sensitive columns lacks them
+        p = write_csv(tmp_path / "t.csv", ["30,nurse,yes,pos", "40,clerk", "50,nurse,no"])
+        table = load_csv(p, toy_schema())
+        assert table.n_rows == 1
+        assert table.n_dropped_missing == 2
+
     def test_unparseable_numeric(self, tmp_path):
         p = write_csv(tmp_path / "t.csv", ["thirty,nurse,yes,pos"])
         with pytest.raises(DataError):
@@ -74,24 +81,28 @@ class TestEncode:
         )
 
     def test_two_value_categorical_gives_two_indicators(self):
-        ds = encode(self.make_table(), toy_schema(), include_sensitive=False)
+        ds = encode(self.make_table(), toy_schema(), include_sensitive=False,
+                    stats=fit_encoding(self.make_table(), toy_schema()))
         job_cols = ds.column_groups["job"]
         assert len(job_cols) == 2
         assert np.all(ds.features[:, job_cols].sum(axis=1) == 1.0)
 
     def test_censoring_excludes_sensitive_group(self):
-        ds = encode(self.make_table(), toy_schema(), include_sensitive=False)
+        ds = encode(self.make_table(), toy_schema(), include_sensitive=False,
+                    stats=fit_encoding(self.make_table(), toy_schema()))
         assert "minority" not in ds.column_groups
         assert ds.n_columns == 3
 
     def test_sensitive_included_as_single_column(self):
-        ds = encode(self.make_table(), toy_schema(), include_sensitive=True)
+        ds = encode(self.make_table(), toy_schema(), include_sensitive=True,
+                    stats=fit_encoding(self.make_table(), toy_schema()))
         cols = ds.column_groups["minority"]
         assert len(cols) == 1
         assert np.array_equal(ds.features[:, cols[0]], ds.sensitive)
 
     def test_standardized_numeric_moments(self):
-        ds = encode(self.make_table(), toy_schema(), include_sensitive=False)
+        ds = encode(self.make_table(), toy_schema(), include_sensitive=False,
+                    stats=fit_encoding(self.make_table(), toy_schema()))
         col = ds.features[:, ds.column_groups["age"][0]]
         # recompute moments independently
         assert abs(sum(col) / len(col)) <= 1e-9
@@ -122,7 +133,8 @@ class TestEncode:
         schema = toy_schema()
         schema.sensitive_positive_value = None
         schema.binarization_map = {"yes": 1, "no": 0}
-        ds = encode(self.make_table(), schema, include_sensitive=False)
+        ds = encode(self.make_table(), schema, include_sensitive=False,
+                    stats=fit_encoding(self.make_table(), schema))
         assert np.array_equal(ds.sensitive, np.array([1.0, 0.0, 0.0, 1.0]))
 
     def test_unmapped_sensitive_value_rejected(self):
@@ -130,10 +142,12 @@ class TestEncode:
         schema.sensitive_positive_value = None
         schema.binarization_map = {"yes": 1}
         with pytest.raises(DataError):
-            encode(self.make_table(), schema, include_sensitive=False)
+            encode(self.make_table(), schema, include_sensitive=False,
+                   stats=fit_encoding(self.make_table(), schema))
 
     def test_labels_binarized(self):
-        ds = encode(self.make_table(), toy_schema(), include_sensitive=False)
+        ds = encode(self.make_table(), toy_schema(), include_sensitive=False,
+                    stats=fit_encoding(self.make_table(), toy_schema()))
         assert np.array_equal(ds.labels, np.array([1.0, 0.0, 1.0, 0.0]))
 
 
@@ -256,7 +270,8 @@ class TestSynthetic:
         schema = TabularSchema.from_json(schema_path)
         table = load_csv(csv_path, schema)
         assert table.n_rows == 60
-        ds = encode(table, schema, include_sensitive=True)
+        ds = encode(table, schema, include_sensitive=True,
+                    stats=fit_encoding(table, schema))
         # sensitive flag is exactly the sign of x0, label coincides with it
         x0 = np.array([r[0] for r in table.feature_rows])
         assert np.array_equal(ds.sensitive, (x0 > 0).astype(float))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import explinfer
 from explinfer import explain, nn
-from explinfer.attack import AttackSurface, build_surface
+from explinfer.attack import AttackSurface, build_surface_matrix, sensitive_columns
 from explinfer.explain import Algorithm, Attribution, ExplainerConfig
 from explinfer.nn import ScalarTarget
 
@@ -274,12 +274,12 @@ class TestAttackVector:
         a = Attribution(Algorithm.DEEPLIFT, np.array([0.2, -0.1]), 0.05,
                         ScalarTarget.LOGIT)
         assert np.array_equal(
-            explain.to_attack_vector(a), np.array([0.2, -0.1, 0.05]))
+            explain.attack_vectors([a])[0], np.array([0.2, -0.1, 0.05]))
 
     def test_zero_attribution(self, random_net):
         x = np.full(4, 0.1)
         a = explain_one(random_net, x, x, DL)
-        vec = explain.to_attack_vector(a)
+        vec = explain.attack_vectors([a])[0]
         assert vec.shape == (5,)
         assert np.allclose(vec, 0.0, atol=1e-12)
 
@@ -287,7 +287,7 @@ class TestAttackVector:
         model, X = small_trained_net
         base = explain.mean_baseline(X)
         a = explain_one(model, X[0], base, IG, ExplainerConfig())
-        assert explain.to_attack_vector(a)[-1] == a.delta
+        assert explain.attack_vectors([a])[0][-1] == a.delta
 
 
 class TestRestrict:
@@ -295,7 +295,8 @@ class TestRestrict:
 
     @staticmethod
     def restrict(a, columns, surface=AttackSurface.PHI_SENSITIVE):
-        return build_surface(a, None, surface, {"s": columns}, "s")
+        return build_surface_matrix(explain.attack_vectors([a]), None, surface,
+                                    sensitive_columns({"s": columns}, "s"))[0]
 
     def test_all_columns(self):
         a = Attribution(Algorithm.SMOOTHGRAD, np.array([1.0, 2.0, 3.0]), 0.0, None)

@@ -1,4 +1,8 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -71,7 +75,7 @@ def textbook_train(model, X, y, cfg):
     v_w = [np.zeros_like(w) for w in weights]
     m_b = [np.zeros_like(b) for b in biases]
     v_b = [np.zeros_like(b) for b in biases]
-    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.learning_rate
+    b1, b2, eps, lr = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPSILON, cfg.learning_rate
     rng = np.random.default_rng(cfg.seed)
     t = 0
     for _ in range(cfg.epochs):
@@ -104,6 +108,20 @@ def textbook_train(model, X, y, cfg):
                 v_b[i] = b2 * v_b[i] + (1 - b2) * gb[i] ** 2
                 biases[i] -= lr * (m_b[i] / c1) / (np.sqrt(v_b[i] / c2) + eps)
     return weights, biases
+
+
+def trained_parameter_digest() -> str:
+    """Digest of the parameters of a target trained with 256-row batches
+    and a partial last batch (1,200 rows)."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(1200, 100))
+    y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(float)
+    model = nn.init_model([100, 256, 128, 64, 1], seed=1)
+    trained = nn.train(model, X, y, TrainConfig(epochs=2, batch_size=256, seed=2))
+    digest = hashlib.sha256()
+    for w, b in zip(trained.weights, trained.biases):
+        digest.update(w.tobytes() + b.tobytes())
+    return digest.hexdigest()
 
 
 # a [3, BLOCK_WIDE, BLOCK_WIDE, 1] net has more than ADAM_BLOCK parameters
@@ -275,9 +293,9 @@ class TestTrain:
     def test_loss_decreases(self):
         X, y = self.separable_data(100, seed=7)
         m = nn.init_model([2, 6, 1], seed=3)
-        loss0 = nn._bce_loss(nn.logits_batch(m, X), y)
+        loss0 = nn._bce_loss(nn.forward_batch(m, X, ScalarTarget.LOGIT), y)
         trained = nn.train(m, X, y, TrainConfig(epochs=10, seed=0, batch_size=25))
-        loss1 = nn._bce_loss(nn.logits_batch(trained, X), y)
+        loss1 = nn._bce_loss(nn.forward_batch(trained, X, ScalarTarget.LOGIT), y)
         assert loss1 < loss0
 
     @settings(deadline=None, max_examples=30)
@@ -301,6 +319,20 @@ class TestTrain:
             assert got.shape == want.shape
             assert got.flags.c_contiguous and got.flags.owndata
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_one_and_two_blas_threads(self):
+        # child processes, since OpenBLAS reads its thread count at load
+        src = os.path.dirname(os.path.dirname(nn.__file__))
+        code = "from test_nn import *\nprint(trained_parameter_digest())\n"
+        answers = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+            child = subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True, timeout=300)
+            assert child.returncode == 0, child.stderr
+            answers.append(child.stdout)
+        assert answers[0] == answers[1]
 
     def test_shape_mismatch(self):
         m = nn.init_model([2, 1], seed=0)
@@ -353,13 +385,10 @@ class TestEvaluateAccuracy:
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
         m = nn.init_model([5, 7, 3, 1], seed=13)
-        m.train_config = TrainConfig(epochs=4, seed=9)
         path = str(tmp_path / "model.npz")
         nn.save_model(m, path)
         loaded = nn.load_model(path)
         assert loaded.layer_dims == m.layer_dims
-        assert loaded.init_seed == 13
-        assert loaded.train_config == m.train_config
         for wa, wb in zip(m.weights, loaded.weights):
             assert np.array_equal(wa, wb)
         for ba, bb in zip(m.biases, loaded.biases):

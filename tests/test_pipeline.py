@@ -339,3 +339,30 @@ class TestTransportEquivalence:
             assert rrow.recall == lrow.recall
             assert rrow.f1 == lrow.f1
             assert rrow.tau_star == lrow.tau_star
+
+    def test_remote_run_fetches_each_prediction_once(self, synth_paths, tmp_path,
+                                                     monkeypatch):
+        surfaces = ["phi_non_sensitive", "pred_plus_phi"]
+        cfg = fast_config(synth_paths, str(tmp_path / "local"), surfaces=surfaces,
+                          explainer="deeplift")
+        local = pipeline.run_experiment(cfg)
+        prep = pipeline.prepare(cfg)
+        served = []
+        predict = service._Endpoints.predict
+
+        def counted(self, body):
+            served.append(len(body["records"]))
+            return predict(self, body)
+
+        monkeypatch.setattr(service._Endpoints, "predict", counted)
+        with service.serve(prep.model, prep.baseline, cfg.explainer_config,
+                           target=cfg.scalar_target) as server:
+            remote_cfg = fast_config(synth_paths, str(tmp_path / "remote"),
+                                     surfaces=surfaces, explainer="deeplift",
+                                     transport=server.url)
+            remote = pipeline.run_experiment(remote_cfg)
+        assert sum(served) == prep.splits.aux.n_rows + prep.splits.eval.n_rows
+        reports = [pipeline.emit_report(r, c.output_dir)["report"]
+                   for r, c in ((local, cfg), (remote, remote_cfg))]
+        with open(reports[0], "rb") as fa, open(reports[1], "rb") as fb:
+            assert fa.read() == fb.read()

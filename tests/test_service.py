@@ -97,16 +97,16 @@ class TestEndpoints:
         server, model, _, _, X = running_server
         status, body = post_raw(
             server.url + "/v1/predict",
-            json.dumps({"features": [float(v) for v in X[0]]}).encode())
+            json.dumps({"records": [[float(v) for v in X[0]]]}).encode())
         assert status == 200
-        assert 0.0 < body["probability"] < 1.0
+        assert 0.0 < body["probabilities"][0] < 1.0
         local = nn.forward(model, X[0], ScalarTarget.PROBABILITY)
-        assert body["probability"] == local
+        assert body["probabilities"] == [local]
 
     def test_wrong_length_is_422(self, running_server):
         server, *_ = running_server
         status, body = post_raw(
-            server.url + "/v1/predict", json.dumps({"features": [1.0]}).encode())
+            server.url + "/v1/predict", json.dumps({"records": [[1.0]]}).encode())
         assert status == 422
         assert "error" in body
 
@@ -119,9 +119,18 @@ class TestEndpoints:
         # json numbers arrive as int or float; a string, a bool or an int
         # beyond the float range is not a feature value
         server, *_ = running_server
-        status, body = post_json(server, path, {"features": features, **fields})
+        status, body = post_json(server, path, {"records": [features], **fields})
         assert status == 422
-        assert "features" in body["error"]
+        assert "records[0]" in body["error"]
+
+    @pytest.mark.parametrize("path", ["/v1/predict", "/v1/explain"])
+    def test_features_body_is_400_naming_records(self, running_server, path):
+        # the one request form is a records batch; a single record is a batch of one
+        server, _, _, _, X = running_server
+        status, body = post_json(server, path, {"features": rows(X[:1])[0],
+                                                "algorithm": "deeplift"})
+        assert status == 400
+        assert "records" in body["error"]
 
     def test_malformed_json_is_400(self, running_server):
         server, *_ = running_server
@@ -133,7 +142,7 @@ class TestEndpoints:
         server, _, _, _, X = running_server
         status, body = post_raw(
             server.url + "/v1/explain",
-            json.dumps({"features": [float(v) for v in X[0]],
+            json.dumps({"records": [[float(v) for v in X[0]]],
                         "algorithm": "lime"}).encode())
         assert status == 400
 
@@ -147,9 +156,9 @@ class TestEndpoints:
         server, _, _, _, X = running_server
         status, body = post_raw(
             server.url + "/v1/explain",
-            json.dumps({"features": [float(v) for v in X[0]],
+            json.dumps({"records": [[float(v) for v in X[0]]],
                         "algorithm": "smoothgrad",
-                        "record_id": record_id}).encode())
+                        "record_ids": [record_id]}).encode())
         assert status == 400
         assert "record_id" in body["error"]
 
@@ -277,6 +286,20 @@ def test_idle_server_shuts_down_within_its_poll(small_trained_net_module):
     start = time.perf_counter()
     server.shutdown()
     assert time.perf_counter() - start < 0.25  # serve_forever's default poll is 0.5 s
+
+
+def test_shutdown_closes_kept_connections(small_trained_net_module, monkeypatch):
+    """A connection the client keeps between calls ends with the server, so
+    a later call fails instead of reaching the old model."""
+    model, X = small_trained_net_module
+    server = service.serve(model, explain.mean_baseline(X), ExplainerConfig())
+    conns = ServerConnections(server, monkeypatch)
+    service.client_fetch_predictions(server.url, X[:1])
+    assert service._idle is not None and conns.accepted == 1
+    server.shutdown()
+    assert conns.wait_finished(1)  # the server closed its end
+    with pytest.raises(service.ServiceError, match="could not reach"):
+        service.client_fetch_predictions(server.url, X[:1], max_retries=1)
 
 
 class TestConcurrency:
@@ -574,7 +597,7 @@ class TestBoundedReads:
         monkeypatch.setattr(service.ThreadingHTTPServer, "handle_error",
                             lambda self, *args: failures.append(args))
         monkeypatch.setattr(service.ThreadingHTTPServer, "shutdown_request", finished)
-        body = json.dumps({"features": rows(X[:1])[0]}).encode()
+        body = json.dumps({"records": rows(X[:1])}).encode()
         with socket.create_connection((server.host, server.port), timeout=5) as sock:
             sock.sendall(b"POST /v1/predict HTTP/1.1\r\nHost: localhost\r\n"
                          b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body)
@@ -604,14 +627,15 @@ def test_batched_fetch_is_bit_identical_to_singles_and_in_process(
             local = explain.explain_batch(model, X, baseline, algorithm, cfg,
                                           ScalarTarget.LOGIT, record_ids=ids)
             for i, (b, a) in enumerate(zip(batched, local, strict=True)):
-                status, single = post_json(server, "/v1/explain", {
-                    "features": rows(X[i:i + 1])[0], "algorithm": algorithm.value,
-                    "record_id": ids[i]})
+                status, answer = post_json(server, "/v1/explain", {
+                    "records": rows(X[i:i + 1]), "algorithm": algorithm.value,
+                    "record_ids": [ids[i]]})
                 assert status == 200
+                single = answer["explanations"][0]
                 assert b.scores.tolist() == a.scores.tolist() == single["scores"]
                 assert b.delta == a.delta == single["delta"]
         preds = service.client_fetch_predictions(server.url, X)
-    singles = [post_json(server, "/v1/predict", {"features": r})[1]["probability"]
+    singles = [post_json(server, "/v1/predict", {"records": [r]})[1]["probabilities"][0]
                for r in rows(X)]
     local_p = [nn.forward(model, x, ScalarTarget.PROBABILITY) for x in X]
     assert preds.tolist() == singles == local_p
