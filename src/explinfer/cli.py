@@ -23,11 +23,10 @@ pipeline failure (the offending stage is named in the diagnostic).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import explain as explain_mod
+from . import data as data_mod
 from . import nn, pipeline, service
 from .pipeline import ExperimentConfig, PipelineError
 
@@ -44,8 +43,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_cells(args) -> list[ExperimentConfig]:
-    with open(args.config, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = pipeline.read_config(args.config)
     overrides = {
         "output_dir": args.out_dir,
         "transport": args.transport,
@@ -81,9 +79,8 @@ def _cmd_train(args) -> int:
         os.makedirs(cfg.output_dir, exist_ok=True)
         model_path = os.path.join(cfg.output_dir, f"target-{tag}.npz")
         nn.save_model(prep.model, model_path)
-        baseline_path = os.path.join(cfg.output_dir, f"baseline-{tag}.csv")
-        with open(baseline_path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(repr(float(v)) for v in prep.baseline) + "\n")
+        data_mod.write_csv(os.path.join(cfg.output_dir, f"baseline-{tag}.csv"),
+                           [prep.baseline])
         print(f"{cfg.dataset_name} {cfg.tm.value}: "
               f"test accuracy {prep.test_accuracy:.4f}; "
               f"model -> {model_path}")
@@ -92,7 +89,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_explain(args) -> int:
     written = set()
-    for prep, aux_pack, eval_pack in pipeline.run_cells(_load_cells(args)):
+    for prep, attrs, _ in pipeline.run_cells(_load_cells(args)):
         cfg = prep.cfg
         # named by the matrix fields that key an explanation set
         stem = os.path.join(
@@ -102,20 +99,23 @@ def _cmd_explain(args) -> int:
             continue
         written.add(stem)
         os.makedirs(cfg.output_dir, exist_ok=True)
-        for name, (attrs, _), ds in (
-            ("aux", aux_pack, prep.splits.aux),
-            ("eval", eval_pack, prep.splits.eval),
-        ):
+        n_aux = prep.splits.aux.n_rows
+        for name, split, ds in (("aux", attrs[:n_aux], prep.splits.aux),
+                                ("eval", attrs[n_aux:], prep.splits.eval)):
             path = f"{stem}-{name}.csv"
-            explain_mod.write_attributions(path, attrs, ds.row_ids)
-            print(f"{len(attrs)} {name} explanations -> {path}")
+            data_mod.write_csv(path, [
+                ["record_id", "algorithm", "target", "delta",
+                 *(f"score_{i}" for i in range(ds.n_columns))],
+                *([rid, a.algorithm.value, a.target.value, a.delta, *a.scores]
+                  for rid, a in zip(ds.row_ids, split))])
+            print(f"{len(split)} {name} explanations -> {path}")
     return 0
 
 
 def _cmd_audit(args) -> int:
     cells = _load_cells(args)
-    rows = [row for prep, aux_pack, eval_pack in pipeline.run_cells(cells)
-            for row in pipeline.correlation_audit(prep, aux_pack[0], eval_pack[0])]
+    rows = [row for prep, attrs, _ in pipeline.run_cells(cells)
+            for row in pipeline.correlation_audit(prep, attrs)]
     out_dir = cells[0].output_dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "correlations.csv")
@@ -136,9 +136,13 @@ def _cmd_serve(args) -> int:
     prep = pipeline.prepare(cfg)
     print(f"serving {cfg.dataset_name} ({cfg.tm.value}) on "
           f"http://{args.host}:{args.port}", flush=True)
-    service.serve(
-        prep.model, prep.baseline, cfg.explainer_config,
-        host=args.host, port=args.port, target=cfg.scalar_target, block=True)
+    try:
+        service.serve(prep.model, prep.baseline, cfg.explainer_config,
+                      host=args.host, port=args.port, target=cfg.scalar_target,
+                      block=True)
+    except (OSError, OverflowError) as exc:  # a busy port, a bad host or port
+        raise PipelineError("serve", f"cannot listen on {args.host}:{args.port}: "
+                            f"{exc}") from exc
     return 0
 
 
@@ -197,7 +201,7 @@ def main(argv=None) -> int:
     except PipelineError as exc:
         print(f"error {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error [stage=config] {exc}", file=sys.stderr)
         return 2
 

@@ -85,17 +85,30 @@ class TabularSchema:
         return schema
 
     def to_json(self, path: str) -> None:
-        raw = {
+        write_json(path, {
             "columns": [{"name": n, "kind": k} for n, k in self.columns],
             "label_column": self.label_column,
             "sensitive_column": self.sensitive_column,
             "sensitive_positive_value": self.sensitive_positive_value,
             "binarization_map": self.binarization_map,
             "label_positive_value": self.label_positive_value,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(raw, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
+
+
+def write_csv(path: str, rows) -> None:
+    """One comma-joined line per row of values (a header row, then data
+    rows): a float as repr, which reads back bit-exact, anything else as
+    str. Nothing is quoted, so a one-cell row is written verbatim."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                               for v in row) + "\n" for row in rows)
+
+
+def write_json(path: str, obj) -> None:
+    """Indented JSON with sorted keys, so equal objects give equal bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass

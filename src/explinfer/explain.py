@@ -69,7 +69,7 @@ class Attribution:
     algorithm: Algorithm
     scores: np.ndarray
     delta: float
-    target: ScalarTarget | None
+    target: ScalarTarget
 
 
 def _rng(seed: int, record_id: int) -> np.random.Generator:
@@ -225,32 +225,4 @@ def attack_vectors(attributions: list[Attribution]) -> np.ndarray:
     """(n, d+1): each record's scores with its delta appended, the matrix
     every attack surface takes its columns from."""
     return np.array([np.append(a.scores, a.delta) for a in attributions])
-
-
-def write_attributions(path: str, attributions: list[Attribution], record_ids) -> None:
-    """One row per record: id, algorithm, target, delta, then the scores.
-
-    Floats are written with round-trip-safe precision (repr).
-    """
-    record_ids = list(record_ids)
-    if len(record_ids) != len(attributions):
-        raise ValueError("record_ids must match attributions")
-    if attributions:
-        dim = len(attributions[0].scores)
-    else:
-        dim = 0
-    header = ["record_id", "algorithm", "target", "delta"] + [
-        f"score_{i}" for i in range(dim)
-    ]
-    lines = [",".join(header)]
-    for rid, a in zip(record_ids, attributions):
-        fields = [
-            str(int(rid)),
-            a.algorithm.value,
-            a.target.value if a.target else "",
-            repr(float(a.delta)),
-        ] + [repr(float(v)) for v in a.scores]
-        lines.append(",".join(fields))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 

@@ -133,12 +133,3 @@ def pearson(a, b) -> float:
     r = float(np.sum(da * db) / np.sqrt(aa * bb))
     return min(1.0, max(-1.0, r))
 
-
-def write_pr_curve(curve: PrCurve, path: str) -> None:
-    """Plot-ready delimited file, one (threshold, precision, recall, f1) per line."""
-    lines = [f"# base_rate={float(curve.base_rate)!r}", "threshold,precision,recall,f1"]
-    for th, p, r, f in curve.points:
-        lines.append(",".join(repr(float(v)) for v in (th, p, r, f)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-

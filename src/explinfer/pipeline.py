@@ -3,9 +3,11 @@
 One experiment cell = (dataset, threat model, explainer, attack kind) plus a
 list of attack surfaces. A run executes:
 
-    load/encode/split -> train target -> explain aux+eval (in process or
-    through the blackbox API) -> stack each split's scores and deltas once
-    -> pick each surface's columns -> train the attack model on aux ->
+    load/encode/split -> train target -> explain the aux records followed
+    by the eval records, as one record set (in process or through the
+    blackbox API) -> stack their scores and deltas once -> pick each
+    surface's columns and slice them at the aux count -> train the attack
+    model on aux ->
     calibrate the threshold on aux -> infer on eval -> metrics, plus the
     correlation audit
 
@@ -158,12 +160,20 @@ class ExperimentConfig:
                    for s in self.surface_list)
 
 
+def read_config(path: str) -> dict:
+    """The JSON object of a config file."""
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise PipelineError("config", f"{path} must hold a JSON object, "
+                            f"got {type(raw).__name__}")
+    return raw
+
+
 def load_config(path: str) -> list[ExperimentConfig]:
     """Read a config file; list-valued matrix fields expand to one config
     per cell."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return expand_matrix(raw)
+    return expand_matrix(read_config(path))
 
 
 def expand_matrix(raw: dict) -> list[ExperimentConfig]:
@@ -242,8 +252,8 @@ class _Prepared:
     model: nn.MlpModel | None  # None when a service holds the target
     baseline: np.ndarray | None
     test_accuracy: float
-    # the service's answers for the aux and eval rows, by split; None in process
-    served_predictions: dict[str, np.ndarray] | None
+    # the service's answers for the aux rows, then the eval rows; None in process
+    served_predictions: np.ndarray | None
     n_dropped_missing: int
     unknown_categories: int
 
@@ -301,8 +311,7 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
             probabilities, np.concatenate([ds_aux.labels, ds_eval.labels]))
     except (service.ServiceError, ValueError) as exc:
         raise PipelineError("predict", str(exc)) from exc
-    served = None if model is not None else {
-        "aux": probabilities[:ds_aux.n_rows], "eval": probabilities[ds_aux.n_rows:]}
+    served = None if model is not None else probabilities
 
     return _Prepared(
         cfg=cfg,
@@ -319,28 +328,25 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
 
 
 def compute_explanations(prep: _Prepared):
-    """Explanations (and predictions) for aux and eval via the configured
-    transport. A remote run reuses the predictions prepare fetched."""
-    cfg = prep.cfg
-    need_preds = cfg.needs_predictions
-    out = {}
+    """(attributions, predictions) of the aux records followed by the eval
+    records, via the configured transport; predictions are None unless a
+    surface needs them. A remote run reuses the predictions prepare fetched."""
+    cfg, aux, ev = prep.cfg, prep.splits.aux, prep.splits.eval
+    X = np.vstack([aux.features, ev.features])
+    ids = np.concatenate([aux.row_ids, ev.row_ids])
     try:
-        for name, ds in (("aux", prep.splits.aux), ("eval", prep.splits.eval)):
-            if cfg.transport == IN_PROCESS:
-                attrs = explain_mod.explain_batch(
-                    prep.model, ds.features, prep.baseline, cfg.algorithm,
-                    cfg.explainer_config, cfg.scalar_target,
-                    record_ids=ds.row_ids)
-                preds = nn.forward_rows(prep.model, ds.features) if need_preds else None
-            else:
-                attrs = service.client_fetch_explanations(
-                    cfg.transport, ds.features, cfg.algorithm,
-                    record_ids=ds.row_ids)
-                preds = prep.served_predictions[name] if need_preds else None
-            out[name] = (attrs, preds)
+        if cfg.transport == IN_PROCESS:
+            attrs = explain_mod.explain_batch(
+                prep.model, X, prep.baseline, cfg.algorithm, cfg.explainer_config,
+                cfg.scalar_target, record_ids=ids)
+            preds = nn.forward_rows(prep.model, X) if cfg.needs_predictions else None
+        else:
+            attrs = service.client_fetch_explanations(
+                cfg.transport, X, cfg.algorithm, record_ids=ids)
+            preds = prep.served_predictions if cfg.needs_predictions else None
     except (service.ServiceError, ValueError) as exc:
         raise PipelineError("explain", str(exc)) from exc
-    return out["aux"], out["eval"]
+    return attrs, preds
 
 
 def _all_positive_f1(base_rate: float) -> float:
@@ -348,19 +354,18 @@ def _all_positive_f1(base_rate: float) -> float:
     return 2.0 * base_rate / (1.0 + base_rate) if base_rate > 0 else 0.0
 
 
-def run_attacks(prep: _Prepared, aux_pack, eval_pack) -> list[AttackCell]:
+def run_attacks(prep: _Prepared, attributions, predictions) -> list[AttackCell]:
+    """Train, calibrate and evaluate one attack per surface; attributions
+    and predictions cover the aux records, then the eval records."""
     cfg = prep.cfg
-    attrs_aux, preds_aux = aux_pack
-    attrs_eval, preds_eval = eval_pack
     ds_aux, ds_eval = prep.splits.aux, prep.splits.eval
     sens = attack_mod.sensitive_columns(ds_aux.column_groups, prep.schema.sensitive_column)
-    vectors_aux = explain_mod.attack_vectors(attrs_aux)
-    vectors_eval = explain_mod.attack_vectors(attrs_eval)
+    vectors = explain_mod.attack_vectors(attributions)
     cells = []
     for surface in cfg.surface_list:
         try:
-            Xa = attack_mod.build_surface_matrix(vectors_aux, preds_aux, surface, sens)
-            Xe = attack_mod.build_surface_matrix(vectors_eval, preds_eval, surface, sens)
+            X = attack_mod.build_surface_matrix(vectors, predictions, surface, sens)
+            Xa, Xe = X[:ds_aux.n_rows], X[ds_aux.n_rows:]
             fadv = attack_mod.train_attack(
                 Xa, ds_aux.sensitive, kind=cfg.attack_kind, seed=cfg.attack_seed,
                 mlp_hidden=tuple(cfg.attack_hidden),
@@ -404,16 +409,15 @@ def run_attacks(prep: _Prepared, aux_pack, eval_pack) -> list[AttackCell]:
     return cells
 
 
-def correlation_audit(prep: _Prepared, attrs_aux, attrs_eval) -> list[CorrelationRow]:
+def correlation_audit(prep: _Prepared, attributions) -> list[CorrelationRow]:
     """Pearson correlation of s against labels, features and explanation
-    columns over all explained records; constant columns are skipped and
-    counted."""
+    columns over all explained records (aux, then eval); constant columns
+    are skipped and counted."""
     cfg = prep.cfg
     s = np.concatenate([prep.splits.aux.sensitive, prep.splits.eval.sensitive])
     labels = np.concatenate([prep.splits.aux.labels, prep.splits.eval.labels])
     features = np.vstack([prep.splits.aux.features, prep.splits.eval.features])
-    scores = np.vstack(
-        [a.scores for a in attrs_aux] + [a.scores for a in attrs_eval])
+    scores = explain_mod.attack_vectors(attributions)  # its last column, delta, is not picked
 
     sens_cols = attack_mod.sensitive_columns(prep.splits.aux.column_groups,
                                              prep.schema.sensitive_column)
@@ -473,25 +477,25 @@ def prepare_cells(cells: list[ExperimentConfig]):
 
 
 def run_cells(cells: list[ExperimentConfig]):
-    """Yield (prepared, aux pack, eval pack) for each cell, in order.
+    """Yield (prepared, attributions, predictions) for each cell, in order.
 
     Targets come from prepare_cells, and each distinct explanation set
     (keyed by PREPARE_KEY and EXPLAIN_KEY) is computed once per call."""
-    packs = {}
+    explained = {}
     for prep in prepare_cells(cells):
         key = _key(prep.cfg, PREPARE_KEY + EXPLAIN_KEY)
-        if key not in packs:
-            packs[key] = compute_explanations(prep)
-        yield (prep, *packs[key])
+        if key not in explained:
+            explained[key] = compute_explanations(prep)
+        yield (prep, *explained[key])
 
 
 def run_matrix(cells: list[ExperimentConfig]) -> list[AttackReport]:
     """Execute every cell end to end, one report per cell."""
     reports = []
-    for prep, aux_pack, eval_pack in run_cells(cells):
+    for prep, attributions, predictions in run_cells(cells):
         cfg, splits = prep.cfg, prep.splits
-        rows = run_attacks(prep, aux_pack, eval_pack)
-        correlations = correlation_audit(prep, aux_pack[0], eval_pack[0])
+        rows = run_attacks(prep, attributions, predictions)
+        correlations = correlation_audit(prep, attributions)
         manifest = {
             "config": dataclasses.asdict(cfg),
             "dataset": {
@@ -535,19 +539,9 @@ CORRELATION_COLUMNS = [
 ]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):  # includes numpy float subclasses
-        return repr(float(value))
-    return str(value)
-
-
 def write_rows(path: str, columns: list[str], rows) -> None:
     """CSV with a header line and one line per row object."""
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(getattr(row, c)) for c in columns))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    data_mod.write_csv(path, [columns, *([getattr(r, c) for c in columns] for r in rows)])
 
 
 def emit_report(report: AttackReport, directory: str) -> dict:
@@ -567,21 +561,20 @@ def emit_report(report: AttackReport, directory: str) -> dict:
         tag = (f"{cell.dataset}-{cell.threat_model}-{cell.explainer}-"
                f"{cell.surface}-s{cell.split_seed}m{cell.model_seed}"
                f"a{cell.attack_seed}e{cell.explainer_seed}")
-        curve_path = os.path.join(directory, f"prcurve-{tag}.csv")
-        metrics_mod.write_pr_curve(cell.curve, curve_path)
-        curve_files.append(curve_path)
-        dump_path = os.path.join(directory, f"predictions-{tag}.csv")
-        lines = ["record_id,score,predicted,truth"]
-        for rid, sc, pr, tr in zip(cell.eval_record_ids, cell.eval_scores,
-                                   cell.eval_predicted, cell.eval_truth):
-            lines.append(f"{int(rid)},{repr(float(sc))},{int(pr)},{int(tr)}")
-        with open(dump_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        dump_files.append(dump_path)
+        curve_files.append(os.path.join(directory, f"prcurve-{tag}.csv"))
+        data_mod.write_csv(curve_files[-1], [
+            [f"# base_rate={float(cell.curve.base_rate)!r}"],
+            ["threshold", "precision", "recall", "f1"], *cell.curve.points])
+        dump_files.append(os.path.join(directory, f"predictions-{tag}.csv"))
+        data_mod.write_csv(dump_files[-1], [
+            ["record_id", "score", "predicted", "truth"],
+            *zip(cell.eval_record_ids, cell.eval_scores,
+                 cell.eval_predicted.astype(int), cell.eval_truth.astype(int))])
     files["curves"] = curve_files
     files["predictions"] = dump_files
 
-    summary = {
+    files["summary"] = os.path.join(directory, "summary.json")
+    data_mod.write_json(files["summary"], {
         "rows": [
             {c: getattr(cell, c) for c in REPORT_COLUMNS} for cell in report.rows
         ],
@@ -593,16 +586,7 @@ def emit_report(report: AttackReport, directory: str) -> dict:
             "curves": [os.path.basename(p) for p in curve_files],
             "predictions": [os.path.basename(p) for p in dump_files],
         },
-    }
-    summary_path = os.path.join(directory, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    files["summary"] = summary_path
-
-    manifest_path = os.path.join(directory, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(report.manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    files["manifest"] = manifest_path
+    })
+    files["manifest"] = os.path.join(directory, "manifest.json")
+    data_mod.write_json(files["manifest"], report.manifest)
     return files

@@ -4,10 +4,12 @@ The server exposes the trained model strictly through JSON-over-HTTP:
 
     POST /v1/predict  {"records": [[...], ...]}  -> {"probabilities": [p, ...]}
     POST /v1/explain  {"records": [[...], ...], "algorithm": a, "record_ids": optional
-                       [int, ...]}  -> {"explanations": [{"scores": [...], "delta": d}, ...]}
+                       [int, ...]}  -> {"explanations": [{"scores": [...], "delta": d}, ...],
+                                        "target": t}
     GET  /v1/health                             -> {"status": "ok"}
 
-with a in integrated_gradients, deeplift, gradient_shap, smoothgrad. A
+with a in integrated_gradients, deeplift, gradient_shap, smoothgrad, and t
+the explained scalar of the served model, logit or probability. A
 single record is a batch of one. Each record of a batch gets the arithmetic
 it gets alone, and floats round-trip, so answers are bit-identical to
 one-record and in-process ones for the same record id; without ids the
@@ -111,7 +113,8 @@ class _Endpoints:
         return {"explanations": [
             {"scores": a.scores.tolist(), "delta": float(a.delta)}
             for a in explain_batch(self.model, X, self.baseline, algorithm,
-                                   self.cfg, self.target, ids)]}
+                                   self.cfg, self.target, ids)],
+            "target": self.target.value}
 
 
 class _HttpError(Exception):
@@ -188,8 +191,9 @@ class _Server(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address, handler):
-        super().__init__(address, handler)
+        # set first: a failed bind calls server_close() from super().__init__
         self._open, self._open_lock = set(), threading.Lock()
+        super().__init__(address, handler)
 
     def process_request(self, request, client_address):
         with self._open_lock:
@@ -405,9 +409,12 @@ def client_fetch_explanations(
     answers = _exchange(endpoint, "/v1/explain",
                         _chunks(X, record_ids, algorithm=algorithm.value),
                         max_retries, timeout)
-    return [Attribution(algorithm=algorithm, scores=np.asarray(e["scores"], dtype=np.float64),
-                        delta=float(e["delta"]), target=None)
-            for a in answers for e in a["explanations"]]
+    try:
+        return [Attribution(algorithm, np.asarray(e["scores"], dtype=np.float64),
+                            float(e["delta"]), ScalarTarget(a["target"]))
+                for a in answers for e in a["explanations"]]
+    except (KeyError, TypeError, ValueError) as exc:  # such as a server without "target"
+        raise ServiceError(f"malformed /v1/explain answer from {endpoint}: {exc!r}") from exc
 
 
 def fetch_health(endpoint: str, max_retries: int = 3, timeout: float = 10.0) -> bool:

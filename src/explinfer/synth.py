@@ -9,12 +9,11 @@ pipeline demos.
 
 from __future__ import annotations
 
-import csv
 import os
 
 import numpy as np
 
-from .data import TabularSchema
+from .data import TabularSchema, write_csv
 
 
 def write_synthetic_dataset(
@@ -32,13 +31,8 @@ def write_synthetic_dataset(
     y = s.copy()  # label coincides with the sensitive flag
 
     csv_path = os.path.join(directory, "synthetic.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x0", "x1", "x2", "group", "flag", "outcome"])
-        for i in range(n):
-            writer.writerow(
-                [repr(float(x0[i])), repr(float(x1[i])), repr(float(x2[i])),
-                 group[i], "yes" if s[i] else "no", y[i]])
+    write_csv(csv_path, [["x0", "x1", "x2", "group", "flag", "outcome"],
+                         *zip(x0, x1, x2, group, np.where(s, "yes", "no"), y)])
 
     schema = TabularSchema(
         columns=[("x0", "numeric"), ("x1", "numeric"), ("x2", "numeric"),

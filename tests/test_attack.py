@@ -8,6 +8,7 @@ from explinfer.attack import (AttackSurface, SurfaceError, ThreatModel,
                               build_surface_matrix, calibrate, score,
                               sensitive_columns, train_attack)
 from explinfer.explain import Algorithm, Attribution, attack_vectors
+from explinfer.nn import ScalarTarget
 
 
 def brute_force_best_threshold(scores, truth):
@@ -36,7 +37,7 @@ def walk_tree(tree, x):
 def make_attribution(scores, delta=0.5):
     return Attribution(
         algorithm=Algorithm.DEEPLIFT, scores=np.asarray(scores, dtype=float),
-        delta=delta, target=None)
+        delta=delta, target=ScalarTarget.LOGIT)
 
 
 def build_surface(a, prediction, surface, groups, sensitive_column):

@@ -1,13 +1,16 @@
 import csv
 import json
 import os
+import socket
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from explinfer import cli, explain, nn, pipeline, service
+from explinfer import cli, data, nn, pipeline, service
+from explinfer.explain import Algorithm
+from explinfer.nn import ScalarTarget
 from explinfer.synth import write_synthetic_dataset
 
 
@@ -56,6 +59,28 @@ def test_explain_writes_attribution_files(cli_setup, capsys):
         assert header.startswith("record_id,algorithm,target,delta")
 
 
+def test_explain_file_roundtrip_exact(cli_setup, tmp_path):
+    _, config_path, config = cli_setup
+    out = str(tmp_path / "explain")
+    assert cli.main(["explain", config_path, "--out-dir", out]) == 0
+    prep, attrs, _ = next(pipeline.run_cells(pipeline.load_config(config_path)))
+    n_aux = prep.splits.aux.n_rows
+    for name, split, ds in (("aux", attrs[:n_aux], prep.splits.aux),
+                            ("eval", attrs[n_aux:], prep.splits.eval)):
+        path = os.path.join(out, f"explanations-tm1-deeplift-s0m1e3-{name}.csv")
+        with open(path, encoding="utf-8") as fh:
+            header, *lines = fh.read().splitlines()
+        assert header.split(",") == (["record_id", "algorithm", "target", "delta"]
+                                     + [f"score_{i}" for i in range(ds.n_columns)])
+        rows = [line.split(",") for line in lines]
+        assert [int(r[0]) for r in rows] == ds.row_ids.tolist()
+        for a, r in zip(split, rows, strict=True):
+            assert np.array_equal(a.scores, np.array([float(v) for v in r[4:]]))
+            assert a.delta == float(r[3])
+            assert a.algorithm == Algorithm(r[1])
+            assert a.target == ScalarTarget(r[2])
+
+
 def test_attack_emits_report(cli_setup, capsys):
     d, config_path, config = cli_setup
     assert cli.main(["attack", config_path]) == 0
@@ -96,6 +121,15 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     bad.write_text("{ not json")
     assert cli.main(["attack", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["5", "null", '[["a", 1]]'])
+@pytest.mark.parametrize("seed_flag", [[], ["--model-seed", "2"]])
+def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys, text, seed_flag):
+    path = tmp_path / "shape.json"
+    path.write_text(text)
+    assert cli.main(["experiment", str(path), *seed_flag]) == 2
+    assert "error [stage=config]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override", [
@@ -204,6 +238,18 @@ def test_serve_blocks_and_answers(cli_setup):
     assert ok, "serve subcommand never became healthy"
 
 
+@pytest.mark.parametrize("in_use", [True, False])
+def test_serve_on_a_port_it_cannot_bind_is_serve_error(cli_setup, capsys, in_use):
+    _, config_path, _ = cli_setup
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = busy.getsockname()[1] if in_use else 70000  # OverflowError
+        assert cli.main(["serve", config_path, "--port", str(port)]) == 2
+    err = capsys.readouterr().err
+    assert "error [stage=serve]" in err and f"127.0.0.1:{port}" in err
+
+
 def _serve_target(config, **overrides):
     """Serve the target that config, with overrides, trains in process."""
     cfg = pipeline.expand_matrix(dict(config, **overrides))[0]
@@ -261,6 +307,30 @@ def test_remote_run_reports_served_model_accuracy(cli_setup, tmp_path):
     assert manifest["cells"][0]["target_test_accuracy"] == served.test_accuracy
 
 
+def test_remote_explanation_files_match_in_process(cli_setup, tmp_path):
+    _, _, config = cli_setup
+    tm2 = dict(config, threat_model="tm2", explainer="smoothgrad",
+               explanation_target="probability", surfaces=["phi_non_sensitive"])
+    path = tmp_path / "tm2.json"
+    path.write_text(json.dumps(tm2))
+    local, remote = str(tmp_path / "local"), str(tmp_path / "remote")
+    assert cli.main(["explain", str(path), "--out-dir", local]) == 0
+    _, server = _serve_target(tm2)
+    try:
+        assert cli.main(["explain", str(path), "--out-dir", remote,
+                         "--transport", server.url]) == 0
+    finally:
+        server.shutdown()
+    names = sorted(os.listdir(local))
+    assert names == sorted(os.listdir(remote)) and len(names) == 2
+    for name in names:
+        with open(os.path.join(local, name), "rb") as fa:
+            with open(os.path.join(remote, name), "rb") as fb:
+                expected = fa.read()
+                assert fb.read() == expected, name
+        assert expected.split(b"\n")[1].split(b",")[1:3] == [b"smoothgrad", b"probability"]
+
+
 @pytest.mark.parametrize("command", ["train", "serve"])
 def test_train_and_serve_refuse_remote_transport(cli_setup, capsys, monkeypatch,
                                                  command):
@@ -298,8 +368,7 @@ def test_train_and_explain_on_a_seed_matrix(cli_setup, tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "prepare", counting_prepare)
     monkeypatch.setattr(nn, "save_model", recording(nn.save_model, 1))
-    monkeypatch.setattr(explain, "write_attributions",
-                        recording(explain.write_attributions, 0))
+    monkeypatch.setattr(data, "write_csv", recording(data.write_csv, 0))
 
     assert cli.main(["train", str(path)]) == 0
     assert prepared == [1, 2]
@@ -315,5 +384,6 @@ def test_train_and_explain_on_a_seed_matrix(cli_setup, tmp_path, monkeypatch):
     names = sorted(f"explanations-tm1-deeplift-s0m{m}e{e}-{split}.csv"
                    for m in (1, 2) for e in (3, 4) for split in ("aux", "eval"))
     assert sorted(f for f in os.listdir(out) if f.startswith("explanations-")) == names
-    # every file was written once: 2 targets, then 4 explanation sets
-    assert len(written) == len(set(written)) == 2 + len(names)
+    # every file was written once: 2 targets with their baselines, then 4
+    # explanation sets
+    assert len(written) == len(set(written)) == 2 * 2 + len(names)

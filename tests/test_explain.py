@@ -426,25 +426,3 @@ class TestBatchBitIdentity:
             assert child.returncode == 0, child.stderr
             answers.append(child.stdout)
         assert answers[0] == answers[1]
-
-
-class TestAttributionFile:
-    def test_roundtrip_exact(self, tmp_path, small_trained_net):
-        model, X = small_trained_net
-        base = explain.mean_baseline(X)
-        cfg = ExplainerConfig(seed=2)
-        attrs = explain.explain_batch(
-            model, X[:5], base, Algorithm.INTEGRATED_GRADIENTS, cfg)
-        path = str(tmp_path / "attr.csv")
-        explain.write_attributions(path, attrs, record_ids=range(5))
-        with open(path, encoding="utf-8") as fh:
-            header, *lines = fh.read().splitlines()
-        assert header.split(",") == (["record_id", "algorithm", "target", "delta"]
-                                     + [f"score_{i}" for i in range(X.shape[1])])
-        rows = [line.split(",") for line in lines]
-        assert [int(r[0]) for r in rows] == list(range(5))
-        for a, r in zip(attrs, rows, strict=True):
-            assert np.array_equal(a.scores, np.array([float(v) for v in r[4:]]))
-            assert a.delta == float(r[3])
-            assert a.algorithm == Algorithm(r[1])
-            assert a.target == ScalarTarget(r[2])

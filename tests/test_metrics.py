@@ -138,19 +138,6 @@ class TestPrCurve:
         assert np.allclose(a.precisions, b.precisions)
         assert np.allclose(a.recalls, b.recalls)
 
-    def test_file_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        curve = metrics.pr_curve(rng.random(40), rng.integers(0, 2, 40))
-        path = str(tmp_path / "curve.csv")
-        metrics.write_pr_curve(curve, path)
-        with open(path, encoding="utf-8") as fh:
-            comment, header, *lines = fh.read().splitlines()
-        assert header == "threshold,precision,recall,f1"
-        loaded = np.array([[float(v) for v in line.split(",")] for line in lines])
-        assert np.array_equal(loaded[:, 0], curve.thresholds)
-        assert np.array_equal(loaded[:, 1], curve.precisions)
-        assert float(comment.removeprefix("# base_rate=")) == curve.base_rate
-
 
 class TestPearson:
     def test_self_correlation(self):

@@ -94,6 +94,14 @@ class TestConfig:
                 "dataset_csv": csv_path, "schema": schema_path,
                 "explnaier": "deeplift"})
 
+    @pytest.mark.parametrize("text", ["5", "null", '[["a", 1]]'])
+    def test_config_that_is_not_an_object_is_config_error(self, tmp_path, text):
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        with pytest.raises(PipelineError) as err:
+            pipeline.load_config(str(path))
+        assert err.value.stage == "config"
+
     def test_missing_file_is_load_stage_error(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path))
         cfg.dataset_csv = "/nonexistent/file.csv"
@@ -165,8 +173,8 @@ class TestRunExperiment:
 
 def audit(cfg):
     """The correlation audit of one cell, as the audit subcommand runs it."""
-    prep, aux_pack, eval_pack = next(pipeline.run_cells([cfg]))
-    return pipeline.correlation_audit(prep, aux_pack[0], eval_pack[0])
+    prep, attributions, _ = next(pipeline.run_cells([cfg]))
+    return pipeline.correlation_audit(prep, attributions)
 
 
 class TestCorrelationAudit:
@@ -297,6 +305,21 @@ class TestEmitReport:
             assert fh.read() == ",".join(pipeline.REPORT_COLUMNS) + "\n"
         with open(files["correlations"], encoding="utf-8") as fh:
             assert fh.read() == ",".join(pipeline.CORRELATION_COLUMNS) + "\n"
+
+    def test_pr_curve_file_roundtrip(self, synth_paths, tmp_path):
+        cfg = fast_config(synth_paths, str(tmp_path), surfaces=["phi_all", "phi_sensitive"])
+        report = pipeline.run_experiment(cfg)
+        files = pipeline.emit_report(report, cfg.output_dir)
+        for cell, path in zip(report.rows, files["curves"], strict=True):
+            with open(path, encoding="utf-8") as fh:
+                comment, header, *lines = fh.read().splitlines()
+            assert header == "threshold,precision,recall,f1"
+            loaded = np.array([[float(v) for v in line.split(",")] for line in lines])
+            assert np.array_equal(loaded[:, 0], cell.curve.thresholds)
+            assert np.array_equal(loaded[:, 1], cell.curve.precisions)
+            assert np.array_equal(loaded[:, 2], cell.curve.recalls)
+            assert np.array_equal(loaded[:, 3], cell.curve.f1s)
+            assert float(comment.removeprefix("# base_rate=")) == cell.curve.base_rate
 
     def test_reemit_byte_identical(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path))

@@ -178,6 +178,7 @@ class TestEndpoints:
                     ScalarTarget.LOGIT, record_ids=[rid])[0]
                 assert np.array_equal(remote[i].scores, local.scores), algorithm
                 assert remote[i].delta == local.delta
+                assert remote[i].target is local.target is ScalarTarget.LOGIT
 
     def test_fresh_noise_without_record_id(self, running_server, monkeypatch):
         server, model, baseline, cfg, X = running_server
@@ -204,6 +205,24 @@ class TestEndpoints:
         assert not np.array_equal(a[0].scores, a[1].scores)
         assert not np.array_equal(a[0].scores, b[0].scores)
         assert not np.array_equal(a[1].scores, b[1].scores)
+
+
+class TestBindFailure:
+    """A failed bind raises its own error, not one from closing the
+    half-built server."""
+
+    def test_busy_port_is_os_error(self, running_server):
+        _, model, baseline, cfg, _ = running_server
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            with pytest.raises(OSError):
+                service.serve(model, baseline, cfg, port=busy.getsockname()[1])
+
+    def test_port_out_of_range_is_overflow_error(self, running_server):
+        _, model, baseline, cfg, _ = running_server
+        with pytest.raises(OverflowError):
+            service.serve(model, baseline, cfg, port=70000)
 
 
 class TestClient:
@@ -268,6 +287,19 @@ class TestClient:
             server.url.replace("http://", "https://"), X[:2])
         assert opened == [(server.host, server.port)]
         assert preds.tolist() == [nn.forward(model, x, ScalarTarget.PROBABILITY) for x in X[:2]]
+
+    @pytest.mark.parametrize("answer", [
+        {"explanations": [{"scores": [0.0] * 4, "delta": 0.0}]},  # no "target"
+        {"explanations": [{"scores": [0.0] * 4}], "target": "logit"},
+        {"explanations": [{"scores": [0.0] * 4, "delta": 0.0}], "target": "margin"},
+        {"explanations": 5, "target": "logit"},
+    ])
+    def test_malformed_explain_answer_is_service_error(self, running_server, monkeypatch,
+                                                       answer):
+        server, _, _, _, X = running_server
+        monkeypatch.setattr(service._Endpoints, "explain", lambda self, body: answer)
+        with pytest.raises(service.ServiceError, match="malformed"):
+            service.client_fetch_explanations(server.url, X[:1], Algorithm.DEEPLIFT)
 
     def test_unsupported_scheme_is_rejected(self):
         with pytest.raises(ValueError, match="http"):
@@ -630,7 +662,7 @@ def test_batched_fetch_is_bit_identical_to_singles_and_in_process(
                 status, answer = post_json(server, "/v1/explain", {
                     "records": rows(X[i:i + 1]), "algorithm": algorithm.value,
                     "record_ids": [ids[i]]})
-                assert status == 200
+                assert status == 200 and answer["target"] == "logit"
                 single = answer["explanations"][0]
                 assert b.scores.tolist() == a.scores.tolist() == single["scores"]
                 assert b.delta == a.delta == single["delta"]
