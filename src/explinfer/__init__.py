@@ -16,7 +16,7 @@ from .metrics import (ConfusionCounts, PrCurve, accuracy, confusion, f1, pearson
                       precision, recall)
 from .nn import (MlpModel, ScalarTarget, TrainConfig, forward, init_model,
                  input_gradient_batch, train)
-from .pipeline import AttackReport, ExperimentConfig, emit_report, run_experiment
+from .pipeline import AttackReport, ExperimentConfig, emit_report
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,6 @@ __all__ = [
     "TrainConfig", "accuracy", "attack_vectors", "build_surface_matrix",
     "calibrate", "confusion", "emit_report", "encode", "explain_batch", "f1",
     "forward", "init_model", "input_gradient_batch", "load_csv", "mean_baseline",
-    "pearson", "pr_curve", "precision", "recall", "run_experiment", "score",
+    "pearson", "pr_curve", "precision", "recall", "score",
     "train", "train_attack",
 ]

@@ -23,6 +23,7 @@ pipeline failure (the offending stage is named in the diagnostic).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -133,16 +134,18 @@ def _cmd_serve(args) -> int:
         raise PipelineError("config", f"serve needs a config describing exactly one "
                             f"cell, got {len(cells)}")
     cfg = cells[0]
-    prep = pipeline.prepare(cfg)
-    print(f"serving {cfg.dataset_name} ({cfg.tm.value}) on "
-          f"http://{args.host}:{args.port}", flush=True)
-    try:
-        service.serve(prep.model, prep.baseline, cfg.explainer_config,
-                      host=args.host, port=args.port, target=cfg.scalar_target,
-                      block=True)
+    try:  # bound before training, so that a bad port shows at once
+        server = service.Server(args.host, args.port)
     except (OSError, OverflowError) as exc:  # a busy port, a bad host or port
         raise PipelineError("serve", f"cannot listen on {args.host}:{args.port}: "
                             f"{exc}") from exc
+    with server:  # closes the server, and its connections, on the way out
+        prep = pipeline.prepare(cfg)
+        server.endpoints = service._Endpoints(prep.model, prep.baseline,
+                                              cfg.explainer_config, cfg.scalar_target)
+        print(f"serving {cfg.dataset_name} ({cfg.tm.value}) on {server.url}", flush=True)
+        with contextlib.suppress(KeyboardInterrupt):
+            server.serve_forever()
     return 0
 
 

@@ -514,11 +514,6 @@ def run_matrix(cells: list[ExperimentConfig]) -> list[AttackReport]:
     return reports
 
 
-def run_experiment(cfg: ExperimentConfig) -> AttackReport:
-    """Execute one experiment cell end to end."""
-    return run_matrix([cfg])[0]
-
-
 def merge_reports(reports: list[AttackReport]) -> AttackReport:
     rows = [r for rep in reports for r in rep.rows]
     correlations = [c for rep in reports for c in rep.correlations]

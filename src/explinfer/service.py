@@ -26,8 +26,9 @@ non-integer Content-Length, an unknown algorithm, a body without a nonempty
 "records" list or ids that are not nonnegative integers, one per record;
 413, unread, for a body over MAX_BODY_BYTES; 422 for a bad feature row,
 named by its index; 404/405 otherwise. A connection blocked past the
-handler's timeout is closed. No endpoint exposes parameters, architecture
-or training data.
+handler's timeout is closed, and one opened while MAX_CONNECTIONS are open
+gets 503, unread, and is closed. No endpoint exposes parameters,
+architecture or training data.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .nn import MlpModel, ScalarTarget, forward_rows
 
 CHUNK_RECORDS = 256  # records per request sent by the client
 MAX_BODY_BYTES = 16 * 2**20  # a chunk of 100-feature records is about 0.7 MB
+MAX_CONNECTIONS = 64  # open connections, kept idle ones included; each holds a thread
 POLL_SECONDS = 0.05  # serve_forever's poll, which bounds how long shutdown() waits
 
 
@@ -60,10 +62,13 @@ class ServiceError(RuntimeError):
 class _Endpoints:
     """Request handling shared by every server thread."""
 
-    def __init__(self, model: MlpModel, baseline: np.ndarray,
-                 cfg: ExplainerConfig, target: ScalarTarget):
+    def __init__(self, model: MlpModel, baseline, cfg: ExplainerConfig,
+                 target: ScalarTarget):
         self.model = model
         self.baseline = np.asarray(baseline, dtype=np.float64)
+        if self.baseline.shape != (model.input_dim,):
+            raise ValueError(f"baseline must have length {model.input_dim}, "
+                             f"got {self.baseline.shape}")
         self.cfg = cfg
         self.target = target
         self._fresh_rng = np.random.default_rng()
@@ -131,7 +136,6 @@ class _Handler(BaseHTTPRequestHandler):
     timeout = 10.0
     # else the body, written after the headers, waits for a delayed ACK (40 ms)
     disable_nagle_algorithm = True
-    endpoints: _Endpoints  # attached by serve()
 
     def log_message(self, fmt, *args):  # quiet by default
         pass
@@ -171,9 +175,9 @@ class _Handler(BaseHTTPRequestHandler):
             except (ValueError, UnicodeDecodeError) as exc:
                 raise _HttpError(400, f"malformed JSON body: {exc}")
             if self.path == "/v1/predict":
-                self._send(200, self.endpoints.predict(body))
+                self._send(200, self.server.endpoints.predict(body))
             elif self.path == "/v1/explain":
-                self._send(200, self.endpoints.explain(body))
+                self._send(200, self.server.endpoints.explain(body))
             else:
                 raise _HttpError(404, f"no such endpoint: {self.path}")
         except _HttpError as exc:
@@ -184,21 +188,54 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(500, {"error": f"internal error: {exc}"})
 
 
-class _Server(ThreadingHTTPServer):
-    """Keeps its open connections, so that closing the server ends them:
+class Server(ThreadingHTTPServer):
+    """The service, bound to host:port when built (port 0 binds an ephemeral
+    port). Once `endpoints` is set it serves: on a thread after start(), or
+    in the caller's through serve_forever(). shutdown() and the context exit
+    stop the thread, if one was started, and close every open connection:
     else a kept-alive client would go on reaching the old model."""
 
     daemon_threads = True
+    endpoints: _Endpoints
 
-    def __init__(self, address, handler):
+    def __init__(self, host: str, port: int):
         # set first: a failed bind calls server_close() from super().__init__
-        self._open, self._open_lock = set(), threading.Lock()
-        super().__init__(address, handler)
+        self._open, self._open_lock, self._thread = set(), threading.Lock(), None
+        super().__init__((host, port), _Handler)
+        self.host, self.port = self.server_address[:2]
+        self.url = f"http://{self.host}:{self.port}"
+
+    def start(self) -> "Server":
+        self._thread = threading.Thread(target=self.serve_forever, args=(POLL_SECONDS,),
+                                        daemon=True)
+        self._thread.start()
+        return self
+
+    def shutdown(self) -> None:
+        if self._thread is not None:
+            super().shutdown()
+            self._thread.join(timeout=10)
+        self.server_close()
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown()
 
     def process_request(self, request, client_address):
         with self._open_lock:
-            self._open.add(request)
-        super().process_request(request, client_address)
+            admitted = len(self._open) < MAX_CONNECTIONS
+            if admitted:
+                self._open.add(request)
+        if admitted:
+            super().process_request(request, client_address)
+            return
+        # answered on this thread, unread and without blocking: it gets no thread
+        body = json.dumps({"error": f"server busy: {MAX_CONNECTIONS} connections open"}).encode()
+        request.setblocking(False)
+        with contextlib.suppress(OSError):  # the peer is already gone
+            request.sendall(b"HTTP/1.1 503 Service Unavailable\r\n"
+                            b"Content-Type: application/json\r\nConnection: close\r\n"
+                            b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+        self.shutdown_request(request)
 
     def shutdown_request(self, request):
         with self._open_lock:
@@ -213,30 +250,6 @@ class _Server(ThreadingHTTPServer):
                     request.shutdown(socket.SHUT_RDWR)
 
 
-class ExplanationServer:
-    """A running predict/explain service; use as a context manager or call
-    shutdown() explicitly."""
-
-    def __init__(self, httpd: ThreadingHTTPServer, thread: threading.Thread):
-        self._httpd = httpd
-        self._thread = thread
-        host, port = httpd.server_address[:2]
-        self.host = host
-        self.port = port
-        self.url = f"http://{host}:{port}"
-
-    def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._thread.join(timeout=10)
-        self._httpd.server_close()
-
-    def __enter__(self) -> "ExplanationServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-
 def serve(
     model: MlpModel,
     baseline,
@@ -244,28 +257,12 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 0,
     target: ScalarTarget = ScalarTarget.LOGIT,
-    block: bool = False,
-) -> ExplanationServer:
-    """Start the service; port 0 binds an ephemeral port.
-
-    With block=True the call runs the server in the current thread until
-    interrupted (CLI mode); otherwise it returns a handle immediately.
-    """
-    baseline = np.asarray(baseline, dtype=np.float64)
-    if baseline.shape != (model.input_dim,):
-        raise ValueError(
-            f"baseline must have length {model.input_dim}, got {baseline.shape}")
-    endpoints = _Endpoints(model, baseline, cfg, target)
-    handler = type("BoundHandler", (_Handler,), {"endpoints": endpoints})
-    httpd = _Server((host, port), handler)
-    if block:
-        with httpd:  # closes the server, and its connections, on the way out
-            httpd.serve_forever(POLL_SECONDS)
-        return None
-    thread = threading.Thread(target=httpd.serve_forever, args=(POLL_SECONDS,),
-                              daemon=True)
-    thread.start()
-    return ExplanationServer(httpd, thread)
+) -> Server:
+    """Bind host:port and serve model on a thread until shutdown()."""
+    endpoints = _Endpoints(model, baseline, cfg, target)  # checked before the bind
+    server = Server(host, port)
+    server.endpoints = endpoints
+    return server.start()
 
 
 # the connection of the last call that finished cleanly, as
@@ -350,8 +347,10 @@ def _request(conn, url: str, path: str, payload, max_retries: int, timeout: floa
             if not reused:
                 conn.connect()
             conn.sock.settimeout(timeout * n_records)
-            conn.request("GET" if body is None else "POST", path, body,
-                         {"Content-Type": "application/json"})
+            # a full server answers 503 unread and closes, maybe before the body is sent
+            with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+                conn.request("GET" if body is None else "POST", path, body,
+                             {"Content-Type": "application/json"})
             resp = conn.getresponse()
             data = resp.read()
             break

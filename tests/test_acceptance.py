@@ -244,10 +244,10 @@ def census_runs(tmp_path_factory):
         attack_learning_rate=1e-3, attack_batch_size=256,
         ig_steps=50, split_seed=11, model_seed=12, attack_seed=13,
         explainer_seed=14, output_dir=str(d / "out"))
-    tm1 = pipeline.run_experiment(pipeline.ExperimentConfig(
-        threat_model="tm1", surfaces=["phi_all"], **common))
-    tm2 = pipeline.run_experiment(pipeline.ExperimentConfig(
-        threat_model="tm2", surfaces=["phi_non_sensitive"], **common))
+    tm1 = pipeline.run_matrix([pipeline.ExperimentConfig(
+        threat_model="tm1", surfaces=["phi_all"], **common)])[0]
+    tm2 = pipeline.run_matrix([pipeline.ExperimentConfig(
+        threat_model="tm2", surfaces=["phi_non_sensitive"], **common)])[0]
     elapsed = time.perf_counter() - start
     return tm1, tm2, elapsed
 
@@ -296,7 +296,7 @@ def test_criterion_9_synthetic_perfect_recovery(tmp_path):
             target_hidden=[32, 16], target_epochs=150, target_batch_size=32,
             attack_hidden=[16, 8], attack_epochs=500, attack_batch_size=64,
             output_dir=str(tmp_path / "out"))
-        report = pipeline.run_experiment(cfg)
+        report = pipeline.run_matrix([cfg])[0]
         row = report.rows[0]
         assert row.f1 == 1.0, f"F1 {row.f1}"
         assert row.precision == 1.0 and row.recall == 1.0
@@ -314,7 +314,7 @@ def test_criterion_10_wire_equivalence(tmp_path):
             attack_hidden=[16, 8], attack_epochs=300, attack_batch_size=64)
         local_cfg = pipeline.ExperimentConfig(
             output_dir=str(tmp_path / "local"), **common)
-        local = pipeline.run_experiment(local_cfg)
+        local = pipeline.run_matrix([local_cfg])[0]
 
         prep = pipeline.prepare(local_cfg)
         server = service.serve(prep.model, prep.baseline,
@@ -324,7 +324,7 @@ def test_criterion_10_wire_equivalence(tmp_path):
             remote_cfg = pipeline.ExperimentConfig(
                 output_dir=str(tmp_path / "remote"), transport=server.url,
                 **common)
-            remote = pipeline.run_experiment(remote_cfg)
+            remote = pipeline.run_matrix([remote_cfg])[0]
         finally:
             server.shutdown()
 

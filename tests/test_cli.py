@@ -217,37 +217,79 @@ def test_transport_override_matches_in_process(cli_setup, tmp_path):
             assert fa.read() == fb.read()
 
 
-def test_serve_blocks_and_answers(cli_setup):
+def test_serve_blocks_and_answers(cli_setup, capsys, monkeypatch):
     d, config_path, config = cli_setup
-    # run the blocking serve command on a thread, then health-check it
-    port = 18233
+    # run the blocking serve command on a thread, then health-check it at
+    # the URL it prints; an interrupt then stops it the way Ctrl-C would
+    stop = threading.Event()
+
+    def interruptible(server):
+        if stop.is_set():
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(service.Server, "service_actions", interruptible)
+    status = []
     thread = threading.Thread(
-        target=cli.main,
-        args=(["serve", config_path, "--host", "127.0.0.1",
-               "--port", str(port)],),
+        target=lambda: status.append(cli.main(
+            ["serve", config_path, "--host", "127.0.0.1", "--port", "0"])),
         daemon=True)
     thread.start()
-    url = f"http://127.0.0.1:{port}"
-    deadline = time.time() + 30
-    ok = False
-    while time.time() < deadline:
-        if service.fetch_health(url, max_retries=1, timeout=1.0):
-            ok = True
-            break
-        time.sleep(0.2)
-    assert ok, "serve subcommand never became healthy"
+    deadline, out = time.time() + 30, ""
+    while "serving" not in out and time.time() < deadline:
+        time.sleep(0.05)
+        out += capsys.readouterr().out
+    line = next(s for s in out.splitlines() if s.startswith("serving"))
+    url = line.rsplit(" on ", 1)[1]
+    assert url.startswith("http://127.0.0.1:") and not url.endswith(":0")
+    assert service.fetch_health(url, max_retries=1, timeout=5.0)
+    stop.set()
+    thread.join(timeout=10)
+    assert not thread.is_alive() and status == [0]
+    assert not service.fetch_health(url, max_retries=1, timeout=1.0)
 
 
 @pytest.mark.parametrize("in_use", [True, False])
-def test_serve_on_a_port_it_cannot_bind_is_serve_error(cli_setup, capsys, in_use):
+def test_serve_on_a_port_it_cannot_bind_is_serve_error(cli_setup, capsys, monkeypatch,
+                                                        in_use):
     _, config_path, _ = cli_setup
+    monkeypatch.setattr(pipeline, "prepare",
+                        lambda cfg: pytest.fail("the target trained before the bind"))
     with socket.socket() as busy:
         busy.bind(("127.0.0.1", 0))
         busy.listen()
         port = busy.getsockname()[1] if in_use else 70000  # OverflowError
         assert cli.main(["serve", config_path, "--port", str(port)]) == 2
-    err = capsys.readouterr().err
-    assert "error [stage=serve]" in err and f"127.0.0.1:{port}" in err
+    captured = capsys.readouterr()
+    assert "error [stage=serve]" in captured.err and f"127.0.0.1:{port}" in captured.err
+    assert "serving" not in captured.out
+
+
+def test_serve_that_fails_after_the_bind_frees_the_port(cli_setup, tmp_path, capsys,
+                                                        monkeypatch):
+    _, _, config = cli_setup
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(dict(config, dataset_csv=str(tmp_path / "nope.csv"))))
+    with socket.socket() as probe:  # a port that is free now
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    prepare, bound = pipeline.prepare, []
+
+    def prepare_once_bound(cfg):
+        with socket.create_connection(("127.0.0.1", port), timeout=5):
+            bound.append(True)  # the port listens before any training
+        return prepare(cfg)
+
+    monkeypatch.setattr(pipeline, "prepare", prepare_once_bound)
+    status = []
+    thread = threading.Thread(
+        target=lambda: status.append(cli.main(["serve", str(path), "--port", str(port)])),
+        daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive() and status == [2] and bound == [True]
+    assert "error [stage=load]" in capsys.readouterr().err
+    with socket.socket() as again:  # raises if the port is still held
+        again.bind(("127.0.0.1", port))
 
 
 def _serve_target(config, **overrides):
@@ -305,6 +347,43 @@ def test_remote_run_reports_served_model_accuracy(cli_setup, tmp_path):
     with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     assert manifest["cells"][0]["target_test_accuracy"] == served.test_accuracy
+
+
+def test_remote_report_echoes_the_local_explainer_seed(cli_setup, tmp_path):
+    """The server draws noise from its own explainer_seed; a remote report's
+    seed columns and config give the local config's values all the same."""
+    _, _, config = cli_setup
+    smooth = dict(config, explainer="smoothgrad", explanation_target="probability",
+                  explainer_seed=3)
+    path = tmp_path / "smooth.json"
+    path.write_text(json.dumps(smooth))
+    local, remote = str(tmp_path / "local"), str(tmp_path / "remote")
+    for args in (["explain"], ["explain", "--explainer-seed", "9"],
+                 ["attack", "--explainer-seed", "9"]):
+        assert cli.main([*args, str(path), "--out-dir", local]) == 0
+    _, server = _serve_target(smooth, explainer_seed=9)
+    try:
+        for command in ("explain", "attack"):
+            assert cli.main([command, str(path), "--out-dir", remote,
+                             "--transport", server.url]) == 0
+    finally:
+        server.shutdown()
+    # the explanations are the served seed's, under the local seed's name
+    for split in ("aux", "eval"):
+        name = f"explanations-tm1-smoothgrad-s0m1e{{}}-{split}.csv"
+        fetched = _read(os.path.join(remote, name.format(3)))
+        assert fetched == _read(os.path.join(local, name.format(9)))
+        assert fetched != _read(os.path.join(local, name.format(3)))
+    with open(os.path.join(local, "report.csv"), encoding="utf-8") as fh:
+        local_rows = list(csv.DictReader(fh))
+    with open(os.path.join(remote, "report.csv"), encoding="utf-8") as fh:
+        remote_rows = list(csv.DictReader(fh))
+    assert [r["explainer_seed"] for r in local_rows] == ["9"]
+    assert [r["explainer_seed"] for r in remote_rows] == ["3"]
+    assert [dict(r, explainer_seed="9") for r in remote_rows] == local_rows
+    with open(os.path.join(remote, "manifest.json"), encoding="utf-8") as fh:
+        cell = json.load(fh)["cells"][0]["config"]
+    assert cell["explainer_seed"] == 3 and cell["transport"] == server.url
 
 
 def test_remote_explanation_files_match_in_process(cli_setup, tmp_path):

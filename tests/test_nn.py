@@ -110,13 +110,13 @@ def textbook_train(model, X, y, cfg):
     return weights, biases
 
 
-def trained_parameter_digest() -> str:
+def trained_parameter_digest(layer_dims) -> str:
     """Digest of the parameters of a target trained with 256-row batches
     and a partial last batch (1,200 rows)."""
     rng = np.random.default_rng(0)
     X = rng.normal(size=(1200, 100))
     y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(float)
-    model = nn.init_model([100, 256, 128, 64, 1], seed=1)
+    model = nn.init_model(layer_dims, seed=1)
     trained = nn.train(model, X, y, TrainConfig(epochs=2, batch_size=256, seed=2))
     digest = hashlib.sha256()
     for w, b in zip(trained.weights, trained.biases):
@@ -320,10 +320,14 @@ class TestTrain:
             assert got.flags.c_contiguous and got.flags.owndata
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_one_and_two_blas_threads(self):
+    # a small net, and the census net of the desk-scale run
+    @pytest.mark.parametrize("layer_dims", [[100, 256, 128, 64, 1],
+                                            [100, 1024, 512, 256, 128, 1]],
+                             ids=["small", "census"])
+    def test_one_and_two_blas_threads(self, layer_dims):
         # child processes, since OpenBLAS reads its thread count at load
         src = os.path.dirname(os.path.dirname(nn.__file__))
-        code = "from test_nn import *\nprint(trained_parameter_digest())\n"
+        code = f"from test_nn import *\nprint(trained_parameter_digest({layer_dims}))\n"
         answers = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,

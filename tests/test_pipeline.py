@@ -79,7 +79,7 @@ class TestConfig:
 
     def test_report_rows_carry_seeds(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path), split_seed=42)
-        report = pipeline.run_experiment(cfg)
+        report = pipeline.run_matrix([cfg])[0]
         row = report.rows[0]
         assert (row.split_seed, row.model_seed) == (42, cfg.model_seed)
         files = pipeline.emit_report(report, cfg.output_dir)
@@ -106,7 +106,7 @@ class TestConfig:
         cfg = fast_config(synth_paths, str(tmp_path))
         cfg.dataset_csv = "/nonexistent/file.csv"
         with pytest.raises(PipelineError) as err:
-            pipeline.run_experiment(cfg)
+            pipeline.run_matrix([cfg])[0]
         assert err.value.stage == "load"
 
     def test_unreachable_service_is_predict_stage_error(self, synth_paths, tmp_path):
@@ -117,7 +117,7 @@ class TestConfig:
             cfg = fast_config(synth_paths, str(tmp_path),
                               transport=f"http://127.0.0.1:{sock.getsockname()[1]}")
             with pytest.raises(PipelineError) as err:
-                pipeline.run_experiment(cfg)
+                pipeline.run_matrix([cfg])[0]
         assert err.value.stage == "predict"
 
 
@@ -125,7 +125,7 @@ class TestRunExperiment:
     def test_synthetic_perfect_recovery(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path), target_hidden=[32, 16],
                           target_epochs=150, attack_epochs=500)
-        report = pipeline.run_experiment(cfg)
+        report = pipeline.run_matrix([cfg])[0]
         row = report.rows[0]
         assert row.surface == "phi_all"
         assert row.f1 == 1.0
@@ -134,8 +134,8 @@ class TestRunExperiment:
     def test_deterministic_report_bytes(self, synth_paths, tmp_path):
         cfg_a = fast_config(synth_paths, str(tmp_path / "a"))
         cfg_b = fast_config(synth_paths, str(tmp_path / "b"))
-        files_a = pipeline.emit_report(pipeline.run_experiment(cfg_a), cfg_a.output_dir)
-        files_b = pipeline.emit_report(pipeline.run_experiment(cfg_b), cfg_b.output_dir)
+        files_a = pipeline.emit_report(pipeline.run_matrix([cfg_a])[0], cfg_a.output_dir)
+        files_b = pipeline.emit_report(pipeline.run_matrix([cfg_b])[0], cfg_b.output_dir)
         for name in sorted(os.listdir(cfg_a.output_dir)):
             if name == "manifest.json":
                 continue  # manifest embeds the differing output_dir paths
@@ -145,7 +145,7 @@ class TestRunExperiment:
 
     def test_eval_metrics_recomputable_from_dump(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path))
-        report = pipeline.run_experiment(cfg)
+        report = pipeline.run_matrix([cfg])[0]
         files = pipeline.emit_report(report, cfg.output_dir)
         with open(files["report"], encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
@@ -166,7 +166,7 @@ class TestRunExperiment:
     def test_attack_beats_all_positive_baseline(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path), target_epochs=150,
                           attack_epochs=500)
-        report = pipeline.run_experiment(cfg)
+        report = pipeline.run_matrix([cfg])[0]
         for row in report.rows:
             assert row.f1 > row.baseline_f1
 
@@ -273,7 +273,7 @@ class TestStageReuse:
         pipeline.emit_report(
             pipeline.merge_reports(pipeline.run_matrix(cells)), shared)
         pipeline.emit_report(
-            pipeline.merge_reports([pipeline.run_experiment(c) for c in cells]),
+            pipeline.merge_reports([pipeline.run_matrix([c])[0] for c in cells]),
             alone)
         assert sorted(os.listdir(shared)) == sorted(os.listdir(alone))
         for name in ("report.csv", "summary.json", "correlations.csv",
@@ -308,7 +308,7 @@ class TestEmitReport:
 
     def test_pr_curve_file_roundtrip(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path), surfaces=["phi_all", "phi_sensitive"])
-        report = pipeline.run_experiment(cfg)
+        report = pipeline.run_matrix([cfg])[0]
         files = pipeline.emit_report(report, cfg.output_dir)
         for cell, path in zip(report.rows, files["curves"], strict=True):
             with open(path, encoding="utf-8") as fh:
@@ -323,7 +323,7 @@ class TestEmitReport:
 
     def test_reemit_byte_identical(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path))
-        report = pipeline.run_experiment(cfg)
+        report = pipeline.run_matrix([cfg])[0]
         pipeline.emit_report(report, cfg.output_dir)
         first = {}
         for name in os.listdir(cfg.output_dir):
@@ -341,7 +341,7 @@ class TestTransportEquivalence:
                           threat_model="tm2",
                           surfaces=["phi_non_sensitive", "pred_plus_phi"],
                           explainer="gradient_shap")
-        local = pipeline.run_experiment(cfg)
+        local = pipeline.run_matrix([cfg])[0]
 
         prep = pipeline.prepare(cfg)
         server = service.serve(
@@ -353,7 +353,7 @@ class TestTransportEquivalence:
                 threat_model="tm2",
                 surfaces=["phi_non_sensitive", "pred_plus_phi"],
                 explainer="gradient_shap", transport=server.url)
-            remote = pipeline.run_experiment(remote_cfg)
+            remote = pipeline.run_matrix([remote_cfg])[0]
         finally:
             server.shutdown()
 
@@ -368,7 +368,7 @@ class TestTransportEquivalence:
         surfaces = ["phi_non_sensitive", "pred_plus_phi"]
         cfg = fast_config(synth_paths, str(tmp_path / "local"), surfaces=surfaces,
                           explainer="deeplift")
-        local = pipeline.run_experiment(cfg)
+        local = pipeline.run_matrix([cfg])[0]
         prep = pipeline.prepare(cfg)
         served = []
         predict = service._Endpoints.predict
@@ -383,7 +383,7 @@ class TestTransportEquivalence:
             remote_cfg = fast_config(synth_paths, str(tmp_path / "remote"),
                                      surfaces=surfaces, explainer="deeplift",
                                      transport=server.url)
-            remote = pipeline.run_experiment(remote_cfg)
+            remote = pipeline.run_matrix([remote_cfg])[0]
         assert sum(served) == prep.splits.aux.n_rows + prep.splits.eval.n_rows
         reports = [pipeline.emit_report(r, c.output_dir)["report"]
                    for r, c in ((local, cfg), (remote, remote_cfg))]

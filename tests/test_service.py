@@ -182,7 +182,7 @@ class TestEndpoints:
 
     def test_fresh_noise_without_record_id(self, running_server, monkeypatch):
         server, model, baseline, cfg, X = running_server
-        endpoints = server._httpd.RequestHandlerClass.endpoints
+        endpoints = server.endpoints
         rng = RecordingRng(endpoints._fresh_rng)
         monkeypatch.setattr(endpoints, "_fresh_rng", rng)
         a = service.client_fetch_explanations(server.url, X[:1], Algorithm.SMOOTHGRAD)
@@ -348,6 +348,49 @@ class TestConcurrency:
                     for i in range(16)]
         assert results == expected
 
+    def test_connection_cap_answers_503(self, small_trained_net_module, monkeypatch):
+        """Past the cap a connection gets 503 and is closed unread; the
+        client's kept idle connection counts, and a closed one frees a slot."""
+        model, X = small_trained_net_module
+        monkeypatch.setattr(service, "MAX_CONNECTIONS", 2)
+        health = b"GET /v1/health HTTP/1.1\r\nHost: localhost\r\n\r\n"
+        with service.serve(model, explain.mean_baseline(X), ExplainerConfig()) as server:
+            conns = ServerConnections(server, monkeypatch)
+            service.client_fetch_predictions(server.url, X[:1])  # kept idle: 1 of 2
+            with socket.create_connection((server.host, server.port), timeout=5) as second:
+                second.sendall(health)
+                assert second.recv(4096).startswith(b"HTTP/1.1 200")  # 2 of 2
+                with socket.create_connection((server.host, server.port),
+                                              timeout=5) as third:
+                    third.sendall(health)
+                    answer = third.makefile("rb").read()  # to the server's close
+            head, _, body = answer.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 503") and b"Connection: close" in head
+            assert "error" in json.loads(body)
+            assert conns.accepted == 2  # the third got no handler thread
+            assert conns.wait_finished(1)  # the second's slot is free again
+            assert service.fetch_health(server.url, max_retries=1)  # on the idle one
+            assert post_raw(server.url + "/v1/predict",
+                            json.dumps({"records": rows(X[:1])}).encode())[0] == 200
+
+    def test_client_reads_the_503_of_a_full_server(self, small_trained_net_module,
+                                                   monkeypatch):
+        """The server may close before a request's body is sent; the client
+        still reads the answer, not a broken pipe, and does not retry."""
+        model, X = small_trained_net_module
+        monkeypatch.setattr(service, "MAX_CONNECTIONS", 1)
+        with service.serve(model, explain.mean_baseline(X), ExplainerConfig()) as server:
+            with socket.create_connection((server.host, server.port), timeout=5) as held:
+                held.sendall(b"GET /v1/health HTTP/1.1\r\nHost: localhost\r\n\r\n")
+                assert held.recv(4096).startswith(b"HTTP/1.1 200")  # 1 of 1
+                for _ in range(20):
+                    with pytest.raises(service.ServiceError, match="returned 503"):
+                        service.client_fetch_predictions(server.url, X, max_retries=1)
+
+    def test_connection_cap_is_above_the_parallel_clients_here(self):
+        # test_parallel_requests runs 8 clients, and one idle connection is kept
+        assert service.MAX_CONNECTIONS > 8 + 1
+
 
 class TestBatchContract:
     def test_record_ids_length_mismatch_is_400(self, running_server):
@@ -458,7 +501,7 @@ class ServerConnections:
         self.accepted, self._mine, self._finished = 0, set(), threading.Semaphore(0)
 
         def counted_process(httpd, request, client_address):
-            if httpd is server._httpd:
+            if httpd is server:
                 self.accepted += 1
                 self._mine.add(request)
             process(httpd, request, client_address)
