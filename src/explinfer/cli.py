@@ -141,11 +141,10 @@ def _cmd_serve(args) -> int:
                             f"{exc}") from exc
     with server:  # closes the server, and its connections, on the way out
         prep = pipeline.prepare(cfg)
-        server.endpoints = service._Endpoints(prep.model, prep.baseline,
-                                              cfg.explainer_config, cfg.scalar_target)
+        server.load(prep.model, prep.baseline, cfg.explainer_config, cfg.scalar_target)
         print(f"serving {cfg.dataset_name} ({cfg.tm.value}) on {server.url}", flush=True)
         with contextlib.suppress(KeyboardInterrupt):
-            server.serve_forever()
+            server.serve_forever(service.POLL_SECONDS)
     return 0
 
 

@@ -51,7 +51,7 @@ from .nn import MlpModel, ScalarTarget, forward_rows
 
 CHUNK_RECORDS = 256  # records per request sent by the client
 MAX_BODY_BYTES = 16 * 2**20  # a chunk of 100-feature records is about 0.7 MB
-MAX_CONNECTIONS = 64  # open connections, kept idle ones included; each holds a thread
+MAX_CONNECTIONS = 64  # open connections, idle ones included; README says what it bounds
 POLL_SECONDS = 0.05  # serve_forever's poll, which bounds how long shutdown() waits
 
 
@@ -190,10 +190,10 @@ class _Handler(BaseHTTPRequestHandler):
 
 class Server(ThreadingHTTPServer):
     """The service, bound to host:port when built (port 0 binds an ephemeral
-    port). Once `endpoints` is set it serves: on a thread after start(), or
-    in the caller's through serve_forever(). shutdown() and the context exit
-    stop the thread, if one was started, and close every open connection:
-    else a kept-alive client would go on reaching the old model."""
+    port). Once load() has given it a model it serves: on a thread after
+    start(), or in the caller's through serve_forever(POLL_SECONDS). shutdown()
+    and the context exit stop the thread, if one was started, and close every
+    open connection: else a kept-alive client would reach the old model."""
 
     daemon_threads = True
     endpoints: _Endpoints
@@ -205,49 +205,48 @@ class Server(ThreadingHTTPServer):
         self.host, self.port = self.server_address[:2]
         self.url = f"http://{self.host}:{self.port}"
 
+    def load(self, model: MlpModel, baseline, cfg: ExplainerConfig,
+             target: ScalarTarget = ScalarTarget.LOGIT) -> "Server":
+        self.endpoints = _Endpoints(model, baseline, cfg, target)
+        return self
+
     def start(self) -> "Server":
         self._thread = threading.Thread(target=self.serve_forever, args=(POLL_SECONDS,),
                                         daemon=True)
         self._thread.start()
         return self
 
-    def shutdown(self) -> None:
-        if self._thread is not None:
-            super().shutdown()
-            self._thread.join(timeout=10)
-        self.server_close()
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-    def process_request(self, request, client_address):
+    def verify_request(self, request, client_address) -> bool:
+        """Below the cap, count the connection in; past it, answer 503 unread
+        and without blocking, and refuse it: the caller closes it, threadless."""
         with self._open_lock:
-            admitted = len(self._open) < MAX_CONNECTIONS
-            if admitted:
+            if len(self._open) < MAX_CONNECTIONS:
                 self._open.add(request)
-        if admitted:
-            super().process_request(request, client_address)
-            return
-        # answered on this thread, unread and without blocking: it gets no thread
+                return True
         body = json.dumps({"error": f"server busy: {MAX_CONNECTIONS} connections open"}).encode()
         request.setblocking(False)
         with contextlib.suppress(OSError):  # the peer is already gone
             request.sendall(b"HTTP/1.1 503 Service Unavailable\r\n"
                             b"Content-Type: application/json\r\nConnection: close\r\n"
                             b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
-        self.shutdown_request(request)
+        return False
 
     def shutdown_request(self, request):
         with self._open_lock:
             self._open.discard(request)
         super().shutdown_request(request)
 
-    def server_close(self):
+    def server_close(self) -> None:
+        if self._thread is not None:
+            super().shutdown()  # stops serve_forever; at once if it already stopped
+            self._thread.join(timeout=10)
         super().server_close()
         with self._open_lock:
             for request in self._open:  # each handler then reads EOF and closes it
                 with contextlib.suppress(OSError):  # the peer is already gone
                     request.shutdown(socket.SHUT_RDWR)
+
+    shutdown = server_close  # and the context exit calls server_close()
 
 
 def serve(
@@ -259,10 +258,12 @@ def serve(
     target: ScalarTarget = ScalarTarget.LOGIT,
 ) -> Server:
     """Bind host:port and serve model on a thread until shutdown()."""
-    endpoints = _Endpoints(model, baseline, cfg, target)  # checked before the bind
     server = Server(host, port)
-    server.endpoints = endpoints
-    return server.start()
+    try:
+        return server.load(model, baseline, cfg, target).start()
+    except BaseException:  # such as a baseline of the wrong length
+        server.server_close()
+        raise
 
 
 # the connection of the last call that finished cleanly, as
@@ -332,8 +333,8 @@ def _exchange(endpoint: str, path: str, payloads, max_retries: int,
 
 
 def _request(conn, url: str, path: str, payload, max_retries: int, timeout: float) -> dict:
-    """A request that gets no answer reopens the connection and is sent
-    again, with exponential backoff; an HTTP error answer raises at once.
+    """A request that gets no answer or a 503 reopens the connection and is
+    sent again, with exponential backoff; another HTTP error raises at once.
     A request that fails before its status line on a connection that has
     carried an earlier one, which the server may have closed while idle,
     is first resent at once on a fresh connection, outside the retry count.
@@ -353,6 +354,8 @@ def _request(conn, url: str, path: str, payload, max_retries: int, timeout: floa
                              {"Content-Type": "application/json"})
             resp = conn.getresponse()
             data = resp.read()
+            if resp.status == 503:  # a full server, which closed it: a slot may free up
+                raise ConnectionRefusedError(f"returned 503: {data.decode('utf-8', 'replace')}")
             break
         except (http.client.HTTPException, OSError) as exc:
             conn.close()  # the next attempt reconnects
@@ -366,7 +369,7 @@ def _request(conn, url: str, path: str, payload, max_retries: int, timeout: floa
     else:
         raise ServiceError(
             f"could not reach {url} after {max_retries} attempts: {last_exc}") from last_exc
-    if resp.status != 200:  # the server answered: a protocol failure, not transient
+    if resp.status != 200:  # the server answered, not busy: a protocol failure
         raise ServiceError(f"{url} returned {resp.status}: {data.decode('utf-8', 'replace')}")
     return json.loads(data.decode("utf-8"))
 

@@ -376,20 +376,55 @@ class TestConcurrency:
     def test_client_reads_the_503_of_a_full_server(self, small_trained_net_module,
                                                    monkeypatch):
         """The server may close before a request's body is sent; the client
-        still reads the answer, not a broken pipe, and does not retry."""
+        still reads the answer, not a broken pipe, and sends the request again,
+        with backoff, until max_retries attempts have met a full server."""
         model, X = small_trained_net_module
         monkeypatch.setattr(service, "MAX_CONNECTIONS", 1)
+        verify, refused = service.Server.verify_request, []
+
+        def counted(server, request, client_address):
+            admitted = verify(server, request, client_address)
+            if not admitted:
+                refused.append(request)
+            return admitted
+
+        monkeypatch.setattr(service.Server, "verify_request", counted)
         with service.serve(model, explain.mean_baseline(X), ExplainerConfig()) as server:
             with socket.create_connection((server.host, server.port), timeout=5) as held:
                 held.sendall(b"GET /v1/health HTTP/1.1\r\nHost: localhost\r\n\r\n")
                 assert held.recv(4096).startswith(b"HTTP/1.1 200")  # 1 of 1
                 for _ in range(20):
-                    with pytest.raises(service.ServiceError, match="returned 503"):
+                    with pytest.raises(service.ServiceError,
+                                       match="after 1 attempts: returned 503"):
                         service.client_fetch_predictions(server.url, X, max_retries=1)
+                with pytest.raises(service.ServiceError,
+                                   match="after 3 attempts: returned 503"):
+                    service.client_fetch_predictions(server.url, X[:1], max_retries=3)
+        assert len(refused) == 20 + 3  # counted once the server has stopped
 
-    def test_connection_cap_is_above_the_parallel_clients_here(self):
-        # test_parallel_requests runs 8 clients, and one idle connection is kept
-        assert service.MAX_CONNECTIONS > 8 + 1
+    def test_client_gets_through_once_a_slot_frees(self, small_trained_net_module,
+                                                   monkeypatch):
+        """A server that is full only briefly costs the client a retry."""
+        model, X = small_trained_net_module
+        monkeypatch.setattr(service, "MAX_CONNECTIONS", 1)
+        verify, refused = service.Server.verify_request, []
+        with service.serve(model, explain.mean_baseline(X), ExplainerConfig()) as server:
+            held = socket.create_connection((server.host, server.port), timeout=5)
+            held.sendall(b"GET /v1/health HTTP/1.1\r\nHost: localhost\r\n\r\n")
+            assert held.recv(4096).startswith(b"HTTP/1.1 200")  # 1 of 1
+
+            def refuse_then_free(server, request, client_address):
+                admitted = verify(server, request, client_address)
+                if not admitted:
+                    refused.append(request)
+                    held.close()  # its handler reads EOF and frees the slot
+                return admitted
+
+            monkeypatch.setattr(service.Server, "verify_request", refuse_then_free)
+            probabilities = service.client_fetch_predictions(server.url, X[:3], max_retries=5)
+        assert len(refused) >= 1
+        assert probabilities.tolist() == [nn.forward(model, x, ScalarTarget.PROBABILITY)
+                                          for x in X[:3]]
 
 
 class TestBatchContract:
