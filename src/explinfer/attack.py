@@ -106,11 +106,10 @@ def train_attack(
     if len(np.unique(s)) < 2:
         raise ValueError("attack training needs both sensitive classes present")
     if kind == "mlp":
-        model = nn.init_model([X.shape[1], *mlp_hidden, 1], seed=seed)
         cfg = TrainConfig(
             epochs=mlp_epochs, learning_rate=mlp_learning_rate,
             batch_size=mlp_batch_size, seed=seed)
-        trained = nn.train(model, X, s, cfg)
+        trained = nn.train(nn.init_model([X.shape[1], *mlp_hidden, 1], seed=seed), X, s, cfg)
         return AttackModel(kind="mlp", mlp=trained, forest=None)
     if kind == "forest":
         f = forest_mod.fit_forest(

@@ -201,7 +201,8 @@ def _bce_loss(logits: np.ndarray, y: np.ndarray) -> float:
 def _param_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray,
                      grads_w: list[np.ndarray], grads_b: list[np.ndarray]) -> float:
     """Mean binary cross-entropy loss of one batch; its gradients are written
-    into grads_w and grads_b."""
+    into grads_w and grads_b. Each layer's activation is released once that
+    layer's gradients are written."""
     activations, logits = _forward_parts(model, X, keep=lambda a: a)
     loss = _bce_loss(logits, y)
     g = ((_sigmoid(logits) - y) / X.shape[0])[:, None]
@@ -211,6 +212,7 @@ def _param_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray,
         if i > 0:
             g = g @ model.weights[i]
             g *= activations[i] > 0
+        activations[i] = None
     return loss
 
 
@@ -253,7 +255,9 @@ def train(model: MlpModel, features, labels, cfg: TrainConfig) -> MlpModel:
     The input model is left untouched. Mini-batches are drawn from a fresh
     seeded shuffle each epoch, so (cfg.seed, data order) fully determines the
     returned parameters. Raises TrainingDivergence if the loss goes
-    non-finite.
+    non-finite. Training holds the parameters, their gradients, both Adam
+    moments and one batch's activations; from CPython 3.11 it holds no copy
+    of a model passed inline, as in train(init_model(...), ...).
     """
     X = _check_matrix(features, model)
     y = np.asarray(labels, dtype=np.float64).ravel()
@@ -262,14 +266,15 @@ def train(model: MlpModel, features, labels, cfg: TrainConfig) -> MlpModel:
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
 
-    out = model.copy()
     if cfg.epochs == 0:
-        return out
+        return model.copy()
 
-    # parameters, gradients and both Adam moments in four flat buffers
-    p = np.concatenate([a.ravel() for wb in zip(out.weights, out.biases) for a in wb])
+    # parameters, gradients and both Adam moments in four flat buffers; p is
+    # read straight from the input model, which this frame then lets go of
+    p = np.concatenate([a.ravel() for wb in zip(model.weights, model.biases) for a in wb])
+    out = MlpModel(list(model.layer_dims), *_flat_views(p, model))
+    del model
     g, m, v = np.zeros_like(p), np.zeros_like(p), np.zeros_like(p)
-    out.weights, out.biases = _flat_views(p, out)
     grads_w, grads_b = _flat_views(g, out)
     s1, s2 = np.empty(min(p.size, ADAM_BLOCK)), np.empty(min(p.size, ADAM_BLOCK))
     rng = np.random.default_rng(cfg.seed)
@@ -286,6 +291,7 @@ def train(model: MlpModel, features, labels, cfg: TrainConfig) -> MlpModel:
                 )
             t += 1
             _adam_step(p, g, m, v, t, cfg, s1, s2)
+    del g, m, v, grads_w, grads_b, s1, s2  # only p is left to copy out
     return out.copy()  # own contiguous arrays, not views of p
 
 

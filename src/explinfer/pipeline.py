@@ -289,15 +289,16 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
     model = baseline = None
     if cfg.transport == IN_PROCESS:
         try:
-            model = nn.init_model(
-                [ds_train.n_columns, *cfg.target_hidden, 1], seed=cfg.model_seed)
             train_cfg = TrainConfig(
                 epochs=cfg.target_epochs,
                 learning_rate=cfg.target_learning_rate,
                 batch_size=cfg.target_batch_size,
                 seed=cfg.model_seed,
             )
-            model = nn.train(model, ds_train.features, ds_train.labels, train_cfg)
+            # inline, so that nothing here holds the initial model while it trains
+            model = nn.train(
+                nn.init_model([ds_train.n_columns, *cfg.target_hidden, 1], seed=cfg.model_seed),
+                ds_train.features, ds_train.labels, train_cfg)
         except (ValueError, nn.TrainingDivergence) as exc:
             raise PipelineError("train-target", str(exc)) from exc
         baseline = explain_mod.mean_baseline(ds_train.features)

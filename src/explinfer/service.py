@@ -140,6 +140,12 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # quiet by default
         pass
 
+    def handle_one_request(self):
+        try:
+            super().handle_one_request()
+        except ConnectionError:  # the client hung up, say between two requests
+            self.close_connection = True
+
     def _send(self, status: int, payload: dict) -> None:
         data = json.dumps(payload).encode("utf-8")
         try:

@@ -678,13 +678,26 @@ class TestBoundedReads:
             sock.sendall(b"POST /v1/predict HTTP/1.1\r\nHost: localhost\r\n")
             assert sock.recv(1024) == b""
 
+    @staticmethod
+    def handled(monkeypatch) -> threading.Event:
+        """An event set once the server has closed a connection, after any
+        handle_error for it has run."""
+        done = threading.Event()
+        shutdown_request = service.ThreadingHTTPServer.shutdown_request
+
+        def finished(self, request):
+            shutdown_request(self, request)
+            done.set()
+
+        monkeypatch.setattr(service.ThreadingHTTPServer, "shutdown_request", finished)
+        return done
+
     def test_client_hangup_is_quiet(self, running_server, monkeypatch):
         """A client that resets the connection before its answer leaves no
         second answer attempt and no traceback."""
         server, _, _, _, X = running_server
-        computing, done, failures = threading.Event(), threading.Event(), []
+        computing, done, failures = threading.Event(), self.handled(monkeypatch), []
         predict, send = service._Endpoints.predict, service._Handler._send
-        shutdown_request = service.ThreadingHTTPServer.shutdown_request
 
         def slow_predict(self, body):
             computing.set()
@@ -698,15 +711,10 @@ class TestBoundedReads:
                 failures.append(exc)
                 raise
 
-        def finished(self, request):
-            shutdown_request(self, request)
-            done.set()
-
         monkeypatch.setattr(service._Endpoints, "predict", slow_predict)
         monkeypatch.setattr(service._Handler, "_send", recorded_send)
         monkeypatch.setattr(service.ThreadingHTTPServer, "handle_error",
                             lambda self, *args: failures.append(args))
-        monkeypatch.setattr(service.ThreadingHTTPServer, "shutdown_request", finished)
         body = json.dumps({"records": rows(X[:1])}).encode()
         with socket.create_connection((server.host, server.port), timeout=5) as sock:
             sock.sendall(b"POST /v1/predict HTTP/1.1\r\nHost: localhost\r\n"
@@ -716,6 +724,43 @@ class TestBoundedReads:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         assert done.wait(5)
         assert failures == []
+
+    def test_reset_between_requests_is_quiet(self, running_server, monkeypatch, capfd):
+        """A client that closes a kept-alive connection with answer bytes
+        unread resets it while its handler waits for the next request line;
+        the server's own handle_error then prints no traceback."""
+        server, _, _, _, X = running_server
+        done = self.handled(monkeypatch)
+        body = json.dumps({"records": rows(X), "algorithm": "deeplift"}).encode()
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(b"POST /v1/explain HTTP/1.1\r\nHost: localhost\r\n"
+                         b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+            head = b""
+            while b"\r\n\r\n" not in head:
+                head += sock.recv(100)
+            assert head.startswith(b"HTTP/1.1 200 ")
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            unread = length - len(head.split(b"\r\n\r\n", 1)[1])
+            # the whole answer has arrived, so the handler is past its write
+            assert len(sock.recv(unread, socket.MSG_PEEK | socket.MSG_WAITALL)) == unread
+        assert done.wait(5)
+        assert capfd.readouterr().err == ""
+
+    def test_other_handler_failures_are_still_reported(self, running_server,
+                                                       monkeypatch, capfd):
+        server, *_ = running_server
+        done = self.handled(monkeypatch)
+
+        def broken(self):
+            raise RuntimeError("parse_request broke")
+
+        monkeypatch.setattr(service._Handler, "parse_request", broken)
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(b"GET /v1/health HTTP/1.1\r\nHost: localhost\r\n\r\n")
+            assert sock.recv(1024) == b""
+        assert done.wait(5)
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "RuntimeError: parse_request broke" in err
 
 
 @settings(max_examples=25, deadline=None)
