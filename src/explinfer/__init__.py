@@ -10,8 +10,7 @@ calibration.
 from .attack import (AttackModel, AttackSurface, CalibratedThreshold,
                      ThreatModel, build_surface_matrix, calibrate, score, train_attack)
 from .data import DatasetSplits, TabularDataset, TabularSchema, encode, load_csv
-from .explain import (Algorithm, Attribution, ExplainerConfig, attack_vectors,
-                      explain_batch, mean_baseline)
+from .explain import Algorithm, ExplainerConfig, Explanations, explain_batch, mean_baseline
 from .metrics import (ConfusionCounts, PrCurve, accuracy, confusion, f1, pearson, pr_curve,
                       precision, recall)
 from .nn import (MlpModel, ScalarTarget, TrainConfig, forward, init_model,
@@ -21,11 +20,11 @@ from .pipeline import AttackReport, ExperimentConfig, emit_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algorithm", "Attribution", "AttackModel", "AttackReport", "AttackSurface",
+    "Algorithm", "AttackModel", "AttackReport", "AttackSurface",
     "CalibratedThreshold", "ConfusionCounts", "DatasetSplits",
-    "ExperimentConfig", "ExplainerConfig", "MlpModel", "PrCurve",
+    "ExperimentConfig", "ExplainerConfig", "Explanations", "MlpModel", "PrCurve",
     "ScalarTarget", "TabularDataset", "TabularSchema", "ThreatModel",
-    "TrainConfig", "accuracy", "attack_vectors", "build_surface_matrix",
+    "TrainConfig", "accuracy", "build_surface_matrix",
     "calibrate", "confusion", "emit_report", "encode", "explain_batch", "f1",
     "forward", "init_model", "input_gradient_batch", "load_csv", "mean_baseline",
     "pearson", "pr_curve", "precision", "recall", "score",

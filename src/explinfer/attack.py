@@ -49,25 +49,25 @@ def sensitive_columns(column_groups: dict[str, list[int]],
 
 
 def build_surface_matrix(
-    vectors,
+    explanations,
     predictions,
     surface: AttackSurface,
     sensitive_cols: list[int],
 ) -> np.ndarray:
-    """Feature matrix the attack model sees: columns of the (n, d+1)
-    scores-with-delta matrix of explain.attack_vectors, after the
-    prediction column for pred_* surfaces."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    d = vectors.shape[1] - 1
+    """Feature matrix the attack model sees: score columns of an
+    explain.Explanations, then each record's delta where the surface takes
+    it, after the prediction column for pred_* surfaces."""
+    scores, delta = explanations.scores, explanations.delta
     if surface is AttackSurface.PHI_ALL:
-        return vectors
+        return np.column_stack([scores, delta])
     if surface is AttackSurface.PHI_SENSITIVE:
         if not sensitive_cols:
             raise SurfaceError(
                 "phi_sensitive needs sensitive columns in the explained input")
-        return vectors[:, :d][:, sensitive_cols]  # the delta column is no score
+        return scores[:, sensitive_cols]
     # the non-sensitive scores, then delta
-    rest = vectors[:, [c for c in range(d) if c not in sensitive_cols] + [d]]
+    rest = np.column_stack(
+        [scores[:, [c for c in range(scores.shape[1]) if c not in sensitive_cols]], delta])
     if surface is AttackSurface.PHI_NON_SENSITIVE:
         return rest
     if surface not in (AttackSurface.PRED_PLUS_PHI, AttackSurface.PRED_ONLY):

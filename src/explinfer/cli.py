@@ -90,7 +90,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_explain(args) -> int:
     written = set()
-    for prep, attrs, _ in pipeline.run_cells(_load_cells(args)):
+    for prep, explanations, _ in pipeline.run_cells(_load_cells(args)):
         cfg = prep.cfg
         # named by the matrix fields that key an explanation set
         stem = os.path.join(
@@ -101,22 +101,22 @@ def _cmd_explain(args) -> int:
         written.add(stem)
         os.makedirs(cfg.output_dir, exist_ok=True)
         n_aux = prep.splits.aux.n_rows
-        for name, split, ds in (("aux", attrs[:n_aux], prep.splits.aux),
-                                ("eval", attrs[n_aux:], prep.splits.eval)):
+        for name, split, ds in (("aux", explanations[:n_aux], prep.splits.aux),
+                                ("eval", explanations[n_aux:], prep.splits.eval)):
             path = f"{stem}-{name}.csv"
             data_mod.write_csv(path, [
                 ["record_id", "algorithm", "target", "delta",
                  *(f"score_{i}" for i in range(ds.n_columns))],
-                *([rid, a.algorithm.value, a.target.value, a.delta, *a.scores]
-                  for rid, a in zip(ds.row_ids, split))])
+                *([rid, split.algorithm.value, split.target.value, delta, *scores]
+                  for rid, delta, scores in zip(ds.row_ids, split.delta, split.scores))])
             print(f"{len(split)} {name} explanations -> {path}")
     return 0
 
 
 def _cmd_audit(args) -> int:
     cells = _load_cells(args)
-    rows = [row for prep, attrs, _ in pipeline.run_cells(cells)
-            for row in pipeline.correlation_audit(prep, attrs)]
+    rows = [row for prep, explanations, _ in pipeline.run_cells(cells)
+            for row in pipeline.correlation_audit(prep, explanations)]
     out_dir = cells[0].output_dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "correlations.csv")

@@ -9,9 +9,11 @@ inputs), plus a signed completeness residual
 IntegratedGradients, DeepLift and GradientSHAP satisfy (approximate or
 exact) completeness, so delta measures approximation error. SmoothGrad has
 no such guarantee; its delta is recorded with the same formula purely for
-uniformity of the attack vector.
+uniformity of the attack surfaces.
 
 explain_batch is the one entry point, and a single record is a batch of one.
+It returns one Explanations: the (n, d) scores and (n,) deltas of the batch,
+which every consumer takes whole or slices by record.
 A record's m gradient points are one slice of a stacked (k, m, d) input, and
 every layer runs as one stacked matmul, which numpy computes as one gemm per
 slice with the shape a lone record's call has. So a record's scores and
@@ -62,14 +64,24 @@ class ExplainerConfig:
             raise ValueError("seed must be a nonnegative integer")
 
 
-@dataclass
-class Attribution:
-    """Scores phi for one record plus the completeness residual delta."""
+@dataclass(eq=False)  # an array comparison has no single truth value
+class Explanations:
+    """The explanations of n records: scores phi (n, d) and the completeness
+    residual delta (n,) of each, for one algorithm and explained scalar
+    (None for an empty remote fetch, which no answer names). Indexing picks
+    records: e[i] is one record, with scores (d,) and a scalar delta, and
+    e[a:b] a run of records."""
 
     algorithm: Algorithm
+    target: ScalarTarget | None
     scores: np.ndarray
-    delta: float
-    target: ScalarTarget
+    delta: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.delta)
+
+    def __getitem__(self, i) -> "Explanations":
+        return Explanations(self.algorithm, self.target, self.scores[i], self.delta[i])
 
 
 def _rng(seed: int, record_id: int) -> np.random.Generator:
@@ -193,7 +205,7 @@ def explain_batch(
     cfg: ExplainerConfig,
     target: ScalarTarget = ScalarTarget.LOGIT,
     record_ids=None,
-) -> list[Attribution]:
+) -> Explanations:
     """Explain every row of X; record_ids (default 0..n-1) seed the
     per-record noise streams.
 
@@ -210,19 +222,10 @@ def explain_batch(
         raise ValueError("record_ids must match the number of rows")
     body, rows = _explainer(algorithm, cfg)
     fb = nn.forward(model, base, target) if ids else None
-    out = []
+    scores, delta = np.empty(X.shape), np.empty(len(X))
     k = max(1, GRAD_ROWS // rows)
     for lo in range(0, len(ids), k):
-        chunk = X[lo:lo + k]
-        scores = body(model, chunk, base, cfg, target, ids[lo:lo + k])
-        fx = nn.forward_rows(model, chunk, target)
-        out += [Attribution(algorithm, s, float(f) - fb - float(np.sum(s)), target)
-                for s, f in zip(scores, fx)]
-    return out
-
-
-def attack_vectors(attributions: list[Attribution]) -> np.ndarray:
-    """(n, d+1): each record's scores with its delta appended, the matrix
-    every attack surface takes its columns from."""
-    return np.array([np.append(a.scores, a.delta) for a in attributions])
-
+        hi = lo + k
+        scores[lo:hi] = body(model, X[lo:hi], base, cfg, target, ids[lo:hi])
+        delta[lo:hi] = nn.forward_rows(model, X[lo:hi], target) - fb - scores[lo:hi].sum(axis=1)
+    return Explanations(algorithm, target, scores, delta)

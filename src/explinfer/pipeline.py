@@ -5,11 +5,10 @@ list of attack surfaces. A run executes:
 
     load/encode/split -> train target -> explain the aux records followed
     by the eval records, as one record set (in process or through the
-    blackbox API) -> stack their scores and deltas once -> pick each
-    surface's columns and slice them at the aux count -> train the attack
-    model on aux ->
-    calibrate the threshold on aux -> infer on eval -> metrics, plus the
-    correlation audit
+    blackbox API) into one explain.Explanations -> pick each surface's
+    columns and slice them at the aux count -> train the attack model on
+    aux -> calibrate the threshold on aux -> infer on eval -> metrics, plus
+    the correlation audit
 
 and emits a machine-readable report, PR-curve files, per-record prediction
 dumps and a manifest of every seed and config value. Identical config and
@@ -329,7 +328,7 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
 
 
 def compute_explanations(prep: _Prepared):
-    """(attributions, predictions) of the aux records followed by the eval
+    """(explanations, predictions) of the aux records followed by the eval
     records, via the configured transport; predictions are None unless a
     surface needs them. A remote run reuses the predictions prepare fetched."""
     cfg, aux, ev = prep.cfg, prep.splits.aux, prep.splits.eval
@@ -337,17 +336,17 @@ def compute_explanations(prep: _Prepared):
     ids = np.concatenate([aux.row_ids, ev.row_ids])
     try:
         if cfg.transport == IN_PROCESS:
-            attrs = explain_mod.explain_batch(
+            explanations = explain_mod.explain_batch(
                 prep.model, X, prep.baseline, cfg.algorithm, cfg.explainer_config,
                 cfg.scalar_target, record_ids=ids)
             preds = nn.forward_rows(prep.model, X) if cfg.needs_predictions else None
         else:
-            attrs = service.client_fetch_explanations(
+            explanations = service.client_fetch_explanations(
                 cfg.transport, X, cfg.algorithm, record_ids=ids)
             preds = prep.served_predictions if cfg.needs_predictions else None
     except (service.ServiceError, ValueError) as exc:
         raise PipelineError("explain", str(exc)) from exc
-    return attrs, preds
+    return explanations, preds
 
 
 def _all_positive_f1(base_rate: float) -> float:
@@ -355,17 +354,16 @@ def _all_positive_f1(base_rate: float) -> float:
     return 2.0 * base_rate / (1.0 + base_rate) if base_rate > 0 else 0.0
 
 
-def run_attacks(prep: _Prepared, attributions, predictions) -> list[AttackCell]:
-    """Train, calibrate and evaluate one attack per surface; attributions
+def run_attacks(prep: _Prepared, explanations, predictions) -> list[AttackCell]:
+    """Train, calibrate and evaluate one attack per surface; explanations
     and predictions cover the aux records, then the eval records."""
     cfg = prep.cfg
     ds_aux, ds_eval = prep.splits.aux, prep.splits.eval
     sens = attack_mod.sensitive_columns(ds_aux.column_groups, prep.schema.sensitive_column)
-    vectors = explain_mod.attack_vectors(attributions)
     cells = []
     for surface in cfg.surface_list:
         try:
-            X = attack_mod.build_surface_matrix(vectors, predictions, surface, sens)
+            X = attack_mod.build_surface_matrix(explanations, predictions, surface, sens)
             Xa, Xe = X[:ds_aux.n_rows], X[ds_aux.n_rows:]
             fadv = attack_mod.train_attack(
                 Xa, ds_aux.sensitive, kind=cfg.attack_kind, seed=cfg.attack_seed,
@@ -410,7 +408,7 @@ def run_attacks(prep: _Prepared, attributions, predictions) -> list[AttackCell]:
     return cells
 
 
-def correlation_audit(prep: _Prepared, attributions) -> list[CorrelationRow]:
+def correlation_audit(prep: _Prepared, explanations) -> list[CorrelationRow]:
     """Pearson correlation of s against labels, features and explanation
     columns over all explained records (aux, then eval); constant columns
     are skipped and counted."""
@@ -418,7 +416,6 @@ def correlation_audit(prep: _Prepared, attributions) -> list[CorrelationRow]:
     s = np.concatenate([prep.splits.aux.sensitive, prep.splits.eval.sensitive])
     labels = np.concatenate([prep.splits.aux.labels, prep.splits.eval.labels])
     features = np.vstack([prep.splits.aux.features, prep.splits.eval.features])
-    scores = explain_mod.attack_vectors(attributions)  # its last column, delta, is not picked
 
     sens_cols = attack_mod.sensitive_columns(prep.splits.aux.column_groups,
                                              prep.schema.sensitive_column)
@@ -445,8 +442,8 @@ def correlation_audit(prep: _Prepared, attributions) -> list[CorrelationRow]:
 
     groups = [("y", labels[:, None], [0]), ("x", features, non_sens)]
     if sens_cols:
-        groups.append(("phi_sensitive", scores, sens_cols))
-    groups.append(("phi_non_sensitive", scores, non_sens))
+        groups.append(("phi_sensitive", explanations.scores, sens_cols))
+    groups.append(("phi_non_sensitive", explanations.scores, non_sens))
     return [row(*group) for group in groups]
 
 
@@ -478,7 +475,7 @@ def prepare_cells(cells: list[ExperimentConfig]):
 
 
 def run_cells(cells: list[ExperimentConfig]):
-    """Yield (prepared, attributions, predictions) for each cell, in order.
+    """Yield (prepared, explanations, predictions) for each cell, in order.
 
     Targets come from prepare_cells, and each distinct explanation set
     (keyed by PREPARE_KEY and EXPLAIN_KEY) is computed once per call."""
@@ -493,10 +490,10 @@ def run_cells(cells: list[ExperimentConfig]):
 def run_matrix(cells: list[ExperimentConfig]) -> list[AttackReport]:
     """Execute every cell end to end, one report per cell."""
     reports = []
-    for prep, attributions, predictions in run_cells(cells):
+    for prep, explanations, predictions in run_cells(cells):
         cfg, splits = prep.cfg, prep.splits
-        rows = run_attacks(prep, attributions, predictions)
-        correlations = correlation_audit(prep, attributions)
+        rows = run_attacks(prep, explanations, predictions)
+        correlations = correlation_audit(prep, explanations)
         manifest = {
             "config": dataclasses.asdict(cfg),
             "dataset": {

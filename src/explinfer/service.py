@@ -15,7 +15,9 @@ it gets alone, and floats round-trip, so answers are bit-identical to
 one-record and in-process ones for the same record id; without ids the
 server draws fresh noise per record. The client sends CHUNK_RECORDS records
 per request over a keep-alive http(s) connection, and its timeout bounds
-the connect and each record's answer time. Between calls the client keeps
+the connect and each record's answer time. It joins the answers into one
+explain.Explanations, or one array of probabilities, and raises
+ServiceError for answers that hold another count than the records sent. Between calls the client keeps
 one idle connection, that of the last call that finished cleanly, and the
 next call to the same endpoint reuses it unless the server has closed it;
 the server closes a connection left idle for 10 s (_Handler.timeout), and
@@ -46,7 +48,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from .explain import Algorithm, Attribution, ExplainerConfig, explain_batch
+from .explain import Algorithm, ExplainerConfig, Explanations, explain_batch
 from .nn import MlpModel, ScalarTarget, forward_rows
 
 CHUNK_RECORDS = 256  # records per request sent by the client
@@ -114,12 +116,11 @@ class _Endpoints:
             algorithm = Algorithm(raw_alg)
         except ValueError:
             raise _HttpError(400, f"unknown algorithm {raw_alg!r}")
-        ids = self._record_ids(body, X.shape[0])
-        return {"explanations": [
-            {"scores": a.scores.tolist(), "delta": float(a.delta)}
-            for a in explain_batch(self.model, X, self.baseline, algorithm,
-                                   self.cfg, self.target, ids)],
-            "target": self.target.value}
+        e = explain_batch(self.model, X, self.baseline, algorithm, self.cfg, self.target,
+                          self._record_ids(body, X.shape[0]))
+        return {"explanations": [{"scores": s, "delta": d}
+                                 for s, d in zip(e.scores.tolist(), e.delta.tolist())],
+                "target": self.target.value}
 
 
 class _HttpError(Exception):
@@ -387,13 +388,24 @@ def _chunks(X: np.ndarray, record_ids=None, **fields):
         yield {"records": X[i:i + CHUNK_RECORDS].tolist(), **fields, **ids}
 
 
+def _joined(answers: list, key: str, n: int) -> list:
+    """The answers' key lists joined; ValueError unless they hold n items."""
+    items = [item for a in answers for item in a[key]]
+    if len(items) != n:
+        raise ValueError(f"answered {len(items)} {key} for {n} records")
+    return items
+
+
 def client_fetch_predictions(
     endpoint: str, records, max_retries: int = 3, timeout: float = 30.0
 ) -> np.ndarray:
     """Predicted probabilities for each record, in request order."""
     X = np.asarray(records, dtype=np.float64)
     answers = _exchange(endpoint, "/v1/predict", _chunks(X), max_retries, timeout)
-    return np.array([p for a in answers for p in a["probabilities"]], dtype=np.float64)
+    try:
+        return np.array(_joined(answers, "probabilities", len(X)), dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ServiceError(f"malformed /v1/predict answer from {endpoint}: {exc!r}") from exc
 
 
 def client_fetch_explanations(
@@ -403,24 +415,34 @@ def client_fetch_explanations(
     record_ids=None,
     max_retries: int = 3,
     timeout: float = 30.0,
-) -> list[Attribution]:
-    """One Attribution per record, in request order.
+) -> Explanations:
+    """The records' explanations, in request order, and the served target.
 
     record_ids pin the server-side noise streams so that repeated or remote
-    runs reproduce bit-identical explanations.
+    runs reproduce bit-identical explanations. No records send no request,
+    and their empty Explanations names no target.
     """
     X = np.asarray(records, dtype=np.float64)
     if record_ids is not None:
         record_ids = [int(r) for r in record_ids]
         if len(record_ids) != X.shape[0]:
             raise ValueError("record_ids must match the number of records")
+    if not len(X):
+        return Explanations(algorithm, None, np.empty(X.shape), np.empty(0))
     answers = _exchange(endpoint, "/v1/explain",
                         _chunks(X, record_ids, algorithm=algorithm.value),
                         max_retries, timeout)
     try:
-        return [Attribution(algorithm, np.asarray(e["scores"], dtype=np.float64),
-                            float(e["delta"]), ScalarTarget(a["target"]))
-                for a in answers for e in a["explanations"]]
+        items = _joined(answers, "explanations", len(X))
+        targets = {a["target"] for a in answers}
+        if len(targets) != 1:
+            raise ValueError(f"the chunks' answers name the targets {sorted(targets)}")
+        scores = np.array([e["scores"] for e in items], dtype=np.float64)
+        delta = np.array([e["delta"] for e in items], dtype=np.float64)
+        if scores.shape != X.shape or delta.shape != X.shape[:1]:
+            raise ValueError(f"scores {scores.shape} and delta {delta.shape} "
+                             f"for records {X.shape}")
+        return Explanations(algorithm, ScalarTarget(targets.pop()), scores, delta)
     except (KeyError, TypeError, ValueError) as exc:  # such as a server without "target"
         raise ServiceError(f"malformed /v1/explain answer from {endpoint}: {exc!r}") from exc
 

@@ -7,7 +7,7 @@ from explinfer import attack, forest, metrics, nn
 from explinfer.attack import (AttackSurface, SurfaceError, ThreatModel,
                               build_surface_matrix, calibrate, score,
                               sensitive_columns, train_attack)
-from explinfer.explain import Algorithm, Attribution, attack_vectors
+from explinfer.explain import Algorithm, Explanations
 from explinfer.nn import ScalarTarget
 
 
@@ -35,15 +35,16 @@ def walk_tree(tree, x):
 
 
 def make_attribution(scores, delta=0.5):
-    return Attribution(
-        algorithm=Algorithm.DEEPLIFT, scores=np.asarray(scores, dtype=float),
-        delta=delta, target=ScalarTarget.LOGIT)
+    """The Explanations of one record."""
+    return Explanations(
+        algorithm=Algorithm.DEEPLIFT, target=ScalarTarget.LOGIT,
+        scores=np.asarray([scores], dtype=float), delta=np.array([delta]))
 
 
 def build_surface(a, prediction, surface, groups, sensitive_column):
-    """The surface row of one record, through the batch form."""
+    """The surface row of a one-record Explanations, through the batch form."""
     predictions = None if prediction is None else [prediction]
-    return build_surface_matrix(attack_vectors([a]), predictions, surface,
+    return build_surface_matrix(a, predictions, surface,
                                 sensitive_columns(groups, sensitive_column))[0]
 
 
@@ -84,19 +85,22 @@ class TestSurfaces:
             build_surface(a, None, AttackSurface.PRED_PLUS_PHI, {}, "s")
 
     def test_matrix_rows_are_records(self):
-        attrs = [make_attribution([1.0, 2.0, 3.0, 4.0, 5.0], delta=0.5),
-                 make_attribution([6.0, 7.0, 8.0, 9.0, 10.0], delta=-0.5)]
-        vectors = attack_vectors(attrs)
-        assert vectors.shape == (2, 6)
+        explanations = Explanations(
+            Algorithm.DEEPLIFT, ScalarTarget.LOGIT,
+            np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [6.0, 7.0, 8.0, 9.0, 10.0]]),
+            np.array([0.5, -0.5]))
         sens = sensitive_columns(self.groups, "s")
-        m = build_surface_matrix(vectors, [0.1, 0.9], AttackSurface.PRED_PLUS_PHI, sens)
+        vectors = build_surface_matrix(explanations, None, AttackSurface.PHI_ALL, sens)
+        assert vectors.shape == (2, 6)
+        m = build_surface_matrix(explanations, [0.1, 0.9], AttackSurface.PRED_PLUS_PHI, sens)
         assert np.array_equal(m, np.array([[0.1, 1.0, 2.0, 3.0, 0.5],
                                            [0.9, 6.0, 7.0, 8.0, -0.5]]))
         for surface in AttackSurface:
-            rows = [build_surface(a, p, surface, self.groups, "s")
-                    for a, p in zip(attrs, [0.1, 0.9])]
-            assert np.array_equal(build_surface_matrix(vectors, [0.1, 0.9], surface, sens),
-                                  np.vstack(rows))
+            rows = [build_surface(explanations[i:i + 1], p, surface, self.groups, "s")
+                    for i, p in enumerate([0.1, 0.9])]
+            assert np.array_equal(
+                build_surface_matrix(explanations, [0.1, 0.9], surface, sens),
+                np.vstack(rows))
 
     def test_threat_model_validity(self):
         assert AttackSurface.PHI_ALL.valid_for(ThreatModel.TM1)

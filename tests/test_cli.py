@@ -386,6 +386,29 @@ def test_remote_report_echoes_the_local_explainer_seed(cli_setup, tmp_path):
     assert cell["explainer_seed"] == 3 and cell["transport"] == server.url
 
 
+def test_remote_explain_with_a_short_answer_is_explain_error(cli_setup, tmp_path, capsys,
+                                                            monkeypatch):
+    _, config_path, config = cli_setup
+    explain_ = service._Endpoints.explain
+
+    def short(self, body):
+        out = explain_(self, body)
+        out["explanations"] = out["explanations"][:-1]
+        return out
+
+    _, server = _serve_target(config)
+    monkeypatch.setattr(service._Endpoints, "explain", short)
+    try:
+        out = str(tmp_path / "remote")
+        assert cli.main(["explain", config_path, "--out-dir", out,
+                         "--transport", server.url]) == 2
+    finally:
+        server.shutdown()
+    err = capsys.readouterr().err
+    assert "error [stage=explain]" in err and "explanations for" in err
+    assert not os.path.exists(out)
+
+
 def test_remote_explanation_files_match_in_process(cli_setup, tmp_path):
     _, _, config = cli_setup
     tm2 = dict(config, threat_model="tm2", explainer="smoothgrad",

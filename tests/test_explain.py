@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import explinfer
 from explinfer import explain, nn
 from explinfer.attack import AttackSurface, build_surface_matrix, sensitive_columns
-from explinfer.explain import Algorithm, Attribution, ExplainerConfig
+from explinfer.explain import Algorithm, ExplainerConfig, Explanations
 from explinfer.nn import ScalarTarget
 
 
@@ -269,25 +269,38 @@ class TestSmoothGrad:
             assert np.all(np.abs(got - mean_o) <= np.maximum(3.0 * se, 1e-10))
 
 
+def one_record(algorithm, scores, delta, target=None) -> Explanations:
+    return Explanations(algorithm, target, np.array([scores]), np.array([delta]))
+
+
+def explain_run(model, x, base, algorithm, cfg=ExplainerConfig()) -> Explanations:
+    """One record through explain_batch, kept as a run of one record."""
+    return explain.explain_batch(model, np.asarray(x)[None, :], base, algorithm, cfg)
+
+
 class TestAttackVector:
+    """Each record's scores with its delta appended: the phi_all surface."""
+
+    @staticmethod
+    def vector(explanations):
+        return build_surface_matrix(explanations, None, AttackSurface.PHI_ALL, [])[0]
+
     def test_append_delta(self):
-        a = Attribution(Algorithm.DEEPLIFT, np.array([0.2, -0.1]), 0.05,
-                        ScalarTarget.LOGIT)
-        assert np.array_equal(
-            explain.attack_vectors([a])[0], np.array([0.2, -0.1, 0.05]))
+        a = one_record(Algorithm.DEEPLIFT, [0.2, -0.1], 0.05, ScalarTarget.LOGIT)
+        assert np.array_equal(self.vector(a), np.array([0.2, -0.1, 0.05]))
 
     def test_zero_attribution(self, random_net):
         x = np.full(4, 0.1)
-        a = explain_one(random_net, x, x, DL)
-        vec = explain.attack_vectors([a])[0]
+        a = explain_run(random_net, x, x, DL)
+        vec = self.vector(a)
         assert vec.shape == (5,)
         assert np.allclose(vec, 0.0, atol=1e-12)
 
     def test_last_element_is_delta(self, small_trained_net):
         model, X = small_trained_net
         base = explain.mean_baseline(X)
-        a = explain_one(model, X[0], base, IG, ExplainerConfig())
-        assert explain.attack_vectors([a])[0][-1] == a.delta
+        a = explain_run(model, X[0], base, IG, ExplainerConfig())
+        assert self.vector(a)[-1] == a.delta[0]
 
 
 class TestRestrict:
@@ -295,27 +308,27 @@ class TestRestrict:
 
     @staticmethod
     def restrict(a, columns, surface=AttackSurface.PHI_SENSITIVE):
-        return build_surface_matrix(explain.attack_vectors([a]), None, surface,
+        return build_surface_matrix(a, None, surface,
                                     sensitive_columns({"s": columns}, "s"))[0]
 
     def test_all_columns(self):
-        a = Attribution(Algorithm.SMOOTHGRAD, np.array([1.0, 2.0, 3.0]), 0.0, None)
-        assert np.array_equal(self.restrict(a, [0, 1, 2]), a.scores)
+        a = one_record(Algorithm.SMOOTHGRAD, [1.0, 2.0, 3.0], 0.0)
+        assert np.array_equal(self.restrict(a, [0, 1, 2]), a.scores[0])
 
     def test_subset(self):
-        a = Attribution(Algorithm.SMOOTHGRAD, np.array([1.0, 2.0, 3.0]), 0.0, None)
+        a = one_record(Algorithm.SMOOTHGRAD, [1.0, 2.0, 3.0], 0.0)
         assert np.array_equal(self.restrict(a, [1]), np.array([2.0]))
 
     def test_partition(self):
         scores = np.array([5.0, -2.0, 7.0, 1.0])
-        a = Attribution(Algorithm.DEEPLIFT, scores, 0.5, None)
+        a = one_record(Algorithm.DEEPLIFT, scores, 0.5)
         left = self.restrict(a, [0, 2])
         right = self.restrict(a, [0, 2], AttackSurface.PHI_NON_SENSITIVE)
-        assert right[-1] == a.delta
+        assert right[-1] == a.delta[0]
         assert sorted(np.concatenate([left, right[:-1]])) == sorted(scores)
 
     def test_out_of_range(self):
-        a = Attribution(Algorithm.DEEPLIFT, np.array([1.0]), 0.0, None)
+        a = one_record(Algorithm.DEEPLIFT, [1.0], 0.0)
         with pytest.raises(IndexError):
             self.restrict(a, [1])
 
@@ -359,8 +372,9 @@ def assert_batch_bit_identical(dims, n, steps, samples, grad_rows, seed,
                                target=ScalarTarget.LOGIT) -> str:
     """explain_batch over n records equals each record alone and a random
     split of the records into calls, bit for bit, for all four algorithms,
-    with GRAD_ROWS gradient rows per stacked call; forward_rows equals
-    forward on each row. Returns a digest of the answers."""
+    with GRAD_ROWS gradient rows per stacked call: record by record, and as
+    slices of the whole batch. A batch of no records is empty. forward_rows
+    equals forward on each row. Returns a digest of the answers."""
     digest = hashlib.sha256()
     rng = np.random.default_rng(seed)
     model = nn.init_model(dims, seed=seed)
@@ -375,15 +389,23 @@ def assert_batch_bit_identical(dims, n, steps, samples, grad_rows, seed,
     with mock.patch.object(explain, "GRAD_ROWS", grad_rows):
         for algorithm in Algorithm:
             whole = explain.explain_batch(model, X, base, algorithm, cfg, target, ids)
+            assert len(whole) == n and whole.scores.shape == X.shape
             singles = [explain_one(model, X[i], base, algorithm, cfg, target, ids[i])
                        for i in range(n)]
-            split = [a for lo, hi in zip([0, *cuts], [*cuts, n])
-                     for a in explain.explain_batch(model, X[lo:hi], base, algorithm,
-                                                    cfg, target, ids[lo:hi])]
+            parts = [(whole[lo:hi], explain.explain_batch(model, X[lo:hi], base, algorithm,
+                                                          cfg, target, ids[lo:hi]))
+                     for lo, hi in zip([0, *cuts], [*cuts, n])]
+            for run, part in parts:
+                assert run.scores.tobytes() == part.scores.tobytes(), algorithm
+                assert run.delta.tobytes() == part.delta.tobytes(), algorithm
+            split = [a for _, part in parts for a in part]
             for a, b, c in zip(whole, singles, split, strict=True):
                 assert a.scores.tobytes() == b.scores.tobytes() == c.scores.tobytes(), algorithm
                 assert a.delta == b.delta == c.delta, algorithm
                 digest.update(a.scores.tobytes() + np.float64(a.delta).tobytes())
+            empty = explain.explain_batch(model, X[:0], base, algorithm, cfg, target, [])
+            assert len(empty) == 0 and list(empty) == []
+            assert empty.scores.shape == (0, dims[0]) and empty.delta.shape == (0,)
     alone = np.array([nn.forward(model, x, target) for x in X])
     assert nn.forward_rows(model, X, target).tobytes() == alone.tobytes()
     digest.update(alone.tobytes())

@@ -226,11 +226,17 @@ class TestBindFailure:
 
 
 class TestClient:
-    def test_empty_record_list(self, running_server):
+    def test_empty_record_list(self, running_server, monkeypatch):
         server, *_ = running_server
+
+        def no_request(*args, **kwargs):
+            raise AssertionError("a fetch of no records sent a request")
+
+        monkeypatch.setattr(http.client.HTTPConnection, "request", no_request)
         out = service.client_fetch_explanations(
             server.url, np.zeros((0, 4)), Algorithm.DEEPLIFT)
-        assert out == []
+        assert len(out) == 0 and out.scores.shape == (0, 4) and out.delta.shape == (0,)
+        assert out.algorithm is Algorithm.DEEPLIFT and out.target is None
 
     def test_order_preserved(self, running_server):
         server, model, _, _, X = running_server
@@ -300,6 +306,50 @@ class TestClient:
         monkeypatch.setattr(service._Endpoints, "explain", lambda self, body: answer)
         with pytest.raises(service.ServiceError, match="malformed"):
             service.client_fetch_explanations(server.url, X[:1], Algorithm.DEEPLIFT)
+
+    @pytest.mark.parametrize("answer", [{}, {"probabilities": 5}])
+    def test_malformed_predict_answer_is_service_error(self, running_server, monkeypatch,
+                                                       answer):
+        server, _, _, _, X = running_server
+        monkeypatch.setattr(service._Endpoints, "predict", lambda self, body: answer)
+        with pytest.raises(service.ServiceError, match="malformed /v1/predict"):
+            service.client_fetch_predictions(server.url, X[:1])
+
+    @pytest.mark.parametrize("answered", [2, 4])  # for 3 records
+    def test_answer_of_another_length_is_service_error(self, running_server, monkeypatch,
+                                                       answered):
+        server, _, _, _, X = running_server
+
+        def resized(endpoint, key):
+            def answer(self, body):
+                out = endpoint(self, body)
+                out[key] = (out[key] * 2)[:answered]
+                return out
+            return answer
+
+        monkeypatch.setattr(service._Endpoints, "explain",
+                            resized(service._Endpoints.explain, "explanations"))
+        monkeypatch.setattr(service._Endpoints, "predict",
+                            resized(service._Endpoints.predict, "probabilities"))
+        with pytest.raises(service.ServiceError,
+                           match=f"{answered} explanations for 3 records"):
+            service.client_fetch_explanations(server.url, X[:3], Algorithm.DEEPLIFT)
+        with pytest.raises(service.ServiceError,
+                           match=f"{answered} probabilities for 3 records"):
+            service.client_fetch_predictions(server.url, X[:3])
+
+    def test_chunks_that_disagree_on_target_are_malformed(self, running_server,
+                                                          monkeypatch):
+        server, _, _, _, X = running_server
+        explain_, targets = service._Endpoints.explain, iter(["logit", "probability"])
+
+        def switching(self, body):
+            return dict(explain_(self, body), target=next(targets))
+
+        monkeypatch.setattr(service._Endpoints, "explain", switching)
+        monkeypatch.setattr(service, "CHUNK_RECORDS", 2)
+        with pytest.raises(service.ServiceError, match="malformed.*targets"):
+            service.client_fetch_explanations(server.url, X[:4], Algorithm.DEEPLIFT)
 
     def test_unsupported_scheme_is_rejected(self):
         with pytest.raises(ValueError, match="http"):
