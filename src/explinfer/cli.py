@@ -90,7 +90,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_explain(args) -> int:
     written = set()
-    for prep, explanations, _ in pipeline.run_cells(_load_cells(args)):
+    for prep, explanations in pipeline.run_cells(_load_cells(args)):
         cfg = prep.cfg
         # named by the matrix fields that key an explanation set
         stem = os.path.join(
@@ -100,7 +100,7 @@ def _cmd_explain(args) -> int:
             continue
         written.add(stem)
         os.makedirs(cfg.output_dir, exist_ok=True)
-        n_aux = prep.splits.aux.n_rows
+        n_aux = prep.splits.n_aux
         for name, split, ds in (("aux", explanations[:n_aux], prep.splits.aux),
                                 ("eval", explanations[n_aux:], prep.splits.eval)):
             path = f"{stem}-{name}.csv"
@@ -115,7 +115,7 @@ def _cmd_explain(args) -> int:
 
 def _cmd_audit(args) -> int:
     cells = _load_cells(args)
-    rows = [row for prep, explanations, _ in pipeline.run_cells(cells)
+    rows = [row for prep, explanations in pipeline.run_cells(cells)
             for row in pipeline.correlation_audit(prep, explanations)]
     out_dir = cells[0].output_dir
     os.makedirs(out_dir, exist_ok=True)

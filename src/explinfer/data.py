@@ -14,9 +14,10 @@ the held-out evaluation set.
 
 from __future__ import annotations
 
+import array
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +47,16 @@ class TabularSchema:
 
     def validate(self) -> None:
         names = [n for n, _ in self.columns]
+        if not all(isinstance(v, str) for v in (*names, self.label_column,
+                                                 self.sensitive_column)):
+            raise SchemaError("column names must be strings")
+        for name in ("sensitive_positive_value", "label_positive_value"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise SchemaError(f"{name} must be a string or null")
+        m = self.binarization_map
+        if m is not None and not (isinstance(m, dict) and all(
+                isinstance(k, str) and v in (0, 1) for k, v in m.items())):
+            raise SchemaError("binarization_map must map strings to 0 or 1")
         if len(set(names)) != len(names):
             raise SchemaError("duplicate feature column names")
         for n, kind in self.columns:
@@ -58,13 +69,30 @@ class TabularSchema:
         if self.sensitive_positive_value is None and not self.binarization_map:
             raise SchemaError(
                 "need sensitive_positive_value or binarization_map to binarize s")
-        if self.binarization_map is not None:
-            if any(v not in (0, 1) for v in self.binarization_map.values()):
-                raise SchemaError("binarization_map values must be 0 or 1")
 
     @property
     def feature_names(self) -> list[str]:
         return [n for n, _ in self.columns]
+
+    def sensitive_bit(self, value: str) -> float:
+        """The binarized sensitive attribute of a valid schema's value."""
+        if self.binarization_map is None:
+            return float(value == self.sensitive_positive_value)
+        if value not in self.binarization_map:
+            raise DataError(f"sensitive value {value!r} not covered by binarization_map")
+        return float(self.binarization_map[value])
+
+    def label_bit(self, value: str) -> float:
+        if self.label_positive_value is not None:
+            return float(value == self.label_positive_value)
+        try:
+            f = float(value)
+        except ValueError:
+            raise DataError(f"label value {value!r} is not 0/1 and no "
+                            f"label_positive_value is set")
+        if f not in (0.0, 1.0):
+            raise DataError(f"numeric label must be 0 or 1, got {value!r}")
+        return f
 
     @classmethod
     def from_json(cls, path: str) -> "TabularSchema":
@@ -113,27 +141,20 @@ def write_json(path: str, obj) -> None:
 
 @dataclass
 class RawTable:
-    """Typed rows for the schema columns; missing-value rows already dropped."""
+    """One array per schema column, by name: float64 for a numeric feature,
+    else dtype=object, one str per cell. Rows with missing values are dropped."""
 
-    feature_rows: list[list]  # per row, values aligned with schema.columns
-    sensitive_raw: list[str]
-    label_raw: list[str]
-    row_ids: list[int]
+    columns: dict[str, np.ndarray]
+    row_ids: np.ndarray
     n_dropped_missing: int
 
     @property
     def n_rows(self) -> int:
-        return len(self.feature_rows)
+        return len(self.row_ids)
 
     def select(self, indices) -> "RawTable":
-        idx = [int(i) for i in indices]
-        return RawTable(
-            feature_rows=[self.feature_rows[i] for i in idx],
-            sensitive_raw=[self.sensitive_raw[i] for i in idx],
-            label_raw=[self.label_raw[i] for i in idx],
-            row_ids=[self.row_ids[i] for i in idx],
-            n_dropped_missing=0,
-        )
+        return RawTable({name: col[indices] for name, col in self.columns.items()},
+                        self.row_ids[indices], n_dropped_missing=0)
 
 
 def load_csv(path: str, schema: TabularSchema) -> RawTable:
@@ -151,40 +172,30 @@ def load_csv(path: str, schema: TabularSchema) -> RawTable:
         missing = [c for c in needed if c not in header]
         if missing:
             raise SchemaError(f"CSV is missing schema columns: {missing}")
-        col_idx = {c: header.index(c) for c in needed}
-
-        feature_rows, sensitive_raw, label_raw, row_ids = [], [], [], []
+        positions = [header.index(c) for c in needed]
+        numeric = {n for n, kind in schema.columns if kind == NUMERIC}
+        # numbers as C doubles: a float object per cell would outlive the read
+        cells = {c: array.array("d") if c in numeric else [] for c in needed}
         n_dropped = 0
-        row_id = 0
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             # a short row lacks its last values: "" is a missing marker
-            values = {c: row[col_idx[c]].strip() if col_idx[c] < len(row) else ""
-                      for c in needed}
-            if any(v in MISSING_MARKERS for v in values.values()):
+            values = [row[j].strip() if j < len(row) else "" for j in positions]
+            if any(v in MISSING_MARKERS for v in values):
                 n_dropped += 1
                 continue
-            typed = []
-            for name, kind in schema.columns:
-                v = values[name]
-                if kind == NUMERIC:
-                    try:
-                        typed.append(float(v))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{line_no}: column {name!r} has "
-                            f"non-numeric value {v!r}")
-                else:
-                    typed.append(v)
-            feature_rows.append(typed)
-            sensitive_raw.append(values[schema.sensitive_column])
-            label_raw.append(values[schema.label_column])
-            row_ids.append(row_id)
-            row_id += 1
-    if not feature_rows:
+            for name, v in zip(needed, values):
+                try:
+                    cells[name].append(float(v) if name in numeric else v)
+                except ValueError:
+                    raise DataError(f"{path}:{line_no}: column {name!r} has "
+                                    f"non-numeric value {v!r}")
+    n = len(cells[schema.label_column])
+    if not n:
         raise DataError(f"no usable rows in {path}")
-    return RawTable(feature_rows, sensitive_raw, label_raw, row_ids, n_dropped)
+    return RawTable({c: np.array(v, dtype=np.float64 if c in numeric else object)
+                     for c, v in cells.items()}, np.arange(n), n_dropped)
 
 
 @dataclass
@@ -198,13 +209,11 @@ class EncodingStats:
 
 def fit_encoding(table: RawTable, schema: TabularSchema) -> EncodingStats:
     numeric_mean, numeric_std, vocabularies = {}, {}, {}
-    for j, (name, kind) in enumerate(schema.columns):
-        col = [row[j] for row in table.feature_rows]
+    for name, kind in schema.columns:
+        col = table.columns[name]
         if kind == NUMERIC:
-            arr = np.asarray(col, dtype=np.float64)
-            mean = float(arr.mean())
-            std = float(arr.std())
-            numeric_mean[name] = mean
+            numeric_mean[name] = float(col.mean())
+            std = float(col.std())
             # constant columns encode to zero rather than dividing by zero
             numeric_std[name] = std if std > 0 else 1.0
         else:
@@ -212,36 +221,11 @@ def fit_encoding(table: RawTable, schema: TabularSchema) -> EncodingStats:
     return EncodingStats(numeric_mean, numeric_std, vocabularies)
 
 
-def _binarize_sensitive(values: list[str], schema: TabularSchema) -> np.ndarray:
-    if schema.binarization_map is not None:
-        out = []
-        for v in values:
-            if v not in schema.binarization_map:
-                raise DataError(
-                    f"sensitive value {v!r} not covered by binarization_map")
-            out.append(float(schema.binarization_map[v]))
-        return np.asarray(out)
-    if schema.sensitive_positive_value is not None:
-        return np.asarray(
-            [1.0 if v == schema.sensitive_positive_value else 0.0 for v in values])
-    raise SchemaError("schema cannot binarize the sensitive column")
-
-
-def _binarize_label(values: list[str], schema: TabularSchema) -> np.ndarray:
-    if schema.label_positive_value is not None:
-        return np.asarray(
-            [1.0 if v == schema.label_positive_value else 0.0 for v in values])
-    out = np.empty(len(values))
-    for i, v in enumerate(values):
-        try:
-            f = float(v)
-        except ValueError:
-            raise DataError(
-                f"label value {v!r} is not 0/1 and no label_positive_value is set")
-        if f not in (0.0, 1.0):
-            raise DataError(f"numeric label must be 0 or 1, got {v!r}")
-        out[i] = f
-    return out
+def _per_value(col: np.ndarray, fn) -> np.ndarray:
+    """fn of each distinct value of a string column, spread over its rows as
+    float64; fn meets values in row order, so its errors name the first row's."""
+    out = {v: fn(v) for v in dict.fromkeys(col)}
+    return np.fromiter(map(out.__getitem__, col), np.float64, len(col))
 
 
 @dataclass
@@ -251,6 +235,7 @@ class TabularDataset:
     sensitive: np.ndarray
     column_groups: dict[str, list[int]]
     row_ids: np.ndarray
+    # categorical values unseen by fit_encoding; a row slice keeps its dataset's count
     unknown_category_count: int = 0
 
     @property
@@ -261,6 +246,10 @@ class TabularDataset:
     def n_columns(self) -> int:
         return self.features.shape[1]
 
+    def __getitem__(self, rows: slice) -> "TabularDataset":
+        return replace(self, features=self.features[rows], labels=self.labels[rows],
+                       sensitive=self.sensitive[rows], row_ids=self.row_ids[rows])
+
 
 def encode(
     table: RawTable,
@@ -268,7 +257,7 @@ def encode(
     include_sensitive: bool,
     stats: EncodingStats,
 ) -> TabularDataset:
-    """Encode a typed table into the model's feature matrix.
+    """Encode a typed table into the model's feature matrix, each row on its own.
 
     Numerics are z-scored and categoricals one-hot encoded against `stats`,
     from fit_encoding on the training split. A categorical value unseen at fit
@@ -283,13 +272,12 @@ def encode(
     next_col = 0
     unknown = 0
     n = table.n_rows
-    for j, (name, kind) in enumerate(schema.columns):
-        col = [row[j] for row in table.feature_rows]
+    for name, kind in schema.columns:
+        col = table.columns[name]
         if kind == NUMERIC:
             if name not in stats.numeric_mean:
                 raise SchemaError(f"statistics missing numeric column {name!r}")
-            arr = (np.asarray(col, dtype=np.float64) - stats.numeric_mean[name]) / (
-                stats.numeric_std[name])
+            arr = (col - stats.numeric_mean[name]) / stats.numeric_std[name]
             blocks.append(arr[:, None])
             column_groups[name] = [next_col]
             next_col += 1
@@ -298,18 +286,16 @@ def encode(
             if vocab is None:
                 raise SchemaError(f"statistics missing categorical column {name!r}")
             lookup = {v: k for k, v in enumerate(vocab)}
+            codes = _per_value(col, lambda v: lookup.get(v, -1)).astype(np.intp)
+            known = np.flatnonzero(codes >= 0)
+            unknown += n - len(known)
             block = np.zeros((n, len(vocab)))
-            for r, v in enumerate(col):
-                k = lookup.get(v)
-                if k is None:
-                    unknown += 1
-                else:
-                    block[r, k] = 1.0
+            block[known, codes[known]] = 1.0
             blocks.append(block)
             column_groups[name] = list(range(next_col, next_col + len(vocab)))
             next_col += len(vocab)
 
-    sensitive = _binarize_sensitive(table.sensitive_raw, schema)
+    sensitive = _per_value(table.columns[schema.sensitive_column], schema.sensitive_bit)
     if include_sensitive:
         blocks.append(sensitive[:, None])
         column_groups[schema.sensitive_column] = [next_col]
@@ -317,7 +303,7 @@ def encode(
 
     return TabularDataset(
         features=np.hstack(blocks) if blocks else np.zeros((n, 0)),
-        labels=_binarize_label(table.label_raw, schema),
+        labels=_per_value(table.columns[schema.label_column], schema.label_bit),
         sensitive=sensitive,
         column_groups=column_groups,
         row_ids=np.asarray(table.row_ids, dtype=np.int64),
@@ -325,22 +311,31 @@ def encode(
     )
 
 
-def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seeded shuffle then contiguous 70/15/15 slices (train, aux, eval)."""
+def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Seeded shuffle, then (train, test, n_aux): 70% train rows, and test
+    rows whose first n_aux (half, rounded down) are aux and the rest eval."""
     if n < 10:
         raise ValueError(f"need at least 10 rows to split, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
     n_train = int(round(0.7 * n))
-    rest = perm[n_train:]
-    n_aux = len(rest) // 2
-    return perm[:n_train], rest[:n_aux], rest[n_aux:]
+    return perm[:n_train], perm[n_train:], (n - n_train) // 2
 
 
 @dataclass
 class DatasetSplits:
+    """The train rows, and the test rows: n_aux aux rows, then eval rows."""
+
     target_train: TabularDataset
-    aux: TabularDataset
-    eval: TabularDataset
+    test: TabularDataset
+    n_aux: int
+
+    @property
+    def aux(self) -> TabularDataset:
+        return self.test[:self.n_aux]
+
+    @property
+    def eval(self) -> TabularDataset:
+        return self.test[self.n_aux:]
 
 
 def sensitive_base_rate(ds: TabularDataset) -> float:

@@ -3,20 +3,20 @@
 One experiment cell = (dataset, threat model, explainer, attack kind) plus a
 list of attack surfaces. A run executes:
 
-    load/encode/split -> train target -> explain the aux records followed
-    by the eval records, as one record set (in process or through the
-    blackbox API) into one explain.Explanations -> pick each surface's
-    columns and slice them at the aux count -> train the attack model on
-    aux -> calibrate the threshold on aux -> infer on eval -> metrics, plus
-    the correlation audit
+    load/split/encode -> train target -> explain the test records (in
+    process or through the blackbox API) into one explain.Explanations ->
+    pick each surface's columns and slice them at the aux count -> train the
+    attack model on aux -> calibrate the threshold on aux -> infer on eval
+    -> metrics, plus the correlation audit
 
 and emits a machine-readable report, PR-curve files, per-record prediction
 dumps and a manifest of every seed and config value. Identical config and
 seeds produce byte-identical report files.
 
-With a remote transport no target is trained: the target test accuracy,
-like the explanations, comes from the service. Its predictions for the aux
-and eval rows are fetched once and serve the accuracy and the pred_* surfaces.
+The aux records, then the eval records, are one encoded test set that every
+stage reads. A remote run trains no target: the service's predictions for the
+test set, fetched once, give the accuracy and the pred_* surfaces. In process
+forward_batch gives the accuracy, and forward_rows, once per target, the surfaces.
 
 Evaluation hygiene: encoding statistics, the explanation baseline, attack
 training and threshold calibration never see an eval-split record.
@@ -251,18 +251,16 @@ class _Prepared:
     model: nn.MlpModel | None  # None when a service holds the target
     baseline: np.ndarray | None
     test_accuracy: float
-    # the service's answers for the aux rows, then the eval rows; None in process
-    served_predictions: np.ndarray | None
+    predictions: np.ndarray | None  # for the test rows; None if nothing needs them
     n_dropped_missing: int
-    unknown_categories: int
 
 
 def prepare(cfg: ExperimentConfig) -> _Prepared:
     """Run the builder-side stages: load, split, encode, train, baseline.
 
     With a remote transport nothing is trained: the adversary reaches the
-    target only through the service, whose predictions on the aux and eval
-    rows give the test accuracy."""
+    target only through the service, whose predictions on the test rows
+    give the test accuracy."""
     try:
         schema = data_mod.TabularSchema.from_json(cfg.schema)
         table = data_mod.load_csv(cfg.dataset_csv, schema)
@@ -270,8 +268,7 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
         raise PipelineError("load", str(exc)) from exc
 
     try:
-        train_idx, aux_idx, eval_idx = data_mod.split_indices(
-            table.n_rows, cfg.split_seed)
+        train_idx, test_idx, n_aux = data_mod.split_indices(table.n_rows, cfg.split_seed)
     except ValueError as exc:
         raise PipelineError("split", str(exc)) from exc
 
@@ -280,8 +277,7 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
         raw_train = table.select(train_idx)
         stats = data_mod.fit_encoding(raw_train, schema)
         ds_train = data_mod.encode(raw_train, schema, include_s, stats)
-        ds_aux = data_mod.encode(table.select(aux_idx), schema, include_s, stats)
-        ds_eval = data_mod.encode(table.select(eval_idx), schema, include_s, stats)
+        test = data_mod.encode(table.select(test_idx), schema, include_s, stats)
     except ValueError as exc:
         raise PipelineError("encode", str(exc)) from exc
 
@@ -302,51 +298,41 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
             raise PipelineError("train-target", str(exc)) from exc
         baseline = explain_mod.mean_baseline(ds_train.features)
 
-    # built after training, so it does not add to training's peak memory
-    test_features = np.vstack([ds_aux.features, ds_eval.features])
     try:
-        probabilities = (nn.forward_batch(model, test_features) if model is not None
-                         else service.client_fetch_predictions(cfg.transport, test_features))
-        test_accuracy = metrics_mod.accuracy(
-            probabilities, np.concatenate([ds_aux.labels, ds_eval.labels]))
+        if model is None:
+            predictions = probabilities = service.client_fetch_predictions(
+                cfg.transport, test.features)
+        else:
+            probabilities = nn.forward_batch(model, test.features)
+            predictions = nn.forward_rows(model, test.features) if cfg.needs_predictions else None
+        test_accuracy = metrics_mod.accuracy(probabilities, test.labels)
     except (service.ServiceError, ValueError) as exc:
         raise PipelineError("predict", str(exc)) from exc
-    served = None if model is not None else probabilities
 
     return _Prepared(
         cfg=cfg,
         schema=schema,
-        splits=data_mod.DatasetSplits(target_train=ds_train, aux=ds_aux, eval=ds_eval),
+        splits=data_mod.DatasetSplits(target_train=ds_train, test=test, n_aux=n_aux),
         model=model,
         baseline=baseline,
         test_accuracy=test_accuracy,
-        served_predictions=served,
+        predictions=predictions,
         n_dropped_missing=table.n_dropped_missing,
-        unknown_categories=ds_aux.unknown_category_count
-        + ds_eval.unknown_category_count,
     )
 
 
-def compute_explanations(prep: _Prepared):
-    """(explanations, predictions) of the aux records followed by the eval
-    records, via the configured transport; predictions are None unless a
-    surface needs them. A remote run reuses the predictions prepare fetched."""
-    cfg, aux, ev = prep.cfg, prep.splits.aux, prep.splits.eval
-    X = np.vstack([aux.features, ev.features])
-    ids = np.concatenate([aux.row_ids, ev.row_ids])
+def compute_explanations(prep: _Prepared) -> explain_mod.Explanations:
+    """The test records' explanations, via the configured transport."""
+    cfg, test = prep.cfg, prep.splits.test
     try:
         if cfg.transport == IN_PROCESS:
-            explanations = explain_mod.explain_batch(
-                prep.model, X, prep.baseline, cfg.algorithm, cfg.explainer_config,
-                cfg.scalar_target, record_ids=ids)
-            preds = nn.forward_rows(prep.model, X) if cfg.needs_predictions else None
-        else:
-            explanations = service.client_fetch_explanations(
-                cfg.transport, X, cfg.algorithm, record_ids=ids)
-            preds = prep.served_predictions if cfg.needs_predictions else None
+            return explain_mod.explain_batch(
+                prep.model, test.features, prep.baseline, cfg.algorithm,
+                cfg.explainer_config, cfg.scalar_target, record_ids=test.row_ids)
+        return service.client_fetch_explanations(
+            cfg.transport, test.features, cfg.algorithm, record_ids=test.row_ids)
     except (service.ServiceError, ValueError) as exc:
         raise PipelineError("explain", str(exc)) from exc
-    return explanations, preds
 
 
 def _all_positive_f1(base_rate: float) -> float:
@@ -354,17 +340,16 @@ def _all_positive_f1(base_rate: float) -> float:
     return 2.0 * base_rate / (1.0 + base_rate) if base_rate > 0 else 0.0
 
 
-def run_attacks(prep: _Prepared, explanations, predictions) -> list[AttackCell]:
-    """Train, calibrate and evaluate one attack per surface; explanations
-    and predictions cover the aux records, then the eval records."""
-    cfg = prep.cfg
+def run_attacks(prep: _Prepared, explanations) -> list[AttackCell]:
+    """Train, calibrate and evaluate one attack per surface."""
+    cfg, n_aux = prep.cfg, prep.splits.n_aux
     ds_aux, ds_eval = prep.splits.aux, prep.splits.eval
     sens = attack_mod.sensitive_columns(ds_aux.column_groups, prep.schema.sensitive_column)
     cells = []
     for surface in cfg.surface_list:
         try:
-            X = attack_mod.build_surface_matrix(explanations, predictions, surface, sens)
-            Xa, Xe = X[:ds_aux.n_rows], X[ds_aux.n_rows:]
+            X = attack_mod.build_surface_matrix(explanations, prep.predictions, surface, sens)
+            Xa, Xe = X[:n_aux], X[n_aux:]
             fadv = attack_mod.train_attack(
                 Xa, ds_aux.sensitive, kind=cfg.attack_kind, seed=cfg.attack_seed,
                 mlp_hidden=tuple(cfg.attack_hidden),
@@ -410,22 +395,17 @@ def run_attacks(prep: _Prepared, explanations, predictions) -> list[AttackCell]:
 
 def correlation_audit(prep: _Prepared, explanations) -> list[CorrelationRow]:
     """Pearson correlation of s against labels, features and explanation
-    columns over all explained records (aux, then eval); constant columns
-    are skipped and counted."""
-    cfg = prep.cfg
-    s = np.concatenate([prep.splits.aux.sensitive, prep.splits.eval.sensitive])
-    labels = np.concatenate([prep.splits.aux.labels, prep.splits.eval.labels])
-    features = np.vstack([prep.splits.aux.features, prep.splits.eval.features])
-
-    sens_cols = attack_mod.sensitive_columns(prep.splits.aux.column_groups,
-                                             prep.schema.sensitive_column)
-    non_sens = [c for c in range(features.shape[1]) if c not in sens_cols]
+    columns over all explained records, the test set; constant columns are
+    skipped and counted."""
+    cfg, test = prep.cfg, prep.splits.test
+    sens_cols = attack_mod.sensitive_columns(test.column_groups, prep.schema.sensitive_column)
+    non_sens = [c for c in range(test.n_columns) if c not in sens_cols]
 
     def row(group, matrix, cols):
         rs, skipped = [], 0
         for c in cols:
             try:
-                rs.append(metrics_mod.pearson(s, matrix[:, c]))
+                rs.append(metrics_mod.pearson(test.sensitive, matrix[:, c]))
             except ValueError:  # a constant column
                 skipped += 1
         return CorrelationRow(
@@ -440,21 +420,20 @@ def correlation_audit(prep: _Prepared, explanations) -> list[CorrelationRow]:
             coefficients=[float(r) for r in rs],
         )
 
-    groups = [("y", labels[:, None], [0]), ("x", features, non_sens)]
+    groups = [("y", test.labels[:, None], [0]), ("x", test.features, non_sens)]
     if sens_cols:
         groups.append(("phi_sensitive", explanations.scores, sens_cols))
     groups.append(("phi_non_sensitive", explanations.scores, non_sens))
     return [row(*group) for group in groups]
 
 
-# config fields that determine a prepared target and, added to those, its
-# explanations; their JSON text is the memo key (lists are unhashable)
+# config fields that determine a prepared target and its predictions and, added
+# to those, its explanations; their JSON text is the memo key (lists are unhashable)
 PREPARE_KEY = ("dataset_csv", "schema", "threat_model", "split_seed", "model_seed",
                "target_hidden", "target_epochs", "target_learning_rate",
-               "target_batch_size", "transport")
+               "target_batch_size", "transport", "needs_predictions")
 EXPLAIN_KEY = ("explainer", "explainer_seed", "ig_steps", "shap_samples", "shap_stdev",
-               "smoothgrad_samples", "smoothgrad_sigma", "explanation_target",
-               "needs_predictions")
+               "smoothgrad_samples", "smoothgrad_sigma", "explanation_target")
 
 
 def _key(cfg: ExperimentConfig, names) -> tuple:
@@ -475,7 +454,7 @@ def prepare_cells(cells: list[ExperimentConfig]):
 
 
 def run_cells(cells: list[ExperimentConfig]):
-    """Yield (prepared, explanations, predictions) for each cell, in order.
+    """Yield (prepared, explanations) for each cell, in order.
 
     Targets come from prepare_cells, and each distinct explanation set
     (keyed by PREPARE_KEY and EXPLAIN_KEY) is computed once per call."""
@@ -484,26 +463,25 @@ def run_cells(cells: list[ExperimentConfig]):
         key = _key(prep.cfg, PREPARE_KEY + EXPLAIN_KEY)
         if key not in explained:
             explained[key] = compute_explanations(prep)
-        yield (prep, *explained[key])
+        yield prep, explained[key]
 
 
 def run_matrix(cells: list[ExperimentConfig]) -> list[AttackReport]:
     """Execute every cell end to end, one report per cell."""
     reports = []
-    for prep, explanations, predictions in run_cells(cells):
+    for prep, explanations in run_cells(cells):
         cfg, splits = prep.cfg, prep.splits
-        rows = run_attacks(prep, explanations, predictions)
+        rows = run_attacks(prep, explanations)
         correlations = correlation_audit(prep, explanations)
         manifest = {
             "config": dataclasses.asdict(cfg),
             "dataset": {
-                "rows_after_filtering": int(splits.target_train.n_rows
-                                            + splits.aux.n_rows + splits.eval.n_rows),
+                "rows_after_filtering": splits.target_train.n_rows + splits.test.n_rows,
                 "rows_dropped_missing": prep.n_dropped_missing,
-                "unknown_category_values": prep.unknown_categories,
+                "unknown_category_values": splits.test.unknown_category_count,
                 "train_rows": splits.target_train.n_rows,
-                "aux_rows": splits.aux.n_rows,
-                "eval_rows": splits.eval.n_rows,
+                "aux_rows": splits.n_aux,
+                "eval_rows": splits.test.n_rows - splits.n_aux,
                 "encoded_columns": splits.target_train.n_columns,
             },
             "target_test_accuracy": prep.test_accuracy,

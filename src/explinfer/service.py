@@ -27,10 +27,11 @@ Errors are {"error": message}: 400 for malformed JSON, a negative or
 non-integer Content-Length, an unknown algorithm, a body without a nonempty
 "records" list or ids that are not nonnegative integers, one per record;
 413, unread, for a body over MAX_BODY_BYTES; 422 for a bad feature row,
-named by its index; 404/405 otherwise. A connection blocked past the
-handler's timeout is closed, and one opened while MAX_CONNECTIONS are open
-gets 503, unread, and is closed. No endpoint exposes parameters,
-architecture or training data.
+named by its index; 404/405 otherwise. A connection is closed when its
+request line and headers take longer than the handler's timeout from the
+request's start, idle time included, or a later read or write blocks that
+long; one opened while MAX_CONNECTIONS are open gets 503, unread, and is
+closed. No endpoint exposes parameters, architecture or training data.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import atexit
 import contextlib
 import http.client
+import io
 import json
 import selectors
 import socket
@@ -130,10 +132,23 @@ class _HttpError(Exception):
         self.message = message
 
 
+class _Reads(socket.SocketIO):
+    """A connection's reads; while `deadline` (time.monotonic()) is set, each
+    may block only until then."""
+
+    deadline = None
+
+    def readinto(self, buffer):
+        if self.deadline is not None:  # a zero timeout would not block at all
+            self._sock.settimeout(max(self.deadline - time.monotonic(), 1e-6))
+        return super().readinto(buffer)
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    # seconds a read or write may block; a short body, a stalled client or an
-    # idle keep-alive connection then closes instead of holding a thread
+    # seconds a read or write may block, and that the request line and headers
+    # may take, idle keep-alive time included: else a short body, a stalled,
+    # trickling or idle client would hold a thread and a connection slot
     timeout = 10.0
     # else the body, written after the headers, waits for a delayed ACK (40 ms)
     disable_nagle_algorithm = True
@@ -141,11 +156,24 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # quiet by default
         pass
 
+    def setup(self):
+        super().setup()
+        self.rfile.close()  # for one that keeps a deadline
+        self.rfile = io.BufferedReader(_Reads(self.connection, "rb"))
+
     def handle_one_request(self):
+        self.rfile.raw.deadline = time.monotonic() + self.timeout
         try:
             super().handle_one_request()
         except ConnectionError:  # the client hung up, say between two requests
             self.close_connection = True
+
+    def parse_request(self) -> bool:
+        try:
+            return super().parse_request()  # reads the headers
+        finally:  # the body and the answer get timeout per read or write
+            self.rfile.raw.deadline = None
+            self.connection.settimeout(self.timeout)
 
     def _send(self, status: int, payload: dict) -> None:
         data = json.dumps(payload).encode("utf-8")

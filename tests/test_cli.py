@@ -63,8 +63,8 @@ def test_explain_file_roundtrip_exact(cli_setup, tmp_path):
     _, config_path, config = cli_setup
     out = str(tmp_path / "explain")
     assert cli.main(["explain", config_path, "--out-dir", out]) == 0
-    prep, attrs, _ = next(pipeline.run_cells(pipeline.load_config(config_path)))
-    n_aux = prep.splits.aux.n_rows
+    prep, attrs = next(pipeline.run_cells(pipeline.load_config(config_path)))
+    n_aux = prep.splits.n_aux
     for name, split, ds in (("aux", attrs[:n_aux], prep.splits.aux),
                             ("eval", attrs[n_aux:], prep.splits.eval)):
         path = os.path.join(out, f"explanations-tm1-deeplift-s0m1e3-{name}.csv")
@@ -189,6 +189,23 @@ def test_missing_dataset_reports_stage(cli_setup, tmp_path, capsys):
     path.write_text(json.dumps(missing))
     assert cli.main(["experiment", str(path)]) == 2
     assert "[stage=load]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("binarization_map", ["yes"]),
+    ("columns", [{"name": ["x0"], "kind": "numeric"}, {"name": "x1", "kind": "numeric"}]),
+])
+def test_schema_value_of_the_wrong_type_is_load_error(cli_setup, tmp_path, capsys,
+                                                      field, bad):
+    d, config_path, config = cli_setup
+    with open(config["schema"], encoding="utf-8") as fh:
+        schema = dict(json.load(fh), **{field: bad})
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(config, schema=str(schema_path))))
+    assert cli.main(["experiment", str(path)]) == 2
+    assert "error [stage=load]" in capsys.readouterr().err
 
 
 def test_transport_override_matches_in_process(cli_setup, tmp_path):

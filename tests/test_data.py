@@ -25,6 +25,16 @@ def toy_schema():
     )
 
 
+def toy_table(age, job, minority, outcome) -> RawTable:
+    """A RawTable of toy_schema's columns, one list each."""
+    return RawTable(
+        columns={"age": np.array(age, dtype=np.float64),
+                 "job": np.array(job, dtype=object),
+                 "minority": np.array(minority, dtype=object),
+                 "outcome": np.array(outcome, dtype=object)},
+        row_ids=np.arange(len(age), dtype=np.int64), n_dropped_missing=0)
+
+
 def write_csv(path, rows, header="age,job,minority,outcome"):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     return str(path)
@@ -36,7 +46,7 @@ class TestLoadCsv:
                       ["30,nurse,yes,pos", "40,clerk,no,neg", "50,nurse,no,pos"])
         table = load_csv(p, toy_schema())
         assert table.n_rows == 3
-        assert table.feature_rows[0] == [30.0, "nurse"]
+        assert [table.columns["age"][0], table.columns["job"][0]] == [30.0, "nurse"]
         assert table.n_dropped_missing == 0
 
     def test_missing_label_column(self, tmp_path):
@@ -74,18 +84,14 @@ class TestLoadCsv:
         p = write_csv(tmp_path / "t.csv",
                       ["30,nurse,yes,pos", "?,clerk,no,neg", "50,aide,no,pos"])
         table = load_csv(p, toy_schema())
-        assert table.row_ids == [0, 1]
+        assert table.row_ids.tolist() == [0, 1]
 
 
 class TestEncode:
     def make_table(self):
-        return RawTable(
-            feature_rows=[[1.0, "a"], [2.0, "b"], [3.0, "a"], [6.0, "b"]],
-            sensitive_raw=["yes", "no", "no", "yes"],
-            label_raw=["pos", "neg", "pos", "neg"],
-            row_ids=[0, 1, 2, 3],
-            n_dropped_missing=0,
-        )
+        return toy_table(age=[1.0, 2.0, 3.0, 6.0], job=["a", "b", "a", "b"],
+                         minority=["yes", "no", "no", "yes"],
+                         outcome=["pos", "neg", "pos", "neg"])
 
     def test_two_value_categorical_gives_two_indicators(self):
         ds = encode(self.make_table(), toy_schema(), include_sensitive=False,
@@ -119,9 +125,7 @@ class TestEncode:
     def test_train_statistics_reused_verbatim(self):
         table = self.make_table()
         stats = fit_encoding(table, toy_schema())
-        other = RawTable(
-            feature_rows=[[10.0, "a"]], sensitive_raw=["no"], label_raw=["pos"],
-            row_ids=[0], n_dropped_missing=0)
+        other = toy_table(age=[10.0], job=["a"], minority=["no"], outcome=["pos"])
         ds = encode(other, toy_schema(), include_sensitive=False, stats=stats)
         expected = (10.0 - stats.numeric_mean["age"]) / stats.numeric_std["age"]
         assert ds.features[0, ds.column_groups["age"][0]] == pytest.approx(expected)
@@ -129,9 +133,7 @@ class TestEncode:
     def test_unseen_category_zero_pattern_and_counted(self):
         table = self.make_table()
         stats = fit_encoding(table, toy_schema())
-        other = RawTable(
-            feature_rows=[[2.0, "zzz"]], sensitive_raw=["no"], label_raw=["neg"],
-            row_ids=[0], n_dropped_missing=0)
+        other = toy_table(age=[2.0], job=["zzz"], minority=["no"], outcome=["neg"])
         ds = encode(other, toy_schema(), include_sensitive=False, stats=stats)
         assert np.all(ds.features[0, ds.column_groups["job"]] == 0.0)
         assert ds.unknown_category_count == 1
@@ -152,15 +154,130 @@ class TestEncode:
             encode(self.make_table(), schema, include_sensitive=False,
                    stats=fit_encoding(self.make_table(), schema))
 
+    def test_errors_name_the_first_row_that_fails(self):
+        schema = toy_schema()
+        schema.sensitive_positive_value = None
+        schema.binarization_map = {"yes": 1, "no": 0}
+        table = toy_table(age=[1.0, 2.0, 3.0], job=["a", "b", "a"],
+                          minority=["yes", "zz", "aa"], outcome=["pos", "neg", "2"])
+        stats = fit_encoding(table, schema)
+        with pytest.raises(DataError, match="'zz'"):
+            encode(table, schema, include_sensitive=False, stats=stats)
+        schema.label_positive_value = None
+        table.columns["minority"][1:] = "no"
+        with pytest.raises(DataError, match="'pos'"):
+            encode(table, schema, include_sensitive=False, stats=stats)
+
     def test_labels_binarized(self):
         ds = encode(self.make_table(), toy_schema(), include_sensitive=False,
                     stats=fit_encoding(self.make_table(), toy_schema()))
         assert np.array_equal(ds.labels, np.array([1.0, 0.0, 1.0, 0.0]))
 
 
+@st.composite
+def encodable_tables(draw):
+    """(schema, table, fit rows, a, b): a small table with constant numeric
+    columns and categories the fit rows may not hold, under either
+    binarization rule and either label rule, and two lists of its rows."""
+    n = draw(st.integers(1, 10))
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]),
+                          min_size=1, max_size=4))
+    columns = {}
+    for j, kind in enumerate(kinds):
+        if kind == "numeric":
+            value = st.floats(-1e6, 1e6, allow_nan=False)
+            cells = draw(st.one_of(value.map(lambda v: [v] * n),  # a constant column
+                                   st.lists(value, min_size=n, max_size=n)))
+            columns[f"c{j}"] = np.array(cells, dtype=np.float64)
+        else:
+            cells = draw(st.lists(st.sampled_from("abcd"), min_size=n, max_size=n))
+            columns[f"c{j}"] = np.array(cells, dtype=object)
+    sensitive = draw(st.lists(st.sampled_from(["yes", "no"]), min_size=n, max_size=n))
+    numeric_label = draw(st.booleans())
+    labels = st.sampled_from(["0", "1", "1.0"] if numeric_label else ["pos", "neg"])
+    columns["s"] = np.array(sensitive, dtype=object)
+    columns["y"] = np.array(draw(st.lists(labels, min_size=n, max_size=n)), dtype=object)
+    by_map = draw(st.booleans())
+    schema = TabularSchema(
+        columns=[(f"c{j}", kind) for j, kind in enumerate(kinds)],
+        label_column="y", sensitive_column="s",
+        sensitive_positive_value=None if by_map else "yes",
+        binarization_map={"yes": 1, "no": 0} if by_map else None,
+        label_positive_value=None if numeric_label else "pos")
+    table = RawTable(columns, row_ids=np.arange(n, dtype=np.int64) + 5,
+                     n_dropped_missing=0)
+    rows = st.lists(st.integers(0, n - 1), max_size=8)
+    fit = draw(rows.filter(bool))
+    return schema, table, fit, draw(rows), draw(rows)
+
+
+def loop_encode(table, schema, include_sensitive, stats):
+    """(features, labels, sensitive, unknown count) of encode, one cell at a
+    time: the reference for the columnar encode, bit for bit."""
+    features, labels, sensitive, unknown = [], [], [], 0
+    for i in range(table.n_rows):
+        row = []
+        for name, kind in schema.columns:
+            v = table.columns[name][i]
+            if kind == "numeric":
+                row.append((v - stats.numeric_mean[name]) / stats.numeric_std[name])
+                continue
+            vocab = stats.vocabularies[name]
+            row.extend(1.0 if v == u else 0.0 for u in vocab)
+            unknown += v not in vocab
+        s_value, y_value = table.columns["s"][i], table.columns["y"][i]
+        s = float(schema.binarization_map[s_value] if schema.binarization_map
+                  else s_value == schema.sensitive_positive_value)
+        features.append(row + [s] * include_sensitive)
+        sensitive.append(s)
+        labels.append(float(y_value == schema.label_positive_value
+                            if schema.label_positive_value else y_value))
+    width = include_sensitive + sum(1 if kind == "numeric" else len(stats.vocabularies[name])
+                                    for name, kind in schema.columns)
+    return (np.array(features).reshape(table.n_rows, width), np.array(labels),
+            np.array(sensitive), unknown)
+
+
+class TestEncodeCommutesWithSelection:
+    @settings(deadline=None, max_examples=200)
+    @given(encodable_tables(), st.booleans())
+    def test_matches_a_loop_over_cells(self, drawn, include_sensitive):
+        schema, table, fit, a, b = drawn
+        stats = fit_encoding(table.select(fit), schema)
+        ds = encode(table.select(a + b), schema, include_sensitive, stats)
+        features, labels, sensitive, unknown = loop_encode(
+            table.select(a + b), schema, include_sensitive, stats)
+        for got, want in ((ds.features, features), (ds.labels, labels),
+                          (ds.sensitive, sensitive)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ds.unknown_category_count == unknown
+
+    @settings(deadline=None, max_examples=200)
+    @given(encodable_tables(), st.booleans())
+    def test_encoding_a_join_joins_the_encodings(self, drawn, include_sensitive):
+        schema, table, fit, a, b = drawn
+        stats = fit_encoding(table.select(fit), schema)
+        whole, first, second = (encode(table.select(rows), schema, include_sensitive, stats)
+                                for rows in (a + b, a, b))
+        for field in ("features", "labels", "sensitive", "row_ids"):
+            joined = np.concatenate([getattr(first, field), getattr(second, field)])
+            got = getattr(whole, field)
+            assert (got.dtype, got.shape) == (joined.dtype, joined.shape), field
+            assert got.tobytes() == joined.tobytes(), field
+        assert whole.column_groups == first.column_groups == second.column_groups
+        assert whole.unknown_category_count == (first.unknown_category_count
+                                                + second.unknown_category_count)
+
+
+def three_way(n, seed):
+    """split_indices' train rows, then its test rows cut into aux and eval."""
+    train, test, n_aux = split_indices(n, seed)
+    return train, test[:n_aux], test[n_aux:]
+
+
 class TestSplit:
     def test_exact_70_15_15(self):
-        train, aux, ev = split_indices(100, seed=0)
+        train, aux, ev = three_way(100, seed=0)
         assert len(train) == 70 and len(aux) == 15 and len(ev) == 15
 
     def test_deterministic(self):
@@ -170,13 +287,13 @@ class TestSplit:
             assert np.array_equal(x, y)
 
     def test_partition(self):
-        train, aux, ev = split_indices(83, seed=3)
+        train, aux, ev = three_way(83, seed=3)
         joined = np.concatenate([train, aux, ev])
         assert sorted(joined) == list(range(83))
 
     def test_proportions_within_one_row(self):
         for n in (10, 33, 101, 999):
-            train, aux, ev = split_indices(n, seed=1)
+            train, aux, ev = three_way(n, seed=1)
             assert abs(len(train) - 0.7 * n) <= 1
             assert abs(len(aux) - 0.15 * n) <= 1
             assert abs(len(ev) - 0.15 * n) <= 1
@@ -187,7 +304,7 @@ class TestSplit:
             split_indices(9, seed=0)
 
     def test_split_dataset_topology(self):
-        train, aux, ev = split_indices(40, seed=5)
+        train, aux, ev = three_way(40, seed=5)
         assert len(train) == 28
         assert len(aux) == 6 and len(ev) == 6
         assert len(aux) + len(ev) == 12
@@ -238,6 +355,24 @@ class TestSchemaFile:
         with pytest.raises(SchemaError):
             schema.validate()
 
+    @pytest.mark.parametrize("field,bad", [
+        ("columns", [(["age"], "numeric")]),
+        ("columns", [("age", ["numeric"])]),
+        ("label_column", ["outcome"]),
+        ("sensitive_column", 5),
+        ("sensitive_positive_value", 1),
+        ("label_positive_value", ["pos"]),
+        ("binarization_map", ["yes"]),
+        ("binarization_map", {"yes": "1"}),
+        ("binarization_map", {1: 1}),
+        ("binarization_map", {"yes": [1]}),
+    ])
+    def test_value_of_the_wrong_type(self, field, bad):
+        schema = toy_schema()
+        setattr(schema, field, bad)
+        with pytest.raises(SchemaError):
+            schema.validate()
+
     def test_sensitive_must_not_be_a_feature(self):
         schema = toy_schema()
         schema.columns = schema.columns + [("minority", "categorical")]
@@ -280,7 +415,7 @@ class TestSynthetic:
         ds = encode(table, schema, include_sensitive=True,
                     stats=fit_encoding(table, schema))
         # sensitive flag is exactly the sign of x0, label coincides with it
-        x0 = np.array([r[0] for r in table.feature_rows])
+        x0 = table.columns["x0"]
         assert np.array_equal(ds.sensitive, (x0 > 0).astype(float))
         assert np.array_equal(ds.labels, ds.sensitive)
 

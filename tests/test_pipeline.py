@@ -173,7 +173,7 @@ class TestRunExperiment:
 
 def audit(cfg):
     """The correlation audit of one cell, as the audit subcommand runs it."""
-    prep, attributions, _ = next(pipeline.run_cells([cfg]))
+    prep, attributions = next(pipeline.run_cells([cfg]))
     return pipeline.correlation_audit(prep, attributions)
 
 
@@ -262,8 +262,14 @@ class TestStageReuse:
     def test_matrix_prepares_once_and_explains_per_explainer(
             self, synth_paths, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, "prepare", "compute_explanations")
+        predicted, forward_rows = [], pipeline.nn.forward_rows
+        monkeypatch.setattr(pipeline.nn, "forward_rows",
+                            lambda *args: predicted.append(args) or forward_rows(*args))
         reports = pipeline.run_matrix(self.matrix(synth_paths, str(tmp_path)))
         assert calls == {"prepare": 1, "compute_explanations": 2}
+        # pred_plus_phi's probabilities, made once in prepare; explain_batch's
+        # calls for the deltas name a target
+        assert len([args for args in predicted if len(args) == 2]) == 1
         kinds = [{r.attack_kind for r in rep.rows} for rep in reports]
         assert kinds == [{"mlp"}, {"forest"}, {"mlp"}, {"forest"}]
 

@@ -1,3 +1,4 @@
+import contextlib
 import http.client
 import json
 import math
@@ -727,6 +728,31 @@ class TestBoundedReads:
         with socket.create_connection((server.host, server.port), timeout=5) as sock:
             sock.sendall(b"POST /v1/predict HTTP/1.1\r\nHost: localhost\r\n")
             assert sock.recv(1024) == b""
+
+    def test_trickling_sender_is_closed_and_frees_its_slot(self, small_trained_net_module,
+                                                           monkeypatch):
+        """The request line and headers must arrive within the handler's
+        timeout of the request's start, so a socket that sends one byte at a
+        time, each well within the timeout, still loses its slot."""
+        model, X = small_trained_net_module
+        monkeypatch.setattr(service, "MAX_CONNECTIONS", 1)
+        monkeypatch.setattr(service._Handler, "timeout", 0.5)
+        with service.serve(model, explain.mean_baseline(X), ExplainerConfig()) as server:
+            with socket.create_connection((server.host, server.port), timeout=5) as sock:
+                start = time.monotonic()
+                for byte in b"GET /v1/health HTTP/1.1\r\nX-Trickle: " + b"a" * 40:
+                    if select.select([sock], [], [], 0.1)[0]:
+                        break  # the server has closed it
+                    try:
+                        sock.sendall(bytes([byte]))
+                    except OSError:  # the server has closed it and reset
+                        break
+                closed_after = time.monotonic() - start
+                with contextlib.suppress(ConnectionResetError):
+                    assert sock.recv(1024) == b""
+            assert closed_after < 2.0
+            assert service.client_fetch_predictions(server.url, X[:1]).tolist() == [
+                nn.forward(model, X[0], ScalarTarget.PROBABILITY)]
 
     @staticmethod
     def handled(monkeypatch) -> threading.Event:
