@@ -41,13 +41,6 @@ class SurfaceError(ValueError):
     """Surface is incompatible with the threat model or its inputs."""
 
 
-def sensitive_columns(column_groups: dict[str, list[int]],
-                      sensitive_column: str) -> list[int]:
-    """The encoded columns of the sensitive attribute, sorted; none under tm2.
-    Every other column is non-sensitive."""
-    return sorted(column_groups.get(sensitive_column, []))
-
-
 def build_surface_matrix(
     explanations,
     predictions,
@@ -56,7 +49,8 @@ def build_surface_matrix(
 ) -> np.ndarray:
     """Feature matrix the attack model sees: score columns of an
     explain.Explanations, then each record's delta where the surface takes
-    it, after the prediction column for pred_* surfaces."""
+    it, after the prediction column for pred_* surfaces. Columns outside
+    sensitive_cols (a dataset's sensitive_columns) are non-sensitive."""
     scores, delta = explanations.scores, explanations.delta
     if surface is AttackSurface.PHI_ALL:
         return np.column_stack([scores, delta])

@@ -36,8 +36,10 @@ NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TabularSchema:
+    """A valid schema: building one checks it and raises SchemaError."""
+
     columns: list[tuple[str, str]]  # feature columns only: (name, kind)
     label_column: str
     sensitive_column: str
@@ -45,7 +47,7 @@ class TabularSchema:
     binarization_map: dict[str, int] | None = None
     label_positive_value: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         names = [n for n, _ in self.columns]
         if not all(isinstance(v, str) for v in (*names, self.label_column,
                                                  self.sensitive_column)):
@@ -75,7 +77,7 @@ class TabularSchema:
         return [n for n, _ in self.columns]
 
     def sensitive_bit(self, value: str) -> float:
-        """The binarized sensitive attribute of a valid schema's value."""
+        """The binarized sensitive attribute of a value."""
         if self.binarization_map is None:
             return float(value == self.sensitive_positive_value)
         if value not in self.binarization_map:
@@ -99,7 +101,7 @@ class TabularSchema:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
         try:
-            schema = cls(
+            return cls(
                 columns=[(c["name"], c["kind"]) for c in raw["columns"]],
                 label_column=raw["label_column"],
                 sensitive_column=raw["sensitive_column"],
@@ -109,8 +111,6 @@ class TabularSchema:
             )
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed schema file {path}: {exc}") from exc
-        schema.validate()
-        return schema
 
     def to_json(self, path: str) -> None:
         write_json(path, {
@@ -160,7 +160,6 @@ class RawTable:
 def load_csv(path: str, schema: TabularSchema) -> RawTable:
     """Read and type-check the CSV; rows with missing schema values are
     dropped and counted."""
-    schema.validate()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -234,6 +233,7 @@ class TabularDataset:
     labels: np.ndarray
     sensitive: np.ndarray
     column_groups: dict[str, list[int]]
+    sensitive_columns: list[int]  # the sensitive attribute's column; [] if censored
     row_ids: np.ndarray
     # categorical values unseen by fit_encoding; a row slice keeps its dataset's count
     unknown_category_count: int = 0
@@ -265,8 +265,6 @@ def encode(
     counted. The binarized sensitive attribute becomes one 0/1 column iff
     include_sensitive.
     """
-    schema.validate()
-
     blocks: list[np.ndarray] = []
     column_groups: dict[str, list[int]] = {}
     next_col = 0
@@ -299,13 +297,13 @@ def encode(
     if include_sensitive:
         blocks.append(sensitive[:, None])
         column_groups[schema.sensitive_column] = [next_col]
-        next_col += 1
 
     return TabularDataset(
         features=np.hstack(blocks) if blocks else np.zeros((n, 0)),
         labels=_per_value(table.columns[schema.label_column], schema.label_bit),
         sensitive=sensitive,
         column_groups=column_groups,
+        sensitive_columns=[next_col] if include_sensitive else [],
         row_ids=np.asarray(table.row_ids, dtype=np.int64),
         unknown_category_count=unknown,
     )

@@ -266,9 +266,6 @@ def train(model: MlpModel, features, labels, cfg: TrainConfig) -> MlpModel:
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
 
-    if cfg.epochs == 0:
-        return model.copy()
-
     # parameters, gradients and both Adam moments in four flat buffers; p is
     # read straight from the input model, which this frame then lets go of
     p = np.concatenate([a.ravel() for wb in zip(model.weights, model.biases) for a in wb])

@@ -14,9 +14,10 @@ dumps and a manifest of every seed and config value. Identical config and
 seeds produce byte-identical report files.
 
 The aux records, then the eval records, are one encoded test set that every
-stage reads. A remote run trains no target: the service's predictions for the
-test set, fetched once, give the accuracy and the pred_* surfaces. In process
-forward_batch gives the accuracy, and forward_rows, once per target, the surfaces.
+stage reads, and that names the sensitive attribute's column, if any. A remote
+run trains no target: the service's predictions for the test set, fetched
+once, give the accuracy and the pred_* surfaces. In process forward_batch gives
+the accuracy, and run_matrix makes the surfaces' predictions once per target.
 
 Evaluation hygiene: encoding statistics, the explanation baseline, attack
 training and threshold calibration never see an eval-split record.
@@ -246,12 +247,11 @@ class _Prepared:
     """Builder-side artifacts shared by the CLI stages."""
 
     cfg: ExperimentConfig
-    schema: data_mod.TabularSchema
     splits: data_mod.DatasetSplits
     model: nn.MlpModel | None  # None when a service holds the target
     baseline: np.ndarray | None
     test_accuracy: float
-    predictions: np.ndarray | None  # for the test rows; None if nothing needs them
+    predictions: np.ndarray | None  # for the test rows; None until they are needed
     n_dropped_missing: int
 
 
@@ -302,16 +302,14 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
         if model is None:
             predictions = probabilities = service.client_fetch_predictions(
                 cfg.transport, test.features)
-        else:
-            probabilities = nn.forward_batch(model, test.features)
-            predictions = nn.forward_rows(model, test.features) if cfg.needs_predictions else None
+        else:  # run_matrix makes the predictions of a target that needs them
+            predictions, probabilities = None, nn.forward_batch(model, test.features)
         test_accuracy = metrics_mod.accuracy(probabilities, test.labels)
     except (service.ServiceError, ValueError) as exc:
         raise PipelineError("predict", str(exc)) from exc
 
     return _Prepared(
         cfg=cfg,
-        schema=schema,
         splits=data_mod.DatasetSplits(target_train=ds_train, test=test, n_aux=n_aux),
         model=model,
         baseline=baseline,
@@ -344,11 +342,11 @@ def run_attacks(prep: _Prepared, explanations) -> list[AttackCell]:
     """Train, calibrate and evaluate one attack per surface."""
     cfg, n_aux = prep.cfg, prep.splits.n_aux
     ds_aux, ds_eval = prep.splits.aux, prep.splits.eval
-    sens = attack_mod.sensitive_columns(ds_aux.column_groups, prep.schema.sensitive_column)
     cells = []
     for surface in cfg.surface_list:
         try:
-            X = attack_mod.build_surface_matrix(explanations, prep.predictions, surface, sens)
+            X = attack_mod.build_surface_matrix(explanations, prep.predictions, surface,
+                                                prep.splits.test.sensitive_columns)
             Xa, Xe = X[:n_aux], X[n_aux:]
             fadv = attack_mod.train_attack(
                 Xa, ds_aux.sensitive, kind=cfg.attack_kind, seed=cfg.attack_seed,
@@ -398,7 +396,7 @@ def correlation_audit(prep: _Prepared, explanations) -> list[CorrelationRow]:
     columns over all explained records, the test set; constant columns are
     skipped and counted."""
     cfg, test = prep.cfg, prep.splits.test
-    sens_cols = attack_mod.sensitive_columns(test.column_groups, prep.schema.sensitive_column)
+    sens_cols = test.sensitive_columns
     non_sens = [c for c in range(test.n_columns) if c not in sens_cols]
 
     def row(group, matrix, cols):
@@ -431,7 +429,7 @@ def correlation_audit(prep: _Prepared, explanations) -> list[CorrelationRow]:
 # to those, its explanations; their JSON text is the memo key (lists are unhashable)
 PREPARE_KEY = ("dataset_csv", "schema", "threat_model", "split_seed", "model_seed",
                "target_hidden", "target_epochs", "target_learning_rate",
-               "target_batch_size", "transport", "needs_predictions")
+               "target_batch_size", "transport")
 EXPLAIN_KEY = ("explainer", "explainer_seed", "ig_steps", "shap_samples", "shap_stdev",
                "smoothgrad_samples", "smoothgrad_sigma", "explanation_target")
 
@@ -467,10 +465,16 @@ def run_cells(cells: list[ExperimentConfig]):
 
 
 def run_matrix(cells: list[ExperimentConfig]) -> list[AttackReport]:
-    """Execute every cell end to end, one report per cell."""
-    reports = []
+    """Execute every cell end to end, one report per cell; an in-process
+    target's predictions are made once, for the first cell that needs them."""
+    reports, predicted = [], {}
     for prep, explanations in run_cells(cells):
         cfg, splits = prep.cfg, prep.splits
+        if prep.predictions is None and cfg.needs_predictions:
+            key = _key(cfg, PREPARE_KEY)
+            if key not in predicted:
+                predicted[key] = nn.forward_rows(prep.model, splits.test.features)
+            prep = dataclasses.replace(prep, predictions=predicted[key])
         rows = run_attacks(prep, explanations)
         correlations = correlation_audit(prep, explanations)
         manifest = {

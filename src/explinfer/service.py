@@ -19,9 +19,10 @@ the connect and each record's answer time. It joins the answers into one
 explain.Explanations, or one array of probabilities, and raises
 ServiceError for answers that hold another count than the records sent. Between calls the client keeps
 one idle connection, that of the last call that finished cleanly, and the
-next call to the same endpoint reuses it unless the server has closed it;
-the server closes a connection left idle for 10 s (_Handler.timeout), and
-every open connection when it shuts down.
+next call to the same endpoint reuses it. The server closes a connection
+left idle for 10 s (_Handler.timeout), and every open connection when it
+shuts down; a request that such a closed connection loses before any
+answer is resent at once on a fresh one.
 
 Errors are {"error": message}: 400 for malformed JSON, a negative or
 non-integer Content-Length, an unknown algorithm, a body without a nonempty
@@ -41,7 +42,6 @@ import contextlib
 import http.client
 import io
 import json
-import selectors
 import socket
 import threading
 import time
@@ -325,20 +325,11 @@ def close_idle_connection() -> None:
 atexit.register(close_idle_connection)
 
 
-def _closed_by_server(sock) -> bool:
-    """Whether an idle connection's socket reads as ready: the server
-    closed it, or sent what no request asked for."""
-    with selectors.DefaultSelector() as sel:  # select() takes no fd past 1023
-        sel.register(sock, selectors.EVENT_READ)
-        return bool(sel.select(0))
-
-
 def _exchange(endpoint: str, path: str, payloads, max_retries: int,
               timeout: float) -> list[dict]:
     """POST each payload (GET for None) over one keep-alive connection; the
     answers in order. The idle connection is reused if it leads to the same
-    endpoint and the server has not closed it; a call that finishes cleanly
-    leaves its connection idle."""
+    endpoint; a call that finishes cleanly leaves its connection idle."""
     url = endpoint.rstrip("/")
     parts = urllib.parse.urlsplit(url)
     connection = {"http": http.client.HTTPConnection,
@@ -347,7 +338,7 @@ def _exchange(endpoint: str, path: str, payloads, max_retries: int,
         raise ValueError(f"service endpoint must be an http(s):// URL, got {endpoint!r}")
     key = (parts.scheme, parts.hostname, parts.port)
     kept = _swap_idle()
-    if kept is not None and kept[0] == key and not _closed_by_server(kept[1].sock):
+    if kept is not None and kept[0] == key:
         conn = kept[1]
         conn.timeout = timeout  # for a reconnect
     else:

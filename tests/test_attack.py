@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from explinfer import attack, forest, metrics, nn
 from explinfer.attack import (AttackSurface, SurfaceError, ThreatModel,
-                              build_surface_matrix, calibrate, score,
-                              sensitive_columns, train_attack)
+                              build_surface_matrix, calibrate, score, train_attack)
 from explinfer.explain import Algorithm, Explanations
 from explinfer.nn import ScalarTarget
 
@@ -41,62 +40,60 @@ def make_attribution(scores, delta=0.5):
         scores=np.asarray([scores], dtype=float), delta=np.array([delta]))
 
 
-def build_surface(a, prediction, surface, groups, sensitive_column):
+def build_surface(a, prediction, surface, sensitive_cols):
     """The surface row of a one-record Explanations, through the batch form."""
     predictions = None if prediction is None else [prediction]
-    return build_surface_matrix(a, predictions, surface,
-                                sensitive_columns(groups, sensitive_column))[0]
+    return build_surface_matrix(a, predictions, surface, sensitive_cols)[0]
 
 
 class TestSurfaces:
-    groups = {"a": [0, 1], "b": [2], "s": [3, 4]}
+    sens = [3, 4]  # of 5 columns
 
     def test_phi_all_length(self):
         a = make_attribution([1.0, 2.0, 3.0, 4.0, 5.0], delta=9.0)
-        v = build_surface(a, None, AttackSurface.PHI_ALL, self.groups, "s")
+        v = build_surface(a, None, AttackSurface.PHI_ALL, self.sens)
         assert v.shape == (6,)
         assert v[-1] == 9.0
 
     def test_phi_sensitive_single_column(self):
-        groups = {"a": [0, 1], "s": [2]}
         a = make_attribution([1.0, 2.0, 7.0])
-        v = build_surface(a, None, AttackSurface.PHI_SENSITIVE, groups, "s")
+        v = build_surface(a, None, AttackSurface.PHI_SENSITIVE, [2])
         assert np.array_equal(v, np.array([7.0]))
 
     def test_phi_non_sensitive_appends_delta(self):
         a = make_attribution([1.0, 2.0, 3.0, 4.0, 5.0], delta=-0.25)
-        v = build_surface(a, None, AttackSurface.PHI_NON_SENSITIVE, self.groups, "s")
+        v = build_surface(a, None, AttackSurface.PHI_NON_SENSITIVE, self.sens)
         assert np.array_equal(v, np.array([1.0, 2.0, 3.0, -0.25]))
 
     def test_pred_plus_phi_leads_with_prediction(self):
         a = make_attribution([1.0, 2.0, 3.0, 4.0, 5.0], delta=0.0)
-        v = build_surface(a, 0.87, AttackSurface.PRED_PLUS_PHI, self.groups, "s")
+        v = build_surface(a, 0.87, AttackSurface.PRED_PLUS_PHI, self.sens)
         assert v[0] == 0.87
         assert v.shape == (5,)
 
     def test_pred_only(self):
         a = make_attribution([1.0, 2.0])
-        v = build_surface(a, 0.31, AttackSurface.PRED_ONLY, {}, "s")
+        v = build_surface(a, 0.31, AttackSurface.PRED_ONLY, [])
         assert np.array_equal(v, np.array([0.31]))
 
     def test_missing_prediction_rejected(self):
         a = make_attribution([1.0, 2.0])
         with pytest.raises(SurfaceError):
-            build_surface(a, None, AttackSurface.PRED_PLUS_PHI, {}, "s")
+            build_surface(a, None, AttackSurface.PRED_PLUS_PHI, [])
 
     def test_matrix_rows_are_records(self):
         explanations = Explanations(
             Algorithm.DEEPLIFT, ScalarTarget.LOGIT,
             np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [6.0, 7.0, 8.0, 9.0, 10.0]]),
             np.array([0.5, -0.5]))
-        sens = sensitive_columns(self.groups, "s")
+        sens = self.sens
         vectors = build_surface_matrix(explanations, None, AttackSurface.PHI_ALL, sens)
         assert vectors.shape == (2, 6)
         m = build_surface_matrix(explanations, [0.1, 0.9], AttackSurface.PRED_PLUS_PHI, sens)
         assert np.array_equal(m, np.array([[0.1, 1.0, 2.0, 3.0, 0.5],
                                            [0.9, 6.0, 7.0, 8.0, -0.5]]))
         for surface in AttackSurface:
-            rows = [build_surface(explanations[i:i + 1], p, surface, self.groups, "s")
+            rows = [build_surface(explanations[i:i + 1], p, surface, sens)
                     for i, p in enumerate([0.1, 0.9])]
             assert np.array_equal(
                 build_surface_matrix(explanations, [0.1, 0.9], surface, sens),

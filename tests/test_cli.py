@@ -450,6 +450,24 @@ def test_remote_explanation_files_match_in_process(cli_setup, tmp_path):
         assert expected.split(b"\n")[1].split(b",")[1:3] == [b"smoothgrad", b"probability"]
 
 
+@pytest.mark.parametrize("command", ["train", "serve", "explain", "audit"])
+def test_commands_that_attack_nothing_make_no_predictions(cli_setup, tmp_path,
+                                                          monkeypatch, command):
+    _, _, config = cli_setup
+    defaults = dict(config, output_dir=str(tmp_path / "out"))
+    del defaults["surfaces"]  # the default surfaces take predictions
+    path = tmp_path / "defaults.json"
+    path.write_text(json.dumps(defaults))
+    predicted, forward_rows = [], nn.forward_rows
+    monkeypatch.setattr(nn, "forward_rows",
+                        lambda *args: predicted.append(args) or forward_rows(*args))
+    monkeypatch.setattr(service.Server, "serve_forever", lambda self, poll: None)
+    assert cli.main([command, str(path), "--port", "0"] if command == "serve"
+                    else [command, str(path)]) == 0
+    # explain_batch's calls for the deltas name a target
+    assert [args for args in predicted if len(args) == 2] == []
+
+
 @pytest.mark.parametrize("command", ["train", "serve"])
 def test_train_and_serve_refuse_remote_transport(cli_setup, capsys, monkeypatch,
                                                  command):

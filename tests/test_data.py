@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import struct
@@ -105,6 +106,9 @@ class TestEncode:
                     stats=fit_encoding(self.make_table(), toy_schema()))
         assert "minority" not in ds.column_groups
         assert ds.n_columns == 3
+        assert ds.sensitive_columns == []
+        splits = data.DatasetSplits(target_train=ds, test=ds, n_aux=2)
+        assert splits.aux.sensitive_columns == splits.eval.sensitive_columns == []
 
     def test_sensitive_included_as_single_column(self):
         ds = encode(self.make_table(), toy_schema(), include_sensitive=True,
@@ -112,6 +116,10 @@ class TestEncode:
         cols = ds.column_groups["minority"]
         assert len(cols) == 1
         assert np.array_equal(ds.features[:, cols[0]], ds.sensitive)
+        assert ds.sensitive_columns == cols == [
+            c for c in range(ds.n_columns) if np.array_equal(ds.features[:, c], ds.sensitive)]
+        splits = data.DatasetSplits(target_train=ds, test=ds, n_aux=2)
+        assert splits.aux.sensitive_columns == splits.eval.sensitive_columns == cols
 
     def test_standardized_numeric_moments(self):
         ds = encode(self.make_table(), toy_schema(), include_sensitive=False,
@@ -139,31 +147,28 @@ class TestEncode:
         assert ds.unknown_category_count == 1
 
     def test_binarization_map(self):
-        schema = toy_schema()
-        schema.sensitive_positive_value = None
-        schema.binarization_map = {"yes": 1, "no": 0}
+        schema = dataclasses.replace(toy_schema(), sensitive_positive_value=None,
+                                     binarization_map={"yes": 1, "no": 0})
         ds = encode(self.make_table(), schema, include_sensitive=False,
                     stats=fit_encoding(self.make_table(), schema))
         assert np.array_equal(ds.sensitive, np.array([1.0, 0.0, 0.0, 1.0]))
 
     def test_unmapped_sensitive_value_rejected(self):
-        schema = toy_schema()
-        schema.sensitive_positive_value = None
-        schema.binarization_map = {"yes": 1}
+        schema = dataclasses.replace(toy_schema(), sensitive_positive_value=None,
+                                     binarization_map={"yes": 1})
         with pytest.raises(DataError):
             encode(self.make_table(), schema, include_sensitive=False,
                    stats=fit_encoding(self.make_table(), schema))
 
     def test_errors_name_the_first_row_that_fails(self):
-        schema = toy_schema()
-        schema.sensitive_positive_value = None
-        schema.binarization_map = {"yes": 1, "no": 0}
+        schema = dataclasses.replace(toy_schema(), sensitive_positive_value=None,
+                                     binarization_map={"yes": 1, "no": 0})
         table = toy_table(age=[1.0, 2.0, 3.0], job=["a", "b", "a"],
                           minority=["yes", "zz", "aa"], outcome=["pos", "neg", "2"])
         stats = fit_encoding(table, schema)
         with pytest.raises(DataError, match="'zz'"):
             encode(table, schema, include_sensitive=False, stats=stats)
-        schema.label_positive_value = None
+        schema = dataclasses.replace(schema, label_positive_value=None)
         table.columns["minority"][1:] = "no"
         with pytest.raises(DataError, match="'pos'"):
             encode(table, schema, include_sensitive=False, stats=stats)
@@ -318,7 +323,8 @@ class TestBaseRate:
         s = np.asarray(s, dtype=float)
         return data.TabularDataset(
             features=np.zeros((len(s), 1)), labels=np.zeros(len(s)),
-            sensitive=s, column_groups={}, row_ids=np.arange(len(s)))
+            sensitive=s, column_groups={}, sensitive_columns=[],
+            row_ids=np.arange(len(s)))
 
     def test_half(self):
         assert sensitive_base_rate(self.make([1, 1, 0, 0])) == 0.5
@@ -350,10 +356,10 @@ class TestSchemaFile:
             TabularSchema.from_json(str(p))
 
     def test_requires_binarization_rule(self):
-        schema = toy_schema()
-        schema.sensitive_positive_value = None
         with pytest.raises(SchemaError):
-            schema.validate()
+            dataclasses.replace(toy_schema(), sensitive_positive_value=None)
+        with pytest.raises(dataclasses.FrozenInstanceError):  # a built schema stays valid
+            toy_schema().sensitive_positive_value = None
 
     @pytest.mark.parametrize("field,bad", [
         ("columns", [(["age"], "numeric")]),
@@ -368,22 +374,18 @@ class TestSchemaFile:
         ("binarization_map", {"yes": [1]}),
     ])
     def test_value_of_the_wrong_type(self, field, bad):
-        schema = toy_schema()
-        setattr(schema, field, bad)
         with pytest.raises(SchemaError):
-            schema.validate()
+            dataclasses.replace(toy_schema(), **{field: bad})
 
     def test_sensitive_must_not_be_a_feature(self):
         schema = toy_schema()
-        schema.columns = schema.columns + [("minority", "categorical")]
         with pytest.raises(SchemaError):
-            schema.validate()
+            dataclasses.replace(schema, columns=schema.columns + [("minority", "categorical")])
 
     def test_label_and_sensitive_must_differ(self):
         schema = toy_schema()
-        schema.sensitive_column = schema.label_column
         with pytest.raises(SchemaError):
-            schema.validate()
+            dataclasses.replace(schema, sensitive_column=schema.label_column)
 
 
 class TestAdultCensus:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import explinfer
 from explinfer import explain, nn
-from explinfer.attack import AttackSurface, build_surface_matrix, sensitive_columns
+from explinfer.attack import AttackSurface, build_surface_matrix
 from explinfer.explain import Algorithm, ExplainerConfig, Explanations
 from explinfer.nn import ScalarTarget
 
@@ -308,8 +308,7 @@ class TestRestrict:
 
     @staticmethod
     def restrict(a, columns, surface=AttackSurface.PHI_SENSITIVE):
-        return build_surface_matrix(a, None, surface,
-                                    sensitive_columns({"s": columns}, "s"))[0]
+        return build_surface_matrix(a, None, surface, columns)[0]
 
     def test_all_columns(self):
         a = one_record(Algorithm.SMOOTHGRAD, [1.0, 2.0, 3.0], 0.0)

@@ -267,7 +267,7 @@ class TestStageReuse:
                             lambda *args: predicted.append(args) or forward_rows(*args))
         reports = pipeline.run_matrix(self.matrix(synth_paths, str(tmp_path)))
         assert calls == {"prepare": 1, "compute_explanations": 2}
-        # pred_plus_phi's probabilities, made once in prepare; explain_batch's
+        # pred_plus_phi's probabilities, made once for the target; explain_batch's
         # calls for the deltas name a target
         assert len([args for args in predicted if len(args) == 2]) == 1
         kinds = [{r.attack_kind for r in rep.rows} for rep in reports]

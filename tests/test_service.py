@@ -619,11 +619,10 @@ class TestConnectionReuse:
         assert preds.tolist() == [nn.forward(model, x, ScalarTarget.PROBABILITY)
                                   for x in X[:3]]
 
-    @pytest.mark.parametrize("check_misses_the_close", [False, True])
-    def test_connection_closed_while_idle_is_replaced_at_once(
-            self, running_server, monkeypatch, check_misses_the_close):
-        """The server's idle close costs no retry and no backoff sleep, also
-        when the close lands after the readability check."""
+    def test_connection_closed_while_idle_is_replaced_at_once(self, running_server,
+                                                               monkeypatch):
+        """The server's idle close costs one resend, but no retry and no
+        backoff sleep."""
         server, model, _, _, X = running_server
         monkeypatch.setattr(service._Handler, "timeout", 0.2)
         conns = ServerConnections(server, monkeypatch)
@@ -631,8 +630,6 @@ class TestConnectionReuse:
         assert conns.wait_finished(1)  # the server closed the idle connection
         assert select.select([service._idle[1].sock], [], [], 5)[0]  # the close arrived
         monkeypatch.setattr(service._Handler, "timeout", 10.0)  # for the replacement
-        if check_misses_the_close:
-            monkeypatch.setattr(service, "_closed_by_server", lambda sock: False)
         sleeps, sent = [], []
         request = http.client.HTTPConnection.request
 
@@ -645,8 +642,8 @@ class TestConnectionReuse:
         preds = service.client_fetch_predictions(server.url, X[:2], max_retries=1)
         assert preds.tolist() == [nn.forward(model, x, ScalarTarget.PROBABILITY)
                                   for x in X[:2]]
-        # a close that the check sees costs no request; one it misses, one resend
-        assert sent == ["/v1/predict"] * (2 if check_misses_the_close else 1)
+        # the request the closed connection lost, then its resend
+        assert sent == ["/v1/predict"] * 2
         assert sleeps == [] and conns.accepted == 2
         service.client_fetch_predictions(server.url, X[:1], max_retries=1)
         assert conns.accepted == 2  # the replacement was kept
