@@ -28,7 +28,7 @@ import os
 import sys
 
 from . import data as data_mod
-from . import nn, pipeline, service
+from . import nn, pipeline
 from .pipeline import ExperimentConfig, PipelineError
 
 
@@ -134,6 +134,7 @@ def _cmd_serve(args) -> int:
         raise PipelineError("config", f"serve needs a config describing exactly one "
                             f"cell, got {len(cells)}")
     cfg = cells[0]
+    from . import service  # only serve loads the server and the HTTP stack here
     try:  # bound before training, so that a bad port shows at once
         server = service.Server(args.host, args.port)
     except (OSError, OverflowError) as exc:  # a busy port, a bad host or port

@@ -17,7 +17,9 @@ from __future__ import annotations
 import array
 import csv
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,16 +40,19 @@ CATEGORICAL = "categorical"
 
 @dataclass(frozen=True)
 class TabularSchema:
-    """A valid schema: building one checks it and raises SchemaError."""
+    """A valid schema: building one checks it and raises SchemaError. It
+    keeps read-only copies of columns and binarization_map, so a built
+    schema stays valid."""
 
-    columns: list[tuple[str, str]]  # feature columns only: (name, kind)
+    columns: tuple[tuple[str, str], ...]  # feature columns only: (name, kind)
     label_column: str
     sensitive_column: str
     sensitive_positive_value: str | None = None
-    binarization_map: dict[str, int] | None = None
+    binarization_map: Mapping[str, int] | None = None
     label_positive_value: str | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "columns", tuple((n, k) for n, k in self.columns))
         names = [n for n, _ in self.columns]
         if not all(isinstance(v, str) for v in (*names, self.label_column,
                                                  self.sensitive_column)):
@@ -56,9 +61,11 @@ class TabularSchema:
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise SchemaError(f"{name} must be a string or null")
         m = self.binarization_map
-        if m is not None and not (isinstance(m, dict) and all(
+        if m is not None and not (isinstance(m, Mapping) and all(
                 isinstance(k, str) and v in (0, 1) for k, v in m.items())):
             raise SchemaError("binarization_map must map strings to 0 or 1")
+        if m is not None:
+            object.__setattr__(self, "binarization_map", MappingProxyType(dict(m)))
         if len(set(names)) != len(names):
             raise SchemaError("duplicate feature column names")
         for n, kind in self.columns:
@@ -118,7 +125,8 @@ class TabularSchema:
             "label_column": self.label_column,
             "sensitive_column": self.sensitive_column,
             "sensitive_positive_value": self.sensitive_positive_value,
-            "binarization_map": self.binarization_map,
+            "binarization_map": (None if self.binarization_map is None
+                                 else dict(self.binarization_map)),
             "label_positive_value": self.label_positive_value,
         })
 

@@ -205,13 +205,17 @@ def explain_batch(
     cfg: ExplainerConfig,
     target: ScalarTarget = ScalarTarget.LOGIT,
     record_ids=None,
+    *,
+    f_baseline=None,
 ) -> Explanations:
     """Explain every row of X; record_ids (default 0..n-1) seed the
     per-record noise streams.
 
     Records go through in chunks of at most GRAD_ROWS gradient rows (at
-    least one record). f(baseline) is evaluated once per call, and f(x) once
-    per chunk, after the chunk's scores.
+    least one record). f(x) is evaluated once per chunk, after the chunk's
+    scores, and f(baseline), nn.forward(model, baseline, target), once per
+    call unless the caller passes it as f_baseline: the server computes it
+    once per served target.
     """
     X = nn._check_matrix(X, model)
     base = np.asarray(baseline, dtype=np.float64)
@@ -221,11 +225,13 @@ def explain_batch(
     if len(ids) != len(X):
         raise ValueError("record_ids must match the number of rows")
     body, rows = _explainer(algorithm, cfg)
-    fb = nn.forward(model, base, target) if ids else None
+    if f_baseline is None and ids:
+        f_baseline = nn.forward(model, base, target)
     scores, delta = np.empty(X.shape), np.empty(len(X))
     k = max(1, GRAD_ROWS // rows)
     for lo in range(0, len(ids), k):
         hi = lo + k
         scores[lo:hi] = body(model, X[lo:hi], base, cfg, target, ids[lo:hi])
-        delta[lo:hi] = nn.forward_rows(model, X[lo:hi], target) - fb - scores[lo:hi].sum(axis=1)
+        f_x = nn.forward_rows(model, X[lo:hi], target)
+        delta[lo:hi] = f_x - f_baseline - scores[lo:hi].sum(axis=1)
     return Explanations(algorithm, target, scores, delta)

@@ -37,7 +37,7 @@ from . import attack as attack_mod
 from . import data as data_mod
 from . import explain as explain_mod
 from . import metrics as metrics_mod
-from . import nn, service
+from . import nn
 from .attack import AttackSurface, ThreatModel
 from .explain import Algorithm, ExplainerConfig
 from .nn import ScalarTarget, TrainConfig
@@ -300,12 +300,12 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
 
     try:
         if model is None:
-            predictions = probabilities = service.client_fetch_predictions(
-                cfg.transport, test.features)
+            predictions = probabilities = _fetch("predict", "client_fetch_predictions",
+                                                 cfg.transport, test.features)
         else:  # run_matrix makes the predictions of a target that needs them
             predictions, probabilities = None, nn.forward_batch(model, test.features)
         test_accuracy = metrics_mod.accuracy(probabilities, test.labels)
-    except (service.ServiceError, ValueError) as exc:
+    except ValueError as exc:
         raise PipelineError("predict", str(exc)) from exc
 
     return _Prepared(
@@ -319,17 +319,29 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
     )
 
 
+def _fetch(stage: str, name: str, *args, **kwargs):
+    """The service client's fetch `name` called with args; a ServiceError or
+    ValueError raises as the stage's PipelineError. Only remote runs call
+    it, so only they load the service, and the HTTP and TLS modules it
+    imports."""
+    from . import service
+    try:
+        return getattr(service, name)(*args, **kwargs)
+    except (service.ServiceError, ValueError) as exc:
+        raise PipelineError(stage, str(exc)) from exc
+
+
 def compute_explanations(prep: _Prepared) -> explain_mod.Explanations:
     """The test records' explanations, via the configured transport."""
     cfg, test = prep.cfg, prep.splits.test
+    if cfg.transport != IN_PROCESS:
+        return _fetch("explain", "client_fetch_explanations", cfg.transport,
+                      test.features, cfg.algorithm, record_ids=test.row_ids)
     try:
-        if cfg.transport == IN_PROCESS:
-            return explain_mod.explain_batch(
-                prep.model, test.features, prep.baseline, cfg.algorithm,
-                cfg.explainer_config, cfg.scalar_target, record_ids=test.row_ids)
-        return service.client_fetch_explanations(
-            cfg.transport, test.features, cfg.algorithm, record_ids=test.row_ids)
-    except (service.ServiceError, ValueError) as exc:
+        return explain_mod.explain_batch(
+            prep.model, test.features, prep.baseline, cfg.algorithm,
+            cfg.explainer_config, cfg.scalar_target, record_ids=test.row_ids)
+    except ValueError as exc:
         raise PipelineError("explain", str(exc)) from exc
 
 

@@ -30,9 +30,10 @@ non-integer Content-Length, an unknown algorithm, a body without a nonempty
 413, unread, for a body over MAX_BODY_BYTES; 422 for a bad feature row,
 named by its index; 404/405 otherwise. A connection is closed when its
 request line and headers take longer than the handler's timeout from the
-request's start, idle time included, or a later read or write blocks that
-long; one opened while MAX_CONNECTIONS are open gets 503, unread, and is
-closed. No endpoint exposes parameters, architecture or training data.
+request's start, idle time included, when its body takes longer than that
+plus its length at BODY_BYTES_PER_SECOND, or when writing the answer blocks
+that long; one opened while MAX_CONNECTIONS are open gets 503, unread, and
+is closed. No endpoint exposes parameters, architecture or training data.
 """
 
 from __future__ import annotations
@@ -51,10 +52,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from .explain import Algorithm, ExplainerConfig, Explanations, explain_batch
-from .nn import MlpModel, ScalarTarget, forward_rows
+from .nn import MlpModel, ScalarTarget, forward, forward_rows
 
 CHUNK_RECORDS = 256  # records per request sent by the client
 MAX_BODY_BYTES = 16 * 2**20  # a chunk of 100-feature records is about 0.7 MB
+# the slowest body the server waits for: a body of n bytes must arrive within
+# the handler's timeout plus n / BODY_BYTES_PER_SECOND of its request's start
+BODY_BYTES_PER_SECOND = 2**16
 MAX_CONNECTIONS = 64  # open connections, idle ones included; README says what it bounds
 POLL_SECONDS = 0.05  # serve_forever's poll, which bounds how long shutdown() waits
 
@@ -75,6 +79,7 @@ class _Endpoints:
                              f"got {self.baseline.shape}")
         self.cfg = cfg
         self.target = target
+        self.f_baseline = forward(model, self.baseline, target)  # once per served target
         self._fresh_rng = np.random.default_rng()
         self._rng_lock = threading.Lock()
 
@@ -119,7 +124,7 @@ class _Endpoints:
         except ValueError:
             raise _HttpError(400, f"unknown algorithm {raw_alg!r}")
         e = explain_batch(self.model, X, self.baseline, algorithm, self.cfg, self.target,
-                          self._record_ids(body, X.shape[0]))
+                          self._record_ids(body, X.shape[0]), f_baseline=self.f_baseline)
         return {"explanations": [{"scores": s, "delta": d}
                                  for s, d in zip(e.scores.tolist(), e.delta.tolist())],
                 "target": self.target.value}
@@ -146,9 +151,10 @@ class _Reads(socket.SocketIO):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    # seconds a read or write may block, and that the request line and headers
-    # may take, idle keep-alive time included: else a short body, a stalled,
-    # trickling or idle client would hold a thread and a connection slot
+    # seconds a write may block, and that the request line and headers may
+    # take, idle keep-alive time included, and the body beyond its
+    # BODY_BYTES_PER_SECOND share: else a short body, a stalled, trickling or
+    # idle client would hold a thread and a connection slot
     timeout = 10.0
     # else the body, written after the headers, waits for a delayed ACK (40 ms)
     disable_nagle_algorithm = True
@@ -162,7 +168,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.rfile = io.BufferedReader(_Reads(self.connection, "rb"))
 
     def handle_one_request(self):
-        self.rfile.raw.deadline = time.monotonic() + self.timeout
+        self._deadline = self.rfile.raw.deadline = time.monotonic() + self.timeout
         try:
             super().handle_one_request()
         except ConnectionError:  # the client hung up, say between two requests
@@ -171,7 +177,17 @@ class _Handler(BaseHTTPRequestHandler):
     def parse_request(self) -> bool:
         try:
             return super().parse_request()  # reads the headers
-        finally:  # the body and the answer get timeout per read or write
+        finally:  # the answer gets timeout per write
+            self.rfile.raw.deadline = None
+            self.connection.settimeout(self.timeout)
+
+    def _read_body(self, n: int) -> bytes:
+        """The n bytes of the body, read by the request's deadline extended
+        by n / BODY_BYTES_PER_SECOND."""
+        self.rfile.raw.deadline = self._deadline + n / BODY_BYTES_PER_SECOND
+        try:
+            return self.rfile.read(n)
+        finally:
             self.rfile.raw.deadline = None
             self.connection.settimeout(self.timeout)
 
@@ -204,7 +220,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.close_connection = True  # the body stays unread
                 raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
             try:
-                body = json.loads(self.rfile.read(int(length)).decode("utf-8"))
+                body = json.loads(self._read_body(int(length)).decode("utf-8"))
                 if not isinstance(body, dict):
                     raise ValueError("body must be a JSON object")
             except (ValueError, UnicodeDecodeError) as exc:

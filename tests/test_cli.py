@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -102,6 +104,25 @@ def test_experiment_full_run(cli_setup, capsys):
     for name in ("report.csv", "summary.json", "manifest.json",
                  "correlations.csv"):
         assert os.path.exists(os.path.join(out_dir, name))
+
+
+def test_in_process_commands_leave_the_http_stack_unloaded(cli_setup, tmp_path):
+    """train, explain, audit and experiment in process load neither the
+    service nor the HTTP and TLS modules it imports. They run in a fresh
+    interpreter, since this one has imported the service."""
+    _, config_path, _ = cli_setup
+    script = (
+        "import json, sys\n"
+        "from explinfer import cli\n"
+        "for command in ('train', 'explain', 'audit', 'experiment'):\n"
+        f"    assert cli.main([command, {config_path!r}, '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "loaded = {'ssl', 'http.client', 'http.server', 'explinfer.service'} & set(sys.modules)\n"
+        "print(json.dumps(sorted(loaded)))\n")
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=package_root), timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []
 
 
 def test_seed_override_changes_report(cli_setup, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import struct
@@ -377,10 +378,41 @@ class TestSchemaFile:
         with pytest.raises(SchemaError):
             dataclasses.replace(toy_schema(), **{field: bad})
 
+    def test_built_schema_cannot_be_changed_in_place(self):
+        """A built schema keeps read-only copies of its columns and
+        binarization_map: changing them raises, and changing the caller's
+        list or dict reaches neither."""
+        columns, mapping = [["age", "numeric"], ("job", "categorical")], {"yes": 1, "no": 0}
+        schema = dataclasses.replace(toy_schema(), columns=columns,
+                                     sensitive_positive_value=None, binarization_map=mapping)
+        with pytest.raises(TypeError):
+            schema.binarization_map["q"] = 5
+        with pytest.raises(AttributeError):
+            schema.columns.append(("minority", "categorical"))
+        with pytest.raises(TypeError):
+            schema.columns[0][1] = "categorical"
+        columns.append(("minority", "categorical"))
+        columns[0][1] = "categorical"
+        mapping["q"] = 5
+        assert schema.columns == (("age", "numeric"), ("job", "categorical"))
+        assert schema.binarization_map == {"yes": 1, "no": 0}
+        table = toy_table(age=[1.0, 2.0], job=["a", "b"], minority=["yes", "q"],
+                          outcome=["pos", "neg"])
+        with pytest.raises(DataError, match="'q'"):
+            encode(table, schema, include_sensitive=True, stats=fit_encoding(table, schema))
+
+    def test_schema_with_a_binarization_map_roundtrips(self, tmp_path):
+        schema = dataclasses.replace(toy_schema(), sensitive_positive_value=None,
+                                     binarization_map={"yes": 1, "no": 0})
+        path = tmp_path / "schema.json"
+        schema.to_json(str(path))
+        assert json.loads(path.read_text())["binarization_map"] == {"no": 0, "yes": 1}
+        assert TabularSchema.from_json(str(path)) == schema
+
     def test_sensitive_must_not_be_a_feature(self):
         schema = toy_schema()
         with pytest.raises(SchemaError):
-            dataclasses.replace(schema, columns=schema.columns + [("minority", "categorical")])
+            dataclasses.replace(schema, columns=[*schema.columns, ("minority", "categorical")])
 
     def test_label_and_sensitive_must_differ(self):
         schema = toy_schema()

@@ -751,6 +751,45 @@ class TestBoundedReads:
             assert service.client_fetch_predictions(server.url, X[:1]).tolist() == [
                 nn.forward(model, X[0], ScalarTarget.PROBABILITY)]
 
+    def test_trickled_body_is_closed_and_frees_its_slot(self, small_trained_net_module,
+                                                        monkeypatch):
+        """The body must arrive within the handler's timeout of the request's
+        start, plus its length at service.BODY_BYTES_PER_SECOND, so a body
+        sent one byte at a time, each well within the timeout, still loses
+        its slot."""
+        model, X = small_trained_net_module
+        monkeypatch.setattr(service, "MAX_CONNECTIONS", 1)
+        monkeypatch.setattr(service._Handler, "timeout", 0.5)
+        body = b'{"records": [[1, 2, 3, 4]]}'
+        with service.serve(model, explain.mean_baseline(X), ExplainerConfig()) as server:
+            with socket.create_connection((server.host, server.port), timeout=5) as sock:
+                start = time.monotonic()
+                sock.sendall(b"POST /v1/predict HTTP/1.1\r\nHost: localhost\r\n"
+                             b"Content-Length: %d\r\n\r\n" % len(body))
+                for byte in body:
+                    if select.select([sock], [], [], 0.2)[0]:
+                        break  # the server has closed it
+                    try:
+                        sock.sendall(bytes([byte]))
+                    except OSError:  # the server has closed it and reset
+                        break
+                closed_after = time.monotonic() - start
+                with contextlib.suppress(ConnectionResetError):
+                    assert sock.recv(1024) == b""
+            assert closed_after < 2.0
+            assert service.client_fetch_predictions(server.url, X[:1]).tolist() == [
+                nn.forward(model, X[0], ScalarTarget.PROBABILITY)]
+
+    def test_full_chunk_of_census_width_records_is_answered(self, monkeypatch):
+        """A body's time grows with its length: a chunk of CHUNK_RECORDS
+        100-feature records, sent at once, is read whole and answered."""
+        monkeypatch.setattr(service._Handler, "timeout", 0.5)
+        model = nn.init_model([100, 8, 1], seed=0)
+        X = np.random.default_rng(0).normal(size=(service.CHUNK_RECORDS, 100))
+        with service.serve(model, np.zeros(100), ExplainerConfig()) as server:
+            assert service.client_fetch_predictions(server.url, X).tolist() == (
+                nn.forward_rows(model, X).tolist())
+
     @staticmethod
     def handled(monkeypatch) -> threading.Event:
         """An event set once the server has closed a connection, after any
@@ -834,6 +873,26 @@ class TestBoundedReads:
         assert done.wait(5)
         err = capfd.readouterr().err
         assert "Traceback" in err and "RuntimeError: parse_request broke" in err
+
+
+def test_served_explanations_reuse_the_baseline_output(running_server, monkeypatch):
+    """The server computes f(baseline) once, when load() builds its
+    endpoints, so single-record /v1/explain requests make no nn.forward
+    call; a one-shot explain_batch computes it once per call."""
+    server, model, baseline, cfg, X = running_server
+    calls, forward = [], nn.forward
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", counted)
+    for i in range(5):
+        service.client_fetch_explanations(server.url, X[i:i + 1], Algorithm.GRADIENT_SHAP,
+                                          record_ids=[i])
+    assert calls == []
+    explain.explain_batch(model, X[:1], baseline, Algorithm.GRADIENT_SHAP, cfg)
+    assert len(calls) == 1
 
 
 @settings(max_examples=25, deadline=None)
