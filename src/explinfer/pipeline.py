@@ -322,8 +322,7 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
 def _fetch(stage: str, name: str, *args, **kwargs):
     """The service client's fetch `name` called with args; a ServiceError or
     ValueError raises as the stage's PipelineError. Only remote runs call
-    it, so only they load the service, and the HTTP and TLS modules it
-    imports."""
+    it, so only they load the service, and ssl with it for an https URL."""
     from . import service
     try:
         return getattr(service, name)(*args, **kwargs)

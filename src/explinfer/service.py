@@ -14,8 +14,9 @@ single record is a batch of one. Each record of a batch gets the arithmetic
 it gets alone, and floats round-trip, so answers are bit-identical to
 one-record and in-process ones for the same record id; without ids the
 server draws fresh noise per record. The client sends CHUNK_RECORDS records
-per request over a keep-alive http(s) connection, and its timeout bounds
-the connect and each record's answer time. It joins the answers into one
+per request over a keep-alive http(s) connection (ssl is imported only for
+https), and its timeout bounds the connect and each record's answer time.
+It joins the answers into one
 explain.Explanations, or one array of probabilities, and raises
 ServiceError for answers that hold another count than the records sent. Between calls the client keeps
 one idle connection, that of the last call that finished cleanly, and the
@@ -24,11 +25,26 @@ left idle for 10 s (_Handler.timeout), and every open connection when it
 shuts down; a request that such a closed connection loses before any
 answer is resent at once on a fresh one.
 
-Errors are {"error": message}: 400 for malformed JSON, a negative or
-non-integer Content-Length, an unknown algorithm, a body without a nonempty
-"records" list or ids that are not nonnegative integers, one per record;
-413, unread, for a body over MAX_BODY_BYTES; 422 for a bad feature row,
-named by its index; 404/405 otherwise. A connection is closed when its
+Both ends speak HTTP/1.1 through one small codec. A message is a start
+line, at most 100 header lines of at most 65,536 bytes each, and a body of
+Content-Length bytes; it is parsed once and written in one piece, so the
+peer wakes once per message. The server accepts HTTP/1.1 and HTTP/1.0
+(keep-alive follows the version and the Connection header), GET and POST,
+and bodies framed by Content-Length only. It sends no 100 Continue: a
+client that sends Expect: 100-continue sends its body after its own wait.
+The client takes answers framed by a Content-Length of at most
+MAX_BODY_BYTES; any other answer is a failed attempt.
+
+Errors are {"error": message}: 400 for malformed JSON, an unknown
+algorithm, a body without a nonempty "records" list or ids that are not
+nonnegative integers, one per record; 422 for a bad feature row, named by
+its index; 404 for another endpoint. A request outside the codec's subset
+gets its error with Connection: close, and nothing after its fault is
+read: 400 for a malformed request line or header line, another HTTP
+version, or a negative, non-integer or second Content-Length; 405 for
+another method, with Allow: GET, POST; 411 for a Transfer-Encoding; 413
+for a body over MAX_BODY_BYTES; 414 or 431 for a request line or header
+line over the limits, or too many header lines. A connection is closed when its
 request line and headers take longer than the handler's timeout from the
 request's start, idle time included, when its body takes longer than that
 plus its length at BODY_BYTES_PER_SECOND, or when writing the answer blocks
@@ -40,14 +56,15 @@ from __future__ import annotations
 
 import atexit
 import contextlib
-import http.client
 import io
 import json
+import re
 import socket
+import socketserver
 import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 
 import numpy as np
 
@@ -131,10 +148,78 @@ class _Endpoints:
 
 
 class _HttpError(Exception):
+    """A message outside the codec's subset, or a request the endpoints
+    refuse, with the status that answers it."""
+
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+# the HTTP/1.1 codec both ends speak: a head of at most _MAX_HEADERS header
+# lines of at most _MAX_LINE bytes each, then a body of Content-Length bytes,
+# written with the head in one piece
+_MAX_LINE, _MAX_HEADERS = 65536, 100
+_TOKEN = re.compile(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+
+
+def _read_line(rfile, status: int) -> bytes:
+    """The next line of a message head, without its end; one over _MAX_LINE
+    bytes is a `status` answer."""
+    line = rfile.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _HttpError(status, f"a line of the head exceeds {_MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise ConnectionResetError("connection closed within a message head")
+    return line.rstrip(b"\r\n")
+
+
+def _read_head(rfile) -> tuple[bytes, dict[str, str]] | None:
+    """The start line and the headers (names lowercased, repeats joined by
+    ", ") of the next message on rfile; None if the stream ends before it.
+    An over-long start line is a 414, an over-long or 101st header line a
+    431, a malformed header line or a second Content-Length a 400."""
+    if not rfile.peek(1):
+        return None
+    start, headers = _read_line(rfile, 414), {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(rfile, 431)
+        if not line:
+            return start, headers
+        name, colon, value = line.partition(b":")
+        if not (colon and _TOKEN.fullmatch(name)):
+            raise _HttpError(400, f"malformed header line {line[:80]!r}")
+        name, value = name.decode("ascii").lower(), value.strip(b" \t").decode("latin-1")
+        if name in headers:
+            if name == "content-length":
+                raise _HttpError(400, "more than one Content-Length header")
+            value = f"{headers[name]}, {value}"
+        headers[name] = value
+    raise _HttpError(431, f"more than {_MAX_HEADERS} header lines")
+
+
+def _content_length(headers: dict[str, str]) -> int:
+    length = headers.get("content-length", "0")
+    if not (length.isascii() and length.isdigit()):
+        raise _HttpError(400, "Content-Length must be a nonnegative integer")
+    digits = length.lstrip("0") or "0"
+    # int() refuses over 4,300 digits; 20 already exceed any body limit
+    return int(digits) if len(digits) <= 20 else 10**20
+
+
+def _keeps_alive(version: bytes, headers: dict[str, str]) -> bool:
+    """Whether the connection stays open after this message: HTTP/1.1 unless
+    it says close, HTTP/1.0 only if it says keep-alive."""
+    tokens = {t.strip().lower() for t in headers.get("connection", "").split(",")}
+    return "close" not in tokens and (version == b"HTTP/1.1" or "keep-alive" in tokens)
+
+
+def _message(head: list[bytes], body: bytes) -> bytes:
+    """The start line and headers in head, the JSON body's type and length,
+    and the body, as one buffer: one write per message, so the peer wakes once."""
+    return b"\r\n".join([*head, b"Content-Type: application/json",
+                          b"Content-Length: %d" % len(body), b"", body])
 
 
 class _Reads(socket.SocketIO):
@@ -149,103 +234,114 @@ class _Reads(socket.SocketIO):
         return super().readinto(buffer)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _Handler(socketserver.StreamRequestHandler):
     # seconds a write may block, and that the request line and headers may
     # take, idle keep-alive time included, and the body beyond its
     # BODY_BYTES_PER_SECOND share: else a short body, a stalled, trickling or
     # idle client would hold a thread and a connection slot
     timeout = 10.0
-    # else the body, written after the headers, waits for a delayed ACK (40 ms)
+    # else the last segment of a long answer waits for a delayed ACK (40 ms)
     disable_nagle_algorithm = True
-
-    def log_message(self, fmt, *args):  # quiet by default
-        pass
 
     def setup(self):
         super().setup()
         self.rfile.close()  # for one that keeps a deadline
         self.rfile = io.BufferedReader(_Reads(self.connection, "rb"))
 
-    def handle_one_request(self):
-        self._deadline = self.rfile.raw.deadline = time.monotonic() + self.timeout
-        try:
-            super().handle_one_request()
-        except ConnectionError:  # the client hung up, say between two requests
-            self.close_connection = True
-
-    def parse_request(self) -> bool:
-        try:
-            return super().parse_request()  # reads the headers
-        finally:  # the answer gets timeout per write
-            self.rfile.raw.deadline = None
-            self.connection.settimeout(self.timeout)
-
-    def _read_body(self, n: int) -> bytes:
-        """The n bytes of the body, read by the request's deadline extended
-        by n / BODY_BYTES_PER_SECOND."""
-        self.rfile.raw.deadline = self._deadline + n / BODY_BYTES_PER_SECOND
-        try:
-            return self.rfile.read(n)
-        finally:
-            self.rfile.raw.deadline = None
-            self.connection.settimeout(self.timeout)
-
-    def _send(self, status: int, payload: dict) -> None:
-        data = json.dumps(payload).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(data)
-        except (ConnectionError, TimeoutError):
-            self.close_connection = True  # the client hung up or stopped reading
-
-    def do_GET(self):
-        if self.path == "/v1/health":
-            self._send(200, {"status": "ok"})
-        else:
-            self._send(404, {"error": f"no such endpoint: {self.path}"})
-
-    def do_POST(self):
-        try:
-            length = self.headers.get("Content-Length", "0")
-            if not (length.isascii() and length.isdigit()):
-                self.close_connection = True  # the body's end is unknown
-                raise _HttpError(400, "Content-Length must be a nonnegative integer")
-            if int(length) > MAX_BODY_BYTES:
-                self.close_connection = True  # the body stays unread
-                raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+    def handle(self):
+        """Answer requests until one closes the connection. A request
+        outside the accepted subset gets its 4xx and a close, unread past its
+        fault; a hang-up, or a request not read by its deadline, a close."""
+        keep_alive = True
+        while keep_alive:
+            deadline = self.rfile.raw.deadline = time.monotonic() + self.timeout
             try:
-                body = json.loads(self._read_body(int(length)).decode("utf-8"))
-                if not isinstance(body, dict):
+                request = self._read_request(deadline)
+            except _HttpError as exc:
+                self._send(exc.status, {"error": exc.message}, keep_alive=False)
+                return
+            except (ConnectionError, TimeoutError):
+                return
+            finally:  # the answer gets timeout per write
+                self.rfile.raw.deadline = None
+                self.connection.settimeout(self.timeout)
+            if request is None:  # the client closed it between requests
+                return
+            method, path, body, keep_alive = request
+            keep_alive &= self._send(*self._answer(method, path, body), keep_alive)
+
+    def _read_request(self, deadline: float):
+        """The next request's method, path, body and whether the connection
+        stays open after it, or None at the end of the stream. The body must
+        arrive by deadline extended by its length / BODY_BYTES_PER_SECOND."""
+        head = _read_head(self.rfile)
+        if head is None:
+            return None
+        start, headers = head
+        words = start.split()
+        if len(words) != 3:
+            raise _HttpError(400, f"malformed request line {start[:80]!r}")
+        method, path, version = words
+        if version not in (b"HTTP/1.1", b"HTTP/1.0"):
+            raise _HttpError(400, "only HTTP/1.1 and HTTP/1.0 are supported")
+        if method not in (b"GET", b"POST"):
+            raise _HttpError(405, f"unsupported method {method[:20].decode('latin-1')}")
+        if "transfer-encoding" in headers:
+            raise _HttpError(411, "a body needs a Content-Length; "
+                                  "Transfer-Encoding is not supported")
+        n = _content_length(headers)
+        if n > MAX_BODY_BYTES:
+            raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+        self.rfile.raw.deadline = deadline + n / BODY_BYTES_PER_SECOND
+        body = self.rfile.read(n)
+        if len(body) < n:
+            raise ConnectionResetError("connection closed within a request body")
+        return method.decode(), path.decode("latin-1"), body, _keeps_alive(version, headers)
+
+    def _answer(self, method: str, path: str, body: bytes) -> tuple[int, object]:
+        """The status and JSON payload that answer a request read whole."""
+        endpoints = self.server.endpoints
+        try:
+            if method == "GET" and path == "/v1/health":
+                return 200, {"status": "ok"}
+            endpoint = {"/v1/predict": endpoints.predict,
+                        "/v1/explain": endpoints.explain}.get(path)
+            if method != "POST" or endpoint is None:
+                raise _HttpError(404, f"no such endpoint: {path}")
+            try:
+                request = json.loads(body.decode("utf-8"))
+                if not isinstance(request, dict):
                     raise ValueError("body must be a JSON object")
             except (ValueError, UnicodeDecodeError) as exc:
                 raise _HttpError(400, f"malformed JSON body: {exc}")
-            if self.path == "/v1/predict":
-                self._send(200, self.server.endpoints.predict(body))
-            elif self.path == "/v1/explain":
-                self._send(200, self.server.endpoints.explain(body))
-            else:
-                raise _HttpError(404, f"no such endpoint: {self.path}")
+            return 200, endpoint(request)
         except _HttpError as exc:
-            self._send(exc.status, {"error": exc.message})
-        except TimeoutError:
-            raise  # the base handler closes a connection that timed out
+            return exc.status, {"error": exc.message}
         except Exception as exc:  # contract: never leak a traceback
-            self._send(500, {"error": f"internal error: {exc}"})
+            return 500, {"error": f"internal error: {exc}"}
+
+    def _send(self, status: int, payload, keep_alive: bool) -> bool:
+        """Write the answer in one piece; False if the client hung up or
+        stopped reading."""
+        head = [b"HTTP/1.1 %d %s" % (status, HTTPStatus(status).phrase.encode()),
+                b"Connection: keep-alive" if keep_alive else b"Connection: close"]
+        if status == 405:
+            head.append(b"Allow: GET, POST")
+        try:
+            self.connection.sendall(_message(head, json.dumps(payload).encode("utf-8")))
+        except (ConnectionError, TimeoutError):
+            return False
+        return True
 
 
-class Server(ThreadingHTTPServer):
+class Server(socketserver.ThreadingTCPServer):
     """The service, bound to host:port when built (port 0 binds an ephemeral
     port). Once load() has given it a model it serves: on a thread after
     start(), or in the caller's through serve_forever(POLL_SECONDS). shutdown()
     and the context exit stop the thread, if one was started, and close every
     open connection: else a kept-alive client would reach the old model."""
 
+    allow_reuse_address = True
     daemon_threads = True
     endpoints: _Endpoints
 
@@ -277,9 +373,8 @@ class Server(ThreadingHTTPServer):
         body = json.dumps({"error": f"server busy: {MAX_CONNECTIONS} connections open"}).encode()
         request.setblocking(False)
         with contextlib.suppress(OSError):  # the peer is already gone
-            request.sendall(b"HTTP/1.1 503 Service Unavailable\r\n"
-                            b"Content-Type: application/json\r\nConnection: close\r\n"
-                            b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+            request.sendall(_message([b"HTTP/1.1 503 Service Unavailable",
+                                      b"Connection: close"], body))
         return False
 
     def shutdown_request(self, request):
@@ -341,6 +436,64 @@ def close_idle_connection() -> None:
 atexit.register(close_idle_connection)
 
 
+class _Connection:
+    """A keep-alive connection to one http(s) endpoint, opened by connect();
+    sock is None while it is closed."""
+
+    def __init__(self, scheme: str, host: str, port: int | None, timeout: float):
+        self.scheme, self.host, self.timeout = scheme, host, timeout
+        self.port = port or (443 if scheme == "https" else 80)
+        name = f"[{host}]" if ":" in host else host  # an IPv6 address
+        self._host = (name if port is None else f"{name}:{port}").encode()
+        self.sock = self._rfile = None
+
+    def connect(self) -> None:
+        sock = socket.create_connection((self.host, self.port), self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self.scheme == "https":
+                import ssl  # only an https endpoint loads TLS
+                sock = ssl.create_default_context().wrap_socket(sock,
+                                                                server_hostname=self.host)
+        except BaseException:
+            sock.close()
+            raise
+        self.sock, self._rfile = sock, sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self._rfile.close()
+            self.sock.close()
+            self.sock = self._rfile = None
+
+    def request(self, method: str, path: str, body: bytes) -> None:
+        """Send the request in one write."""
+        self.sock.sendall(_message([f"{method} {path} HTTP/1.1".encode(),
+                                    b"Host: " + self._host], body))
+
+    def response(self) -> int:
+        """Read the answer's status line and headers; its status."""
+        head = _read_head(self._rfile)
+        if head is None:
+            raise ConnectionResetError("connection closed before an answer")
+        (version, _, status), headers = head[0].partition(b" "), head[1]
+        self._length = _content_length(headers) if "content-length" in headers else -1
+        if not (version in (b"HTTP/1.1", b"HTTP/1.0") and status[:3].isdigit()
+                and 0 <= self._length <= MAX_BODY_BYTES):
+            raise _HttpError(502, f"an answer outside the codec's subset: {head[0][:80]!r}")
+        self._keep_alive = _keeps_alive(version, headers)
+        return int(status[:3])
+
+    def read(self) -> bytes:
+        """The answer's body; closes the connection if the answer says so."""
+        data = self._rfile.read(self._length)
+        if len(data) < self._length:
+            raise ConnectionResetError("connection closed within an answer")
+        if not self._keep_alive:
+            self.close()
+        return data
+
+
 def _exchange(endpoint: str, path: str, payloads, max_retries: int,
               timeout: float) -> list[dict]:
     """POST each payload (GET for None) over one keep-alive connection; the
@@ -348,9 +501,9 @@ def _exchange(endpoint: str, path: str, payloads, max_retries: int,
     endpoint; a call that finishes cleanly leaves its connection idle."""
     url = endpoint.rstrip("/")
     parts = urllib.parse.urlsplit(url)
-    connection = {"http": http.client.HTTPConnection,
-                  "https": http.client.HTTPSConnection}.get(parts.scheme)
-    if connection is None or not parts.hostname:
+    # printable ASCII: anything else would not be one request line
+    if (parts.scheme not in ("http", "https") or not parts.hostname
+            or not re.fullmatch(r"[!-~]*", parts.path)):
         raise ValueError(f"service endpoint must be an http(s):// URL, got {endpoint!r}")
     key = (parts.scheme, parts.hostname, parts.port)
     kept = _swap_idle()
@@ -360,7 +513,7 @@ def _exchange(endpoint: str, path: str, payloads, max_retries: int,
     else:
         if kept is not None:
             kept[1].close()
-        conn = connection(parts.hostname, parts.port, timeout=timeout)
+        conn = _Connection(*key, timeout)
     try:
         answers = [_request(conn, url + path, parts.path + path, p, max_retries, timeout)
                    for p in payloads]
@@ -374,36 +527,36 @@ def _exchange(endpoint: str, path: str, payloads, max_retries: int,
     return answers
 
 
-def _request(conn, url: str, path: str, payload, max_retries: int, timeout: float) -> dict:
+def _request(conn: _Connection, url: str, path: str, payload, max_retries: int,
+             timeout: float) -> dict:
     """A request that gets no answer or a 503 reopens the connection and is
     sent again, with exponential backoff; another HTTP error raises at once.
     A request that fails before its status line on a connection that has
     carried an earlier one, which the server may have closed while idle,
     is first resent at once on a fresh connection, outside the retry count.
     Connecting may take timeout seconds, the answer timeout per record."""
-    body = None if payload is None else json.dumps(payload).encode("utf-8")
+    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
     n_records = 1 if payload is None else len(payload["records"])
     attempt, last_exc = 0, None
     while attempt < max_retries:
-        reused, resp = conn.sock is not None, None
+        reused, status = conn.sock is not None, None
         try:
             if not reused:
                 conn.connect()
             conn.sock.settimeout(timeout * n_records)
             # a full server answers 503 unread and closes, maybe before the body is sent
             with contextlib.suppress(BrokenPipeError, ConnectionResetError):
-                conn.request("GET" if body is None else "POST", path, body,
-                             {"Content-Type": "application/json"})
-            resp = conn.getresponse()
-            data = resp.read()
-            if resp.status == 503:  # a full server, which closed it: a slot may free up
+                conn.request("GET" if payload is None else "POST", path, body)
+            status = conn.response()
+            data = conn.read()
+            if status == 503:  # a full server, which closed it: a slot may free up
                 raise ConnectionRefusedError(f"returned 503: {data.decode('utf-8', 'replace')}")
             break
-        except (http.client.HTTPException, OSError) as exc:
+        except (_HttpError, OSError) as exc:
             conn.close()  # the next attempt reconnects
             last_exc = exc
             # a timeout means a slow server, not a closed connection
-            if reused and resp is None and not isinstance(exc, TimeoutError):
+            if reused and status is None and not isinstance(exc, TimeoutError):
                 continue
             attempt += 1
             if attempt < max_retries:
@@ -411,8 +564,8 @@ def _request(conn, url: str, path: str, payload, max_retries: int, timeout: floa
     else:
         raise ServiceError(
             f"could not reach {url} after {max_retries} attempts: {last_exc}") from last_exc
-    if resp.status != 200:  # the server answered, not busy: a protocol failure
-        raise ServiceError(f"{url} returned {resp.status}: {data.decode('utf-8', 'replace')}")
+    if status != 200:  # the server answered, not busy: a protocol failure
+        raise ServiceError(f"{url} returned {status}: {data.decode('utf-8', 'replace')}")
     return json.loads(data.decode("utf-8"))
 
 

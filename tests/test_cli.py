@@ -108,8 +108,8 @@ def test_experiment_full_run(cli_setup, capsys):
 
 def test_in_process_commands_leave_the_http_stack_unloaded(cli_setup, tmp_path):
     """train, explain, audit and experiment in process load neither the
-    service nor the HTTP and TLS modules it imports. They run in a fresh
-    interpreter, since this one has imported the service."""
+    service nor the standard library's HTTP and TLS modules. They run in a
+    fresh interpreter, since this one has imported the service."""
     _, config_path, _ = cli_setup
     script = (
         "import json, sys\n"
