@@ -8,12 +8,13 @@ Subcommands:
     serve       expose the target model through the blackbox HTTP API
     experiment  full matrix run: attacks + audit + report emission
 
-Every subcommand prepares each distinct target once per invocation
-(pipeline.prepare_cells), and those that explain compute each distinct
-explanation set once (pipeline.run_cells). train and explain name their
-files by the seeds that key them and write each file once. train and serve
-build the target in process and refuse a remote transport; with one, the
-other subcommands train nothing and query the service.
+Within one invocation each distinct target is prepared, and each distinct
+explanation set computed, once (pipeline.run_cells). train prepares, and
+explain and audit walk, only the first cell of each target or explanation
+set (pipeline.first_cells), so each file and audit row is written once;
+experiment writes one report for the whole matrix. train and serve build
+the target in process and refuse a remote transport; with one, the other
+subcommands train nothing and query the service.
 
 Every subcommand takes a JSON experiment config; common flags override the
 config's output_dir, transport and seeds. Exit code 0 on success, 2 on a
@@ -69,14 +70,10 @@ def _in_process_cells(args) -> list[ExperimentConfig]:
 
 
 def _cmd_train(args) -> int:
-    written = set()
-    for prep in pipeline.prepare_cells(_in_process_cells(args)):
-        cfg = prep.cfg
+    for cfg in pipeline.first_cells(_in_process_cells(args), pipeline.PREPARE_KEY):
+        prep = pipeline.prepare(cfg)
         # named by the matrix fields that key a target
         tag = f"{cfg.tm.value}-s{cfg.split_seed}m{cfg.model_seed}"
-        if tag in written:  # the cell shares an earlier cell's target
-            continue
-        written.add(tag)
         os.makedirs(cfg.output_dir, exist_ok=True)
         model_path = os.path.join(cfg.output_dir, f"target-{tag}.npz")
         nn.save_model(prep.model, model_path)
@@ -89,16 +86,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    written = set()
-    for prep, explanations in pipeline.run_cells(_load_cells(args)):
+    sets = pipeline.first_cells(_load_cells(args), pipeline.PREPARE_KEY + pipeline.EXPLAIN_KEY)
+    for prep, explanations in pipeline.run_cells(sets):
         cfg = prep.cfg
         # named by the matrix fields that key an explanation set
         stem = os.path.join(
             cfg.output_dir, f"explanations-{cfg.tm.value}-{cfg.algorithm.value}-"
             f"s{cfg.split_seed}m{cfg.model_seed}e{cfg.explainer_seed}")
-        if stem in written:  # the cell shares an earlier cell's explanations
-            continue
-        written.add(stem)
         os.makedirs(cfg.output_dir, exist_ok=True)
         n_aux = prep.splits.n_aux
         for name, split, ds in (("aux", explanations[:n_aux], prep.splits.aux),
@@ -115,7 +109,8 @@ def _cmd_explain(args) -> int:
 
 def _cmd_audit(args) -> int:
     cells = _load_cells(args)
-    rows = [row for prep, explanations in pipeline.run_cells(cells)
+    sets = pipeline.first_cells(cells, pipeline.PREPARE_KEY + pipeline.EXPLAIN_KEY)
+    rows = [row for prep, explanations in pipeline.run_cells(sets)
             for row in pipeline.correlation_audit(prep, explanations)]
     out_dir = cells[0].output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -151,7 +146,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cells = _load_cells(args)
-    report = pipeline.merge_reports(pipeline.run_matrix(cells))
+    report = pipeline.run_matrix(cells)
     files = pipeline.emit_report(report, cells[0].output_dir)
     for cell in report.rows:
         print(f"{cell.dataset} {cell.threat_model} {cell.explainer} "

@@ -9,9 +9,12 @@ list of attack surfaces. A run executes:
     attack model on aux -> calibrate the threshold on aux -> infer on eval
     -> metrics, plus the correlation audit
 
-and emits a machine-readable report, PR-curve files, per-record prediction
-dumps and a manifest of every seed and config value. Identical config and
-seeds produce byte-identical report files.
+A run of many cells walks one stage graph (run_cells): each distinct target
+is prepared, and each distinct explanation set computed, once. It emits one
+report: a row per cell and surface, PR-curve files, per-record prediction
+dumps and a manifest of every cell's config and of each distinct target's
+dataset counts and accuracy, once. Identical config and seeds produce
+byte-identical report files.
 
 The aux records, then the eval records, are one encoded test set that every
 stage reads, and that names the sensitive attribute's column, if any. A remote
@@ -122,8 +125,11 @@ class ExperimentConfig:
         if len(set(self.surfaces)) != len(self.surfaces):
             raise ValueError("surfaces must be unique")
         if self.dataset_name is None:
-            stem = os.path.splitext(os.path.basename(self.dataset_csv))[0]
-            self.dataset_name = stem
+            self.dataset_name = os.path.splitext(os.path.basename(self.dataset_csv))[0]
+        # the name goes unquoted into CSV rows and into output file names
+        if any(c and c in self.dataset_name for c in (",", '"', "\r", "\n", os.sep, os.altsep)):
+            raise ValueError(f"dataset name {self.dataset_name!r} holds a comma, quote, line "
+                             f"break or path separator; set dataset_name to a name without them")
         # exact types: bool is an int subclass, and "1" would fail deep in a stage
         for name, low in (("split_seed", 0), ("model_seed", 0), ("attack_seed", 0),
                           ("explainer_seed", 0), ("target_epochs", 1),
@@ -449,67 +455,63 @@ def _key(cfg: ExperimentConfig, names) -> tuple:
     return tuple(json.dumps(getattr(cfg, n)) for n in names)
 
 
-def prepare_cells(cells: list[ExperimentConfig]):
-    """Yield the prepared target of each cell, in order.
-
-    Within one call each distinct target (keyed by PREPARE_KEY) is prepared
-    once, and every cell gets it rebound to its own config."""
-    prepared = {}
+def first_cells(cells: list[ExperimentConfig], names) -> list[ExperimentConfig]:
+    """The first cell of each distinct key over the fields `names`, in order."""
+    firsts = {}
     for cfg in cells:
-        key = _key(cfg, PREPARE_KEY)
-        if key not in prepared:
-            prepared[key] = prepare(cfg)
-        yield dataclasses.replace(prepared[key], cfg=cfg)
+        firsts.setdefault(_key(cfg, names), cfg)
+    return list(firsts.values())
 
 
 def run_cells(cells: list[ExperimentConfig]):
     """Yield (prepared, explanations) for each cell, in order.
 
-    Targets come from prepare_cells, and each distinct explanation set
-    (keyed by PREPARE_KEY and EXPLAIN_KEY) is computed once per call."""
-    explained = {}
-    for prep in prepare_cells(cells):
-        key = _key(prep.cfg, PREPARE_KEY + EXPLAIN_KEY)
+    Within one call each distinct target (keyed by PREPARE_KEY) is prepared
+    once and each distinct explanation set (keyed by PREPARE_KEY and
+    EXPLAIN_KEY) computed once; every cell gets them rebound to its config."""
+    prepared, explained = {}, {}
+    for cfg in cells:
+        key = _key(cfg, PREPARE_KEY)
+        if key not in prepared:
+            prepared[key] = prepare(cfg)
+        prep = dataclasses.replace(prepared[key], cfg=cfg)
+        key += _key(cfg, EXPLAIN_KEY)
         if key not in explained:
             explained[key] = compute_explanations(prep)
         yield prep, explained[key]
 
 
-def run_matrix(cells: list[ExperimentConfig]) -> list[AttackReport]:
-    """Execute every cell end to end, one report per cell; an in-process
-    target's predictions are made once, for the first cell that needs them."""
-    reports, predicted = [], {}
+def run_matrix(cells: list[ExperimentConfig]) -> AttackReport:
+    """Execute every cell end to end into one report. The manifest holds
+    each cell's config and each distinct target once; an in-process target's
+    predictions are made once, for the first cell that needs them."""
+    rows, correlations, targets, predicted = [], [], {}, {}
     for prep, explanations in run_cells(cells):
         cfg, splits = prep.cfg, prep.splits
+        key = _key(cfg, PREPARE_KEY)
         if prep.predictions is None and cfg.needs_predictions:
-            key = _key(cfg, PREPARE_KEY)
             if key not in predicted:
                 predicted[key] = nn.forward_rows(prep.model, splits.test.features)
             prep = dataclasses.replace(prep, predictions=predicted[key])
-        rows = run_attacks(prep, explanations)
-        correlations = correlation_audit(prep, explanations)
-        manifest = {
-            "config": dataclasses.asdict(cfg),
-            "dataset": {
-                "rows_after_filtering": splits.target_train.n_rows + splits.test.n_rows,
-                "rows_dropped_missing": prep.n_dropped_missing,
-                "unknown_category_values": splits.test.unknown_category_count,
-                "train_rows": splits.target_train.n_rows,
-                "aux_rows": splits.n_aux,
-                "eval_rows": splits.test.n_rows - splits.n_aux,
-                "encoded_columns": splits.target_train.n_columns,
-            },
-            "target_test_accuracy": prep.test_accuracy,
-        }
-        reports.append(AttackReport(rows, correlations, manifest))
-    return reports
-
-
-def merge_reports(reports: list[AttackReport]) -> AttackReport:
-    rows = [r for rep in reports for r in rep.rows]
-    correlations = [c for rep in reports for c in rep.correlations]
-    manifest = {"cells": [rep.manifest for rep in reports]}
-    return AttackReport(rows=rows, correlations=correlations, manifest=manifest)
+        rows += run_attacks(prep, explanations)
+        correlations += correlation_audit(prep, explanations)
+        if key not in targets:
+            targets[key] = {
+                **{name: getattr(cfg, name) for name in PREPARE_KEY},
+                "dataset": {
+                    "rows_after_filtering": splits.target_train.n_rows + splits.test.n_rows,
+                    "rows_dropped_missing": prep.n_dropped_missing,
+                    "unknown_category_values": splits.test.unknown_category_count,
+                    "train_rows": splits.target_train.n_rows,
+                    "aux_rows": splits.n_aux,
+                    "eval_rows": splits.test.n_rows - splits.n_aux,
+                    "encoded_columns": splits.target_train.n_columns,
+                },
+                "target_test_accuracy": prep.test_accuracy,
+            }
+    manifest = {"cells": [dataclasses.asdict(cfg) for cfg in cells],
+                "targets": list(targets.values())}
+    return AttackReport(rows, correlations, manifest)
 
 
 REPORT_COLUMNS = [

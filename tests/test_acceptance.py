@@ -245,9 +245,9 @@ def census_runs(tmp_path_factory):
         ig_steps=50, split_seed=11, model_seed=12, attack_seed=13,
         explainer_seed=14, output_dir=str(d / "out"))
     tm1 = pipeline.run_matrix([pipeline.ExperimentConfig(
-        threat_model="tm1", surfaces=["phi_all"], **common)])[0]
+        threat_model="tm1", surfaces=["phi_all"], **common)])
     tm2 = pipeline.run_matrix([pipeline.ExperimentConfig(
-        threat_model="tm2", surfaces=["phi_non_sensitive"], **common)])[0]
+        threat_model="tm2", surfaces=["phi_non_sensitive"], **common)])
     elapsed = time.perf_counter() - start
     return tm1, tm2, elapsed
 
@@ -256,9 +256,10 @@ def test_criterion_7_census_reproduction(census_runs):
     tm1, tm2, elapsed = census_runs
     with criterion(7, "desk-scale CENSUS reproduction", 900):
         assert elapsed < 900, f"runs took {elapsed:.0f}s"
-        acc = tm1.manifest["target_test_accuracy"]
+        [target1], [target2] = tm1.manifest["targets"], tm2.manifest["targets"]
+        acc = target1["target_test_accuracy"]
         print(f"  [census] tm1 accuracy={acc:.4f} "
-              f"tm2 accuracy={tm2.manifest['target_test_accuracy']:.4f}")
+              f"tm2 accuracy={target2['target_test_accuracy']:.4f}")
         assert 0.792 <= acc <= 0.852, f"tm1 test accuracy {acc}"
         row1 = tm1.rows[0]
         print(f"  [census] tm1 phi_all F1={row1.f1:.4f} "
@@ -296,7 +297,7 @@ def test_criterion_9_synthetic_perfect_recovery(tmp_path):
             target_hidden=[32, 16], target_epochs=150, target_batch_size=32,
             attack_hidden=[16, 8], attack_epochs=500, attack_batch_size=64,
             output_dir=str(tmp_path / "out"))
-        report = pipeline.run_matrix([cfg])[0]
+        report = pipeline.run_matrix([cfg])
         row = report.rows[0]
         assert row.f1 == 1.0, f"F1 {row.f1}"
         assert row.precision == 1.0 and row.recall == 1.0
@@ -314,7 +315,7 @@ def test_criterion_10_wire_equivalence(tmp_path):
             attack_hidden=[16, 8], attack_epochs=300, attack_batch_size=64)
         local_cfg = pipeline.ExperimentConfig(
             output_dir=str(tmp_path / "local"), **common)
-        local = pipeline.run_matrix([local_cfg])[0]
+        local = pipeline.run_matrix([local_cfg])
 
         prep = pipeline.prepare(local_cfg)
         server = service.serve(prep.model, prep.baseline,
@@ -324,7 +325,7 @@ def test_criterion_10_wire_equivalence(tmp_path):
             remote_cfg = pipeline.ExperimentConfig(
                 output_dir=str(tmp_path / "remote"), transport=server.url,
                 **common)
-            remote = pipeline.run_matrix([remote_cfg])[0]
+            remote = pipeline.run_matrix([remote_cfg])
         finally:
             server.shutdown()
 

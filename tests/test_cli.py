@@ -97,6 +97,19 @@ def test_audit_emits_correlations(cli_setup, capsys):
     assert os.path.exists(os.path.join(config["output_dir"], "correlations.csv"))
 
 
+def test_audit_writes_each_explanation_set_once(cli_setup, tmp_path):
+    """Cells that differ only in attack_kind share one explanation set, so
+    the audit writes its four groups once."""
+    _, _, config = cli_setup
+    path = tmp_path / "kinds.json"
+    path.write_text(json.dumps(dict(config, attack_kind=["mlp", "forest"])))
+    out = str(tmp_path / "audit")
+    assert cli.main(["audit", str(path), "--out-dir", out]) == 0
+    with open(os.path.join(out, "correlations.csv"), encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["group"] for r in rows] == ["y", "x", "phi_sensitive", "phi_non_sensitive"]
+
+
 def test_experiment_full_run(cli_setup, capsys):
     d, config_path, config = cli_setup
     assert cli.main(["experiment", config_path]) == 0
@@ -167,6 +180,9 @@ def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys, text, se
     {"surfaces": []}, {"target_epochs": 0}, {"attack_epochs": 0},
     {"dataset_csv": 5}, {"schema": 10**6}, {"output_dir": 5}, {"transport": 5},
     {"dataset_name": 5}, {"run_audit": "no"}, {"run_audit": True},
+    # the name goes unquoted into CSV rows and output file names
+    {"dataset_name": "a,b"}, {"dataset_name": "x\ny"}, {"dataset_name": "x\ry"},
+    {"dataset_name": "a/b"}, {"dataset_name": '"a'},
     {"model_seed": []}, {"threat_model": []}, {"attack_kind": []},
 ])
 def test_bad_field_is_config_error_before_training(cli_setup, tmp_path, capsys,
@@ -181,6 +197,21 @@ def test_bad_field_is_config_error_before_training(cli_setup, tmp_path, capsys,
     path.write_text(json.dumps(dict(config, **override)))
     assert cli.main(["experiment", str(path)]) == 2
     assert "error [stage=config]" in capsys.readouterr().err
+
+
+def test_dataset_name_derived_from_a_csv_name_with_a_comma_is_config_error(
+        cli_setup, tmp_path, capsys, monkeypatch):
+    _, _, config = cli_setup
+    monkeypatch.setattr(pipeline, "prepare", lambda cfg: pytest.fail("work started"))
+    renamed = tmp_path / "my,data.csv"
+    with open(config["dataset_csv"], "rb") as fh:
+        renamed.write_bytes(fh.read())
+    path = tmp_path / "name.json"
+    path.write_text(json.dumps(dict(config, dataset_csv=str(renamed))))
+    assert cli.main(["experiment", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [stage=config] dataset name 'my,data'")
+    assert "set dataset_name" in err
 
 
 @pytest.mark.parametrize("command", ["train", "explain", "audit", "serve"])
@@ -384,7 +415,7 @@ def test_remote_run_reports_served_model_accuracy(cli_setup, tmp_path):
     assert [r["target_test_accuracy"] for r in rows] == [repr(served.test_accuracy)]
     with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    assert manifest["cells"][0]["target_test_accuracy"] == served.test_accuracy
+    assert [t["target_test_accuracy"] for t in manifest["targets"]] == [served.test_accuracy]
 
 
 def test_remote_report_echoes_the_local_explainer_seed(cli_setup, tmp_path):
@@ -420,7 +451,7 @@ def test_remote_report_echoes_the_local_explainer_seed(cli_setup, tmp_path):
     assert [r["explainer_seed"] for r in remote_rows] == ["3"]
     assert [dict(r, explainer_seed="9") for r in remote_rows] == local_rows
     with open(os.path.join(remote, "manifest.json"), encoding="utf-8") as fh:
-        cell = json.load(fh)["cells"][0]["config"]
+        [cell] = json.load(fh)["cells"]
     assert cell["explainer_seed"] == 3 and cell["transport"] == server.url
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import socket
@@ -79,7 +80,7 @@ class TestConfig:
 
     def test_report_rows_carry_seeds(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path), split_seed=42)
-        report = pipeline.run_matrix([cfg])[0]
+        report = pipeline.run_matrix([cfg])
         row = report.rows[0]
         assert (row.split_seed, row.model_seed) == (42, cfg.model_seed)
         files = pipeline.emit_report(report, cfg.output_dir)
@@ -106,7 +107,7 @@ class TestConfig:
         cfg = fast_config(synth_paths, str(tmp_path))
         cfg.dataset_csv = "/nonexistent/file.csv"
         with pytest.raises(PipelineError) as err:
-            pipeline.run_matrix([cfg])[0]
+            pipeline.run_matrix([cfg])
         assert err.value.stage == "load"
 
     def test_unreachable_service_is_predict_stage_error(self, synth_paths, tmp_path):
@@ -117,7 +118,7 @@ class TestConfig:
             cfg = fast_config(synth_paths, str(tmp_path),
                               transport=f"http://127.0.0.1:{sock.getsockname()[1]}")
             with pytest.raises(PipelineError) as err:
-                pipeline.run_matrix([cfg])[0]
+                pipeline.run_matrix([cfg])
         assert err.value.stage == "predict"
 
 
@@ -125,7 +126,7 @@ class TestRunExperiment:
     def test_synthetic_perfect_recovery(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path), target_hidden=[32, 16],
                           target_epochs=150, attack_epochs=500)
-        report = pipeline.run_matrix([cfg])[0]
+        report = pipeline.run_matrix([cfg])
         row = report.rows[0]
         assert row.surface == "phi_all"
         assert row.f1 == 1.0
@@ -134,8 +135,8 @@ class TestRunExperiment:
     def test_deterministic_report_bytes(self, synth_paths, tmp_path):
         cfg_a = fast_config(synth_paths, str(tmp_path / "a"))
         cfg_b = fast_config(synth_paths, str(tmp_path / "b"))
-        files_a = pipeline.emit_report(pipeline.run_matrix([cfg_a])[0], cfg_a.output_dir)
-        files_b = pipeline.emit_report(pipeline.run_matrix([cfg_b])[0], cfg_b.output_dir)
+        files_a = pipeline.emit_report(pipeline.run_matrix([cfg_a]), cfg_a.output_dir)
+        files_b = pipeline.emit_report(pipeline.run_matrix([cfg_b]), cfg_b.output_dir)
         for name in sorted(os.listdir(cfg_a.output_dir)):
             if name == "manifest.json":
                 continue  # manifest embeds the differing output_dir paths
@@ -145,7 +146,7 @@ class TestRunExperiment:
 
     def test_eval_metrics_recomputable_from_dump(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path))
-        report = pipeline.run_matrix([cfg])[0]
+        report = pipeline.run_matrix([cfg])
         files = pipeline.emit_report(report, cfg.output_dir)
         with open(files["report"], encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
@@ -166,7 +167,7 @@ class TestRunExperiment:
     def test_attack_beats_all_positive_baseline(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path), target_epochs=150,
                           attack_epochs=500)
-        report = pipeline.run_matrix([cfg])[0]
+        report = pipeline.run_matrix([cfg])
         for row in report.rows:
             assert row.f1 > row.baseline_f1
 
@@ -265,28 +266,51 @@ class TestStageReuse:
         predicted, forward_rows = [], pipeline.nn.forward_rows
         monkeypatch.setattr(pipeline.nn, "forward_rows",
                             lambda *args: predicted.append(args) or forward_rows(*args))
-        reports = pipeline.run_matrix(self.matrix(synth_paths, str(tmp_path)))
+        report = pipeline.run_matrix(self.matrix(synth_paths, str(tmp_path)))
         assert calls == {"prepare": 1, "compute_explanations": 2}
         # pred_plus_phi's probabilities, made once for the target; explain_batch's
         # calls for the deltas name a target
         assert len([args for args in predicted if len(args) == 2]) == 1
-        kinds = [{r.attack_kind for r in rep.rows} for rep in reports]
-        assert kinds == [{"mlp"}, {"forest"}, {"mlp"}, {"forest"}]
+        # two surfaces per cell, the cells in order
+        assert [r.attack_kind for r in report.rows] == ["mlp", "mlp", "forest", "forest"] * 2
 
     def test_matrix_report_bytes_match_cells_run_alone(self, synth_paths, tmp_path):
         cells = self.matrix(synth_paths, str(tmp_path / "cfg"))
         shared, alone = str(tmp_path / "shared"), str(tmp_path / "alone")
-        pipeline.emit_report(
-            pipeline.merge_reports(pipeline.run_matrix(cells)), shared)
-        pipeline.emit_report(
-            pipeline.merge_reports([pipeline.run_matrix([c])[0] for c in cells]),
-            alone)
+        pipeline.emit_report(pipeline.run_matrix(cells), shared)
+        reports = [pipeline.run_matrix([c]) for c in cells]
+        # the alone runs state one common target; the matrix's manifest holds
+        # their cells joined and that target once
+        [target] = reports[0].manifest["targets"]
+        assert all(rep.manifest["targets"] == [target] for rep in reports)
+        pipeline.emit_report(AttackReport(
+            rows=[r for rep in reports for r in rep.rows],
+            correlations=[c for rep in reports for c in rep.correlations],
+            manifest={"cells": [c for rep in reports for c in rep.manifest["cells"]],
+                      "targets": [target]}), alone)
         assert sorted(os.listdir(shared)) == sorted(os.listdir(alone))
         for name in ("report.csv", "summary.json", "correlations.csv",
                      "manifest.json", *os.listdir(shared)):
             with open(os.path.join(shared, name), "rb") as fa:
                 with open(os.path.join(alone, name), "rb") as fb:
                     assert fa.read() == fb.read(), name
+
+    def test_manifest_states_each_target_once(self, synth_paths, tmp_path):
+        cells = self.matrix(synth_paths, str(tmp_path))
+        manifest = pipeline.run_matrix(cells).manifest
+        assert manifest["cells"] == [dataclasses.asdict(cfg) for cfg in cells]
+        [target] = manifest["targets"]
+        assert {k: target[k] for k in pipeline.PREPARE_KEY} == {
+            k: getattr(cells[0], k) for k in pipeline.PREPARE_KEY}
+        assert target["dataset"]["aux_rows"] + target["dataset"]["eval_rows"] == 90
+
+        raw = dict(dataclasses.asdict(cells[0]), model_seed=[1, 2], attack_kind="mlp")
+        report = pipeline.run_matrix(pipeline.expand_matrix(raw))
+        targets = report.manifest["targets"]
+        assert [t["model_seed"] for t in targets] == [1, 2]
+        assert targets[0]["dataset"] == targets[1]["dataset"]
+        assert ([t["target_test_accuracy"] for t in targets]
+                == [r.target_test_accuracy for r in report.rows[::2]])
 
     @pytest.mark.parametrize("field,values", [("model_seed", (1, 2)),
                                               ("threat_model", ("tm1", "tm2"))])
@@ -314,7 +338,7 @@ class TestEmitReport:
 
     def test_pr_curve_file_roundtrip(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path), surfaces=["phi_all", "phi_sensitive"])
-        report = pipeline.run_matrix([cfg])[0]
+        report = pipeline.run_matrix([cfg])
         files = pipeline.emit_report(report, cfg.output_dir)
         for cell, path in zip(report.rows, files["curves"], strict=True):
             with open(path, encoding="utf-8") as fh:
@@ -329,7 +353,7 @@ class TestEmitReport:
 
     def test_reemit_byte_identical(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path))
-        report = pipeline.run_matrix([cfg])[0]
+        report = pipeline.run_matrix([cfg])
         pipeline.emit_report(report, cfg.output_dir)
         first = {}
         for name in os.listdir(cfg.output_dir):
@@ -347,7 +371,7 @@ class TestTransportEquivalence:
                           threat_model="tm2",
                           surfaces=["phi_non_sensitive", "pred_plus_phi"],
                           explainer="gradient_shap")
-        local = pipeline.run_matrix([cfg])[0]
+        local = pipeline.run_matrix([cfg])
 
         prep = pipeline.prepare(cfg)
         server = service.serve(
@@ -359,7 +383,7 @@ class TestTransportEquivalence:
                 threat_model="tm2",
                 surfaces=["phi_non_sensitive", "pred_plus_phi"],
                 explainer="gradient_shap", transport=server.url)
-            remote = pipeline.run_matrix([remote_cfg])[0]
+            remote = pipeline.run_matrix([remote_cfg])
         finally:
             server.shutdown()
 
@@ -374,7 +398,7 @@ class TestTransportEquivalence:
         surfaces = ["phi_non_sensitive", "pred_plus_phi"]
         cfg = fast_config(synth_paths, str(tmp_path / "local"), surfaces=surfaces,
                           explainer="deeplift")
-        local = pipeline.run_matrix([cfg])[0]
+        local = pipeline.run_matrix([cfg])
         prep = pipeline.prepare(cfg)
         served = []
         predict = service._Endpoints.predict
@@ -389,7 +413,7 @@ class TestTransportEquivalence:
             remote_cfg = fast_config(synth_paths, str(tmp_path / "remote"),
                                      surfaces=surfaces, explainer="deeplift",
                                      transport=server.url)
-            remote = pipeline.run_matrix([remote_cfg])[0]
+            remote = pipeline.run_matrix([remote_cfg])
         assert sum(served) == prep.splits.aux.n_rows + prep.splits.eval.n_rows
         reports = [pipeline.emit_report(r, c.output_dir)["report"]
                    for r, c in ((local, cfg), (remote, remote_cfg))]
