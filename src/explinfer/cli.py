@@ -17,8 +17,9 @@ the target in process and refuse a remote transport; with one, the other
 subcommands train nothing and query the service.
 
 Every subcommand takes a JSON experiment config; common flags override the
-config's output_dir, transport and seeds. Exit code 0 on success, 2 on a
-pipeline failure (the offending stage is named in the diagnostic).
+config's output_dir, transport and seeds. Exit code 0 on success; on any
+failure 2, with one line `error [stage=<name>] <message>` on stderr that
+names the failed stage (pipeline._stage); a failed write is stage emit.
 """
 
 from __future__ import annotations
@@ -35,29 +36,28 @@ from .pipeline import ExperimentConfig, PipelineError
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("config", help="path to the experiment config JSON")
-    parser.add_argument("--out-dir", help="override output_dir")
+    parser.add_argument("--out-dir", dest="output_dir", help="override output_dir")
     parser.add_argument("--transport",
                         help="'in_process' or the base URL of a running service")
-    parser.add_argument("--split-seed", type=int)
-    parser.add_argument("--model-seed", type=int)
-    parser.add_argument("--attack-seed", type=int)
-    parser.add_argument("--explainer-seed", type=int)
+    for seed in ("split", "model", "attack", "explainer"):
+        parser.add_argument(f"--{seed}-seed", type=int)
 
 
 def _load_cells(args) -> list[ExperimentConfig]:
-    raw = pipeline.read_config(args.config)
-    overrides = {
-        "output_dir": args.out_dir,
-        "transport": args.transport,
-        "split_seed": args.split_seed,
-        "model_seed": args.model_seed,
-        "attack_seed": args.attack_seed,
-        "explainer_seed": args.explainer_seed,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = value
-    return pipeline.expand_matrix(raw)
+    with pipeline._stage("config"):
+        raw = pipeline.read_config(args.config)
+        for key in ("output_dir", "transport", "split_seed", "model_seed", "attack_seed",
+                    "explainer_seed"):
+            if getattr(args, key) is not None:
+                raw[key] = getattr(args, key)
+        cells = pipeline.expand_matrix(raw)
+        for cfg in cells:  # a run that cannot write its output fails before it trains
+            parent = os.path.abspath(cfg.output_dir)
+            while not os.path.exists(parent):
+                parent = os.path.dirname(parent)
+            if not (cfg.output_dir and os.path.isdir(parent)):
+                raise ValueError(f"output_dir {cfg.output_dir!r} cannot be a directory")
+        return cells
 
 
 def _in_process_cells(args) -> list[ExperimentConfig]:
@@ -74,14 +74,15 @@ def _cmd_train(args) -> int:
         prep = pipeline.prepare(cfg)
         # named by the matrix fields that key a target
         tag = f"{cfg.tm.value}-s{cfg.split_seed}m{cfg.model_seed}"
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        model_path = os.path.join(cfg.output_dir, f"target-{tag}.npz")
-        nn.save_model(prep.model, model_path)
-        data_mod.write_csv(os.path.join(cfg.output_dir, f"baseline-{tag}.csv"),
-                           [prep.baseline])
-        print(f"{cfg.dataset_name} {cfg.tm.value}: "
-              f"test accuracy {prep.test_accuracy:.4f}; "
-              f"model -> {model_path}")
+        with pipeline._stage("emit"):
+            os.makedirs(cfg.output_dir, exist_ok=True)
+            model_path = os.path.join(cfg.output_dir, f"target-{tag}.npz")
+            nn.save_model(prep.model, model_path)
+            data_mod.write_csv(os.path.join(cfg.output_dir, f"baseline-{tag}.csv"),
+                               [prep.baseline])
+            print(f"{cfg.dataset_name} {cfg.tm.value}: "
+                  f"test accuracy {prep.test_accuracy:.4f}; "
+                  f"model -> {model_path}")
     return 0
 
 
@@ -93,17 +94,18 @@ def _cmd_explain(args) -> int:
         stem = os.path.join(
             cfg.output_dir, f"explanations-{cfg.tm.value}-{cfg.algorithm.value}-"
             f"s{cfg.split_seed}m{cfg.model_seed}e{cfg.explainer_seed}")
-        os.makedirs(cfg.output_dir, exist_ok=True)
         n_aux = prep.splits.n_aux
-        for name, split, ds in (("aux", explanations[:n_aux], prep.splits.aux),
-                                ("eval", explanations[n_aux:], prep.splits.eval)):
-            path = f"{stem}-{name}.csv"
-            data_mod.write_csv(path, [
-                ["record_id", "algorithm", "target", "delta",
-                 *(f"score_{i}" for i in range(ds.n_columns))],
-                *([rid, split.algorithm.value, split.target.value, delta, *scores]
-                  for rid, delta, scores in zip(ds.row_ids, split.delta, split.scores))])
-            print(f"{len(split)} {name} explanations -> {path}")
+        with pipeline._stage("emit"):
+            os.makedirs(cfg.output_dir, exist_ok=True)
+            for name, split, ds in (("aux", explanations[:n_aux], prep.splits.aux),
+                                    ("eval", explanations[n_aux:], prep.splits.eval)):
+                path = f"{stem}-{name}.csv"
+                data_mod.write_csv(path, [
+                    ["record_id", "algorithm", "target", "delta",
+                     *(f"score_{i}" for i in range(ds.n_columns))],
+                    *([rid, split.algorithm.value, split.target.value, delta, *scores]
+                      for rid, delta, scores in zip(ds.row_ids, split.delta, split.scores))])
+                print(f"{len(split)} {name} explanations -> {path}")
     return 0
 
 
@@ -112,14 +114,14 @@ def _cmd_audit(args) -> int:
     sets = pipeline.first_cells(cells, pipeline.PREPARE_KEY + pipeline.EXPLAIN_KEY)
     rows = [row for prep, explanations in pipeline.run_cells(sets)
             for row in pipeline.correlation_audit(prep, explanations)]
-    out_dir = cells[0].output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "correlations.csv")
-    pipeline.write_rows(path, pipeline.CORRELATION_COLUMNS, rows)
-    for row in rows:
-        print(f"{row.threat_model} {row.explainer} s~{row.group}: "
-              f"{row.mean_r:+.3f} +/- {row.std_r:.3f} over {row.n_columns} columns")
-    print(f"audit -> {path}")
+    with pipeline._stage("emit"):
+        os.makedirs(cells[0].output_dir, exist_ok=True)
+        path = os.path.join(cells[0].output_dir, "correlations.csv")
+        pipeline.write_rows(path, pipeline.CORRELATION_COLUMNS, rows)
+        for row in rows:
+            print(f"{row.threat_model} {row.explainer} s~{row.group}: "
+                  f"{row.mean_r:+.3f} +/- {row.std_r:.3f} over {row.n_columns} columns")
+        print(f"audit -> {path}")
     return 0
 
 
@@ -130,12 +132,9 @@ def _cmd_serve(args) -> int:
                             f"cell, got {len(cells)}")
     cfg = cells[0]
     from . import service  # only serve loads the server and the HTTP stack here
-    try:  # bound before training, so that a bad port shows at once
-        server = service.Server(args.host, args.port)
-    except (OSError, OverflowError) as exc:  # a busy port, a bad host or port
-        raise PipelineError("serve", f"cannot listen on {args.host}:{args.port}: "
-                            f"{exc}") from exc
-    with server:  # closes the server, and its connections, on the way out
+    with pipeline._stage("serve", f"cannot listen on {args.host}:{args.port}: "):
+        server = service.Server(args.host, args.port)  # bound before training
+    with server, pipeline._stage("serve"):  # the server, and its connections, close on exit
         prep = pipeline.prepare(cfg)
         server.load(prep.model, prep.baseline, cfg.explainer_config, cfg.scalar_target)
         print(f"serving {cfg.dataset_name} ({cfg.tm.value}) on {server.url}", flush=True)
@@ -147,14 +146,15 @@ def _cmd_serve(args) -> int:
 def _cmd_experiment(args) -> int:
     cells = _load_cells(args)
     report = pipeline.run_matrix(cells)
-    files = pipeline.emit_report(report, cells[0].output_dir)
-    for cell in report.rows:
-        print(f"{cell.dataset} {cell.threat_model} {cell.explainer} "
-              f"{cell.surface} [{cell.attack_kind}]: "
-              f"P={cell.precision:.3f} R={cell.recall:.3f} F1={cell.f1:.3f} "
-              f"base={cell.base_rate:.3f} tau*={cell.tau_star:.3f}")
-    print(f"report -> {files['report']}")
-    print(f"summary -> {files['summary']}")
+    with pipeline._stage("emit"):
+        files = pipeline.emit_report(report, cells[0].output_dir)
+        for cell in report.rows:
+            print(f"{cell.dataset} {cell.threat_model} {cell.explainer} "
+                  f"{cell.surface} [{cell.attack_kind}]: "
+                  f"P={cell.precision:.3f} R={cell.recall:.3f} F1={cell.f1:.3f} "
+                  f"base={cell.base_rate:.3f} tau*={cell.tau_star:.3f}")
+        print(f"report -> {files['report']}")
+        print(f"summary -> {files['summary']}")
     return 0
 
 
@@ -198,9 +198,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except PipelineError as exc:
         print(f"error {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error [stage=config] {exc}", file=sys.stderr)
         return 2
 
 

@@ -22,6 +22,11 @@ run trains no target: the service's predictions for the test set, fetched
 once, give the accuracy and the pred_* surfaces. In process forward_batch gives
 the accuracy, and run_matrix makes the surfaces' predictions once per target.
 
+Every stage runs under _stage(name): config, load, split, encode,
+train-target, predict, explain, attack, audit, emit (every output write) and
+serve. A failure in it raises as one PipelineError that names the stage, so
+a run ends in its result or in that one named error, never a traceback.
+
 Evaluation hygiene: encoding statistics, the explanation baseline, attack
 training and threshold calibration never see an eval-split record.
 """
@@ -54,6 +59,23 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[stage={stage}] {message}")
         self.stage = stage
+
+
+class _stage:
+    """Runs a block as the stage `name`: a failure raises as its PipelineError,
+    the message (or else the type name) after `prefix`. RuntimeError covers
+    nn.TrainingDivergence and service.ServiceError; a PipelineError passes."""
+
+    def __init__(self, name: str, prefix: str = ""):
+        self.name, self.prefix = name, prefix
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        failed = (ArithmeticError, MemoryError, OSError, RuntimeError, ValueError)
+        if isinstance(exc, failed) and not isinstance(exc, PipelineError):
+            raise PipelineError(self.name, self.prefix + (str(exc) or kind.__name__)) from exc
 
 
 def _finite_number(value) -> bool:
@@ -267,29 +289,23 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
     With a remote transport nothing is trained: the adversary reaches the
     target only through the service, whose predictions on the test rows
     give the test accuracy."""
-    try:
+    with _stage("load"):
         schema = data_mod.TabularSchema.from_json(cfg.schema)
         table = data_mod.load_csv(cfg.dataset_csv, schema)
-    except (OSError, ValueError) as exc:
-        raise PipelineError("load", str(exc)) from exc
 
-    try:
+    with _stage("split"):
         train_idx, test_idx, n_aux = data_mod.split_indices(table.n_rows, cfg.split_seed)
-    except ValueError as exc:
-        raise PipelineError("split", str(exc)) from exc
 
-    try:
+    with _stage("encode"):
         include_s = cfg.tm is ThreatModel.TM1
         raw_train = table.select(train_idx)
         stats = data_mod.fit_encoding(raw_train, schema)
         ds_train = data_mod.encode(raw_train, schema, include_s, stats)
         test = data_mod.encode(table.select(test_idx), schema, include_s, stats)
-    except ValueError as exc:
-        raise PipelineError("encode", str(exc)) from exc
 
     model = baseline = None
     if cfg.transport == IN_PROCESS:
-        try:
+        with _stage("train-target"):
             train_cfg = TrainConfig(
                 epochs=cfg.target_epochs,
                 learning_rate=cfg.target_learning_rate,
@@ -300,19 +316,16 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
             model = nn.train(
                 nn.init_model([ds_train.n_columns, *cfg.target_hidden, 1], seed=cfg.model_seed),
                 ds_train.features, ds_train.labels, train_cfg)
-        except (ValueError, nn.TrainingDivergence) as exc:
-            raise PipelineError("train-target", str(exc)) from exc
-        baseline = explain_mod.mean_baseline(ds_train.features)
+            baseline = explain_mod.mean_baseline(ds_train.features)
 
-    try:
-        if model is None:
-            predictions = probabilities = _fetch("predict", "client_fetch_predictions",
-                                                 cfg.transport, test.features)
+    with _stage("predict"):
+        if model is None:  # only remote runs load the service, and ssl with it for https
+            from . import service
+            predictions = probabilities = service.client_fetch_predictions(
+                cfg.transport, test.features)
         else:  # run_matrix makes the predictions of a target that needs them
             predictions, probabilities = None, nn.forward_batch(model, test.features)
         test_accuracy = metrics_mod.accuracy(probabilities, test.labels)
-    except ValueError as exc:
-        raise PipelineError("predict", str(exc)) from exc
 
     return _Prepared(
         cfg=cfg,
@@ -325,29 +338,17 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
     )
 
 
-def _fetch(stage: str, name: str, *args, **kwargs):
-    """The service client's fetch `name` called with args; a ServiceError or
-    ValueError raises as the stage's PipelineError. Only remote runs call
-    it, so only they load the service, and ssl with it for an https URL."""
-    from . import service
-    try:
-        return getattr(service, name)(*args, **kwargs)
-    except (service.ServiceError, ValueError) as exc:
-        raise PipelineError(stage, str(exc)) from exc
-
-
 def compute_explanations(prep: _Prepared) -> explain_mod.Explanations:
     """The test records' explanations, via the configured transport."""
     cfg, test = prep.cfg, prep.splits.test
-    if cfg.transport != IN_PROCESS:
-        return _fetch("explain", "client_fetch_explanations", cfg.transport,
-                      test.features, cfg.algorithm, record_ids=test.row_ids)
-    try:
+    with _stage("explain"):
+        if cfg.transport != IN_PROCESS:
+            from . import service  # loaded only by remote runs, as in prepare
+            return service.client_fetch_explanations(
+                cfg.transport, test.features, cfg.algorithm, record_ids=test.row_ids)
         return explain_mod.explain_batch(
             prep.model, test.features, prep.baseline, cfg.algorithm,
             cfg.explainer_config, cfg.scalar_target, record_ids=test.row_ids)
-    except ValueError as exc:
-        raise PipelineError("explain", str(exc)) from exc
 
 
 def _all_positive_f1(base_rate: float) -> float:
@@ -361,7 +362,7 @@ def run_attacks(prep: _Prepared, explanations) -> list[AttackCell]:
     ds_aux, ds_eval = prep.splits.aux, prep.splits.eval
     cells = []
     for surface in cfg.surface_list:
-        try:
+        with _stage("attack", f"surface {surface.value}: "):
             X = attack_mod.build_surface_matrix(explanations, prep.predictions, surface,
                                                 prep.splits.test.sensitive_columns)
             Xa, Xe = X[:n_aux], X[n_aux:]
@@ -403,8 +404,6 @@ def run_attacks(prep: _Prepared, explanations) -> list[AttackCell]:
                 eval_predicted=predicted,
                 eval_truth=ds_eval.sensitive,
             ))
-        except (ValueError, attack_mod.SurfaceError) as exc:
-            raise PipelineError("attack", f"surface {surface.value}: {exc}") from exc
     return cells
 
 
@@ -439,7 +438,8 @@ def correlation_audit(prep: _Prepared, explanations) -> list[CorrelationRow]:
     if sens_cols:
         groups.append(("phi_sensitive", explanations.scores, sens_cols))
     groups.append(("phi_non_sensitive", explanations.scores, non_sens))
-    return [row(*group) for group in groups]
+    with _stage("audit"):
+        return [row(*group) for group in groups]
 
 
 # config fields that determine a prepared target and its predictions and, added
@@ -491,7 +491,8 @@ def run_matrix(cells: list[ExperimentConfig]) -> AttackReport:
         key = _key(cfg, PREPARE_KEY)
         if prep.predictions is None and cfg.needs_predictions:
             if key not in predicted:
-                predicted[key] = nn.forward_rows(prep.model, splits.test.features)
+                with _stage("predict"):
+                    predicted[key] = nn.forward_rows(prep.model, splits.test.features)
             prep = dataclasses.replace(prep, predictions=predicted[key])
         rows += run_attacks(prep, explanations)
         correlations += correlation_audit(prep, explanations)
@@ -536,45 +537,46 @@ def emit_report(report: AttackReport, directory: str) -> dict:
     """Write report.csv, correlations.csv, PR-curve and prediction dumps and
     the manifest; returns the file map. Re-emitting the same report yields
     byte-identical files."""
-    os.makedirs(directory, exist_ok=True)
-    files = {}
+    with _stage("emit"):
+        os.makedirs(directory, exist_ok=True)
+        files = {}
 
-    files["report"] = os.path.join(directory, "report.csv")
-    write_rows(files["report"], REPORT_COLUMNS, report.rows)
-    files["correlations"] = os.path.join(directory, "correlations.csv")
-    write_rows(files["correlations"], CORRELATION_COLUMNS, report.correlations)
+        files["report"] = os.path.join(directory, "report.csv")
+        write_rows(files["report"], REPORT_COLUMNS, report.rows)
+        files["correlations"] = os.path.join(directory, "correlations.csv")
+        write_rows(files["correlations"], CORRELATION_COLUMNS, report.correlations)
 
-    curve_files, dump_files = [], []
-    for cell in report.rows:
-        tag = (f"{cell.dataset}-{cell.threat_model}-{cell.explainer}-"
-               f"{cell.surface}-s{cell.split_seed}m{cell.model_seed}"
-               f"a{cell.attack_seed}e{cell.explainer_seed}")
-        curve_files.append(os.path.join(directory, f"prcurve-{tag}.csv"))
-        data_mod.write_csv(curve_files[-1], [
-            [f"# base_rate={float(cell.curve.base_rate)!r}"],
-            ["threshold", "precision", "recall", "f1"], *cell.curve.points])
-        dump_files.append(os.path.join(directory, f"predictions-{tag}.csv"))
-        data_mod.write_csv(dump_files[-1], [
-            ["record_id", "score", "predicted", "truth"],
-            *zip(cell.eval_record_ids, cell.eval_scores,
-                 cell.eval_predicted.astype(int), cell.eval_truth.astype(int))])
-    files["curves"] = curve_files
-    files["predictions"] = dump_files
+        curve_files, dump_files = [], []
+        for cell in report.rows:
+            tag = (f"{cell.dataset}-{cell.threat_model}-{cell.explainer}-"
+                   f"{cell.surface}-s{cell.split_seed}m{cell.model_seed}"
+                   f"a{cell.attack_seed}e{cell.explainer_seed}")
+            curve_files.append(os.path.join(directory, f"prcurve-{tag}.csv"))
+            data_mod.write_csv(curve_files[-1], [
+                [f"# base_rate={float(cell.curve.base_rate)!r}"],
+                ["threshold", "precision", "recall", "f1"], *cell.curve.points])
+            dump_files.append(os.path.join(directory, f"predictions-{tag}.csv"))
+            data_mod.write_csv(dump_files[-1], [
+                ["record_id", "score", "predicted", "truth"],
+                *zip(cell.eval_record_ids, cell.eval_scores,
+                     cell.eval_predicted.astype(int), cell.eval_truth.astype(int))])
+        files["curves"] = curve_files
+        files["predictions"] = dump_files
 
-    files["summary"] = os.path.join(directory, "summary.json")
-    data_mod.write_json(files["summary"], {
-        "rows": [
-            {c: getattr(cell, c) for c in REPORT_COLUMNS} for cell in report.rows
-        ],
-        "correlations": [
-            {c: getattr(row, c) for c in CORRELATION_COLUMNS}
-            for row in report.correlations
-        ],
-        "files": {
-            "curves": [os.path.basename(p) for p in curve_files],
-            "predictions": [os.path.basename(p) for p in dump_files],
-        },
-    })
-    files["manifest"] = os.path.join(directory, "manifest.json")
-    data_mod.write_json(files["manifest"], report.manifest)
-    return files
+        files["summary"] = os.path.join(directory, "summary.json")
+        data_mod.write_json(files["summary"], {
+            "rows": [
+                {c: getattr(cell, c) for c in REPORT_COLUMNS} for cell in report.rows
+            ],
+            "correlations": [
+                {c: getattr(row, c) for c in CORRELATION_COLUMNS}
+                for row in report.correlations
+            ],
+            "files": {
+                "curves": [os.path.basename(p) for p in curve_files],
+                "predictions": [os.path.basename(p) for p in dump_files],
+            },
+        })
+        files["manifest"] = os.path.join(directory, "manifest.json")
+        data_mod.write_json(files["manifest"], report.manifest)
+        return files

@@ -1,6 +1,9 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -9,8 +12,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explinfer import cli, data, nn, pipeline, service
+from explinfer import explain as explain_mod
 from explinfer.explain import Algorithm
 from explinfer.nn import ScalarTarget
 from explinfer.synth import write_synthetic_dataset
@@ -184,6 +190,7 @@ def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys, text, se
     {"dataset_name": "a,b"}, {"dataset_name": "x\ny"}, {"dataset_name": "x\ry"},
     {"dataset_name": "a/b"}, {"dataset_name": '"a'},
     {"model_seed": []}, {"threat_model": []}, {"attack_kind": []},
+    {"output_dir": os.devnull},  # exists, and is not a directory
 ])
 def test_bad_field_is_config_error_before_training(cli_setup, tmp_path, capsys,
                                                    monkeypatch, override):
@@ -258,6 +265,201 @@ def test_schema_value_of_the_wrong_type_is_load_error(cli_setup, tmp_path, capsy
     path.write_text(json.dumps(dict(config, schema=str(schema_path))))
     assert cli.main(["experiment", str(path)]) == 2
     assert "error [stage=load]" in capsys.readouterr().err
+
+
+def _stage_error(err: str, stage: str | None) -> str:
+    """The one diagnostic line of a failed run, which names a stage: `stage`,
+    if given. Other stderr lines, such as numpy's warnings, may surround it."""
+    lines = [line for line in err.splitlines() if line.startswith("error")]
+    assert "Traceback" not in err and len(lines) == 1, err
+    named = re.match(r"error \[stage=([a-z-]+)\] ", lines[0])
+    assert named and stage in (None, named.group(1)), err
+    return lines[0]
+
+
+def test_attack_that_diverges_is_attack_error(cli_setup, tmp_path, capsys):
+    _, _, config = cli_setup
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(dict(config, attack_learning_rate=1e308,
+                                    output_dir=str(tmp_path / "out"))))
+    assert cli.main(["experiment", str(path)]) == 2
+    line = _stage_error(capsys.readouterr().err, "attack")
+    assert line.startswith("error [stage=attack] surface phi_all: non-finite training loss")
+
+
+@pytest.mark.parametrize("stage", ["train-target", "explain", "attack"])
+def test_memory_error_is_the_failing_stage_error(cli_setup, tmp_path, capsys, monkeypatch,
+                                                 stage):
+    """numpy raises MemoryError when it cannot allocate; one without a
+    message is named by its type."""
+    _, config_path, _ = cli_setup
+    init_model, calls = nn.init_model, []
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    def init_model_once_out_of_memory(*args, **kwargs):
+        calls.append(args)  # the target's model first, then the attack's
+        if len(calls) == (1 if stage == "train-target" else 2):
+            raise MemoryError
+        return init_model(*args, **kwargs)
+
+    if stage == "explain":
+        monkeypatch.setattr(explain_mod, "explain_batch", out_of_memory)
+    else:
+        monkeypatch.setattr(nn, "init_model", init_model_once_out_of_memory)
+    assert cli.main(["experiment", config_path, "--out-dir", str(tmp_path)]) == 2
+    line = _stage_error(capsys.readouterr().err, stage)
+    assert line.endswith("MemoryError")
+
+
+def test_explanation_too_large_for_memory_is_explain_error(cli_setup, tmp_path):
+    """ig_steps of 10**12 asks numpy for terabytes. The child process caps its
+    address space, so that the allocation fails with a MemoryError rather
+    than being granted and then killed for want of memory."""
+    _, _, config = cli_setup
+    path = tmp_path / "steps.json"
+    path.write_text(json.dumps(dict(config, explainer="integrated_gradients",
+                                    ig_steps=10**12, output_dir=str(tmp_path / "out"))))
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+        "from explinfer import cli\n"
+        f"sys.exit(cli.main(['experiment', {str(path)!r}]))\n")
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    # one BLAS thread, so that its buffers fit in the cap on a host of many cores
+    env = dict(os.environ, PYTHONPATH=package_root, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, timeout=300)
+    assert result.returncode == 2, result.stderr
+    _stage_error(result.stderr, "explain")
+
+
+@pytest.mark.parametrize("command", ["train", "explain", "audit", "experiment"])
+@pytest.mark.parametrize("beneath_a_file", [False, True])
+def test_output_dir_that_cannot_be_a_directory_is_config_error(
+        cli_setup, tmp_path, capsys, monkeypatch, command, beneath_a_file):
+    _, config_path, _ = cli_setup
+    monkeypatch.setattr(pipeline, "prepare", lambda cfg: pytest.fail("work started"))
+    file = tmp_path / "file"
+    file.write_text("")
+    out_dir = file / "out" if beneath_a_file else file
+    assert cli.main([command, config_path, "--out-dir", str(out_dir)]) == 2
+    _stage_error(capsys.readouterr().err, "config")
+
+
+def test_failed_write_is_emit_error(cli_setup, tmp_path, capsys, monkeypatch):
+    """A write that fails after every stage ran is named as emit."""
+    _, config_path, _ = cli_setup
+
+    def full_disk(path, rows):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(data, "write_csv", full_disk)
+    for command in ("train", "explain", "audit", "experiment"):
+        assert cli.main([command, config_path, "--out-dir", str(tmp_path)]) == 2
+        line = _stage_error(capsys.readouterr().err, "emit")
+        assert line.endswith("No space left on device")
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["train", "explain", "audit", "experiment"])
+def test_closed_stdout_is_emit_error(cli_setup, tmp_path, capsys, monkeypatch, command):
+    """A subcommand's lines on stdout are output too, such as into `| head`."""
+    _, config_path, _ = cli_setup
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.main([command, config_path, "--out-dir", str(tmp_path)]) == 2
+    assert _stage_error(capsys.readouterr().err, "emit").endswith("Broken pipe")
+
+
+# JSON values of the wrong type for any field; sizes are small or refused
+_WRONG = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.lists(st.one_of(st.none(), st.text(max_size=2), st.lists(st.integers(0, 2),
+                                                                max_size=2)), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+    st.integers(max_value=-1))
+_SMALL = st.integers(0, 3)  # of a field that sizes an allocation or a loop
+_HUGE = st.integers(-1, 2**70)  # of a field that sizes nothing
+_NUMBER = st.one_of(st.floats(), st.integers(-1, 2), st.sampled_from([1e308, 10**400]))
+
+
+def _or_wrong(values):
+    # half and half; one_of would flatten _WRONG's branches and draw it 7 times in 8
+    return st.booleans().flatmap(lambda wrong: _WRONG if wrong else values)
+
+
+def _choice(*values):
+    return _or_wrong(st.sampled_from(values))
+
+
+def _matrix(values):
+    return st.one_of(values, st.lists(values, max_size=2))
+
+
+def _generated_fields(config, d):
+    """A strategy for an override of one or two ExperimentConfig fields."""
+    file = os.path.join(d, "config.json")
+    fields = {
+        "dataset_csv": _choice(config["dataset_csv"], "", os.path.join(d, "none.csv"), d),
+        "schema": _choice(config["schema"], "", file, d),
+        "threat_model": _matrix(_choice("tm1", "tm2")),
+        "explainer": _matrix(_choice("integrated_gradients", "deeplift", "gradient_shap",
+                                     "smoothgrad")),
+        "surfaces": _or_wrong(st.lists(_choice("phi_all", "phi_sensitive",
+                                               "phi_non_sensitive", "pred_plus_phi",
+                                               "pred_only"), max_size=3)),
+        "attack_kind": _matrix(_choice("mlp", "forest")),
+        "dataset_name": _or_wrong(st.text(max_size=4)),
+        **{name: _matrix(_or_wrong(_HUGE)) for name in (
+            "split_seed", "model_seed", "attack_seed", "explainer_seed")},
+        **{name: _or_wrong(st.lists(_SMALL, max_size=3)) for name in (
+            "target_hidden", "attack_hidden")},
+        **{name: _or_wrong(_SMALL) for name in (
+            "target_epochs", "attack_epochs", "forest_trees", "ig_steps", "shap_samples",
+            "smoothgrad_samples")},
+        **{name: _or_wrong(_HUGE) for name in (
+            "target_batch_size", "attack_batch_size", "forest_depth", "forest_min_leaf")},
+        **{name: _or_wrong(_NUMBER) for name in (
+            "target_learning_rate", "attack_learning_rate", "shap_stdev",
+            "smoothgrad_sigma")},
+        "explanation_target": _choice("logit", "probability"),
+        "output_dir": _choice(os.path.join(d, "generated"), "", file,
+                              os.path.join(file, "out")),
+        # a string other than in_process is a URL, and a URL names a host:
+        # only ones refused before any connection is made
+        "transport": _choice("in_process", "", "ftp://localhost/", "not a url"),
+    }
+    one = st.sampled_from(sorted(fields)).flatmap(
+        lambda name: st.fixed_dictionaries({name: fields[name]}))
+    return st.lists(one, min_size=1, max_size=2).map(
+        lambda parts: {k: v for part in parts for k, v in part.items()})
+
+
+def test_generated_config_ends_in_a_result_or_one_named_stage(cli_setup, monkeypatch):
+    """Any value of any config field ends in exit 0, or in exit 2 with one
+    `error [stage=...]` line: never in an exception out of cli.main."""
+    d, _, config = cli_setup
+    monkeypatch.chdir(d)  # a generated relative path names a file in d
+    path = os.path.join(d, "generated.json")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_generated_fields(config, d))
+    def run(override):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({**config, "output_dir": os.path.join(d, "generated"), **override}, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = cli.main(["experiment", path])
+        assert status in (0, 2), err.getvalue()
+        if status == 2:
+            _stage_error(err.getvalue(), None)
+
+    run()
 
 
 def test_transport_override_matches_in_process(cli_setup, tmp_path):
