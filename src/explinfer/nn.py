@@ -9,6 +9,10 @@ layer widths and the parameters, nothing else.
 
 All arithmetic is 64-bit. The ReLU subgradient at exactly zero is defined
 as 0 so that gradients are a deterministic function of (model, input).
+
+A forward pass over many rows runs FORWARD_ROWS rows at a time, so its
+memory is bounded by one chunk's activations. The chunk boundaries depend
+only on the row count, and the bits equal those of one pass over every row.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from enum import Enum
 import numpy as np
 
 ADAM_BLOCK = 32768  # elements per Adam block: its p, g, m, v and scratch stay in cache
+FORWARD_ROWS = 1024  # rows per chunk of a forward pass over many rows
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
@@ -151,9 +156,26 @@ def _select(logits: np.ndarray, target: ScalarTarget) -> np.ndarray:
     return logits if target is ScalarTarget.LOGIT else _sigmoid(logits)
 
 
+def _chunked_logits(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """_forward_parts' logits of X, on row ranges that start at multiples of
+    FORWARD_ROWS; a last range shorter than FORWARD_ROWS // 2 joins the one
+    before it. Their bits equal one pass over all of X (tested at 1 and 2
+    BLAS threads); near-equal ranges, or a short last range run alone, did
+    not, in the last bits of a few rows."""
+    starts = range(0, max(len(X) - FORWARD_ROWS // 2, 0) + 1, FORWARD_ROWS)
+    if len(starts) == 1:
+        return _forward_parts(model, X)[1]
+    logits = np.empty(X.shape[:-1])
+    for lo, hi in zip(starts, [*starts[1:], len(X)]):
+        logits[lo:hi] = _forward_parts(model, X[lo:hi])[1]
+    return logits
+
+
 def forward_batch(model: MlpModel, X, target: ScalarTarget = ScalarTarget.PROBABILITY) -> np.ndarray:
-    """Selected scalar output for every row of X."""
-    return _select(_forward_parts(model, _check_matrix(X, model))[1], target)
+    """Selected scalar output for every row of X, FORWARD_ROWS rows at a
+    time, so a pass over n rows holds the activations of fewer than
+    1.5 * FORWARD_ROWS of them."""
+    return _select(_chunked_logits(model, _check_matrix(X, model)), target)
 
 
 def forward(model: MlpModel, x, target: ScalarTarget = ScalarTarget.PROBABILITY) -> float:
@@ -169,9 +191,10 @@ def forward_rows(model: MlpModel, X, target: ScalarTarget = ScalarTarget.PROBABI
     """Selected scalar output of each row of X, each row one slice of one
     stacked forward pass over X[:, None, :]. So every value equals
     forward(model, row) bit for bit, however many rows share the call;
-    forward_batch may differ in the last bits."""
+    forward_batch may differ in the last bits. The slices run FORWARD_ROWS
+    at a time, as in forward_batch."""
     X = _check_matrix(X, model)
-    return _select(_forward_parts(model, X[:, None, :])[1][:, 0], target)
+    return _select(_chunked_logits(model, X[:, None, :])[:, 0], target)
 
 
 def input_gradient_batch(model: MlpModel, X, target: ScalarTarget = ScalarTarget.LOGIT) -> np.ndarray:
@@ -192,17 +215,16 @@ def input_gradient_batch(model: MlpModel, X, target: ScalarTarget = ScalarTarget
 
 
 def _bce_loss(logits: np.ndarray, y: np.ndarray) -> float:
-    # log(1 + exp(z)) - y*z, computed stably; overflow surfaces as a
-    # non-finite value and is reported by train() as divergence
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.mean(np.logaddexp(0.0, logits) - y * logits))
+    # log(1 + exp(z)) - y*z, computed stably
+    return float(np.mean(np.logaddexp(0.0, logits) - y * logits))
 
 
 def _param_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray,
                      grads_w: list[np.ndarray], grads_b: list[np.ndarray]) -> float:
     """Mean binary cross-entropy loss of one batch; its gradients are written
-    into grads_w and grads_b. Each layer's activation is released once that
-    layer's gradients are written."""
+    into grads_w and grads_b. Once a layer's gradients are written, the
+    gradient rows below it go into its spent activation, which has their
+    shape, after its ReLU mask is taken."""
     activations, logits = _forward_parts(model, X, keep=lambda a: a)
     loss = _bce_loss(logits, y)
     g = ((_sigmoid(logits) - y) / X.shape[0])[:, None]
@@ -210,8 +232,9 @@ def _param_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray,
         np.matmul(g.T, activations[i], out=grads_w[i])
         np.sum(g, axis=0, out=grads_b[i])
         if i > 0:
-            g = g @ model.weights[i]
-            g *= activations[i] > 0
+            mask = activations[i] > 0
+            g = np.matmul(g, model.weights[i], out=activations[i])
+            g *= mask
         activations[i] = None
     return loss
 
@@ -256,8 +279,9 @@ def train(model: MlpModel, features, labels, cfg: TrainConfig) -> MlpModel:
     seeded shuffle each epoch, so (cfg.seed, data order) fully determines the
     returned parameters. Raises TrainingDivergence if the loss goes
     non-finite. Training holds the parameters, their gradients, both Adam
-    moments and one batch's activations; from CPython 3.11 it holds no copy
-    of a model passed inline, as in train(init_model(...), ...).
+    moments and one batch's activations, which the backward pass overwrites
+    with gradient rows; from CPython 3.11 it holds no copy of a model passed
+    inline, as in train(init_model(...), ...).
     """
     X = _check_matrix(features, model)
     y = np.asarray(labels, dtype=np.float64).ravel()
@@ -277,17 +301,19 @@ def train(model: MlpModel, features, labels, cfg: TrainConfig) -> MlpModel:
     rng = np.random.default_rng(cfg.seed)
     t = 0
     n = X.shape[0]
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            loss = _param_gradients(out, X[idx], y[idx], grads_w, grads_b)
-            if not math.isfinite(loss):
-                raise TrainingDivergence(
-                    f"non-finite training loss at epoch {epoch}, step {t}"
-                )
-            t += 1
-            _adam_step(p, g, m, v, t, cfg, s1, s2)
+    # an overflow surfaces as a non-finite loss, which TrainingDivergence reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            perm = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                loss = _param_gradients(out, X[idx], y[idx], grads_w, grads_b)
+                if not math.isfinite(loss):
+                    raise TrainingDivergence(
+                        f"non-finite training loss at epoch {epoch}, step {t}"
+                    )
+                t += 1
+                _adam_step(p, g, m, v, t, cfg, s1, s2)
     del g, m, v, grads_w, grads_b, s1, s2  # only p is left to copy out
     return out.copy()  # own contiguous arrays, not views of p
 

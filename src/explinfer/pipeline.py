@@ -286,9 +286,10 @@ class _Prepared:
 def prepare(cfg: ExperimentConfig) -> _Prepared:
     """Run the builder-side stages: load, split, encode, train, baseline.
 
-    With a remote transport nothing is trained: the adversary reaches the
-    target only through the service, whose predictions on the test rows
-    give the test accuracy."""
+    The CSV's table is let go once the test rows are encoded, so it does not
+    live through training. With a remote transport nothing is trained: the
+    adversary reaches the target only through the service, whose predictions
+    on the test rows give the test accuracy."""
     with _stage("load"):
         schema = data_mod.TabularSchema.from_json(cfg.schema)
         table = data_mod.load_csv(cfg.dataset_csv, schema)
@@ -302,6 +303,8 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
         stats = data_mod.fit_encoding(raw_train, schema)
         ds_train = data_mod.encode(raw_train, schema, include_s, stats)
         test = data_mod.encode(table.select(test_idx), schema, include_s, stats)
+        n_dropped_missing = table.n_dropped_missing
+        del table, raw_train  # training and every later stage read the encoded sets
 
     model = baseline = None
     if cfg.transport == IN_PROCESS:
@@ -334,7 +337,7 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
         baseline=baseline,
         test_accuracy=test_accuracy,
         predictions=predictions,
-        n_dropped_missing=table.n_dropped_missing,
+        n_dropped_missing=n_dropped_missing,
     )
 
 

@@ -277,6 +277,7 @@ def _stage_error(err: str, stage: str | None) -> str:
     return lines[0]
 
 
+@pytest.mark.filterwarnings("error")  # the divergence is reported once, by the error line
 def test_attack_that_diverges_is_attack_error(cli_setup, tmp_path, capsys):
     _, _, config = cli_setup
     path = tmp_path / "diverge.json"
@@ -452,6 +453,65 @@ def test_generated_config_ends_in_a_result_or_one_named_stage(cli_setup, monkeyp
     def run(override):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({**config, "output_dir": os.path.join(d, "generated"), **override}, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = cli.main(["experiment", path])
+        assert status in (0, 2), err.getvalue()
+        if status == 2:
+            _stage_error(err.getvalue(), None)
+
+    run()
+
+
+_ABSENT = object()  # a schema field left out of the file
+
+
+def _generated_schema_fields(raw):
+    """A strategy for an override of one or two fields of the schema file
+    `raw`; a field drawn as _ABSENT is left out."""
+    names = _choice("x0", "x1", "x2", "group", "flag", "outcome", "", "nonesuch")
+    cells = _choice(None, "yes", "no", "a", "0", "1", "")  # sensitive and label cells
+    column = _or_wrong(st.fixed_dictionaries(
+        {"name": names, "kind": _choice("numeric", "categorical", "", "ordinal")}))
+    fields = {
+        "columns": _or_wrong(st.one_of(
+            st.lists(column, max_size=5),
+            # the file's columns with one entry replaced, or one repeated
+            st.tuples(st.integers(0, len(raw["columns"]) - 1), column).map(
+                lambda at: [*raw["columns"][:at[0]], at[1], *raw["columns"][at[0] + 1:]]),
+            st.sampled_from(raw["columns"]).map(lambda c: [*raw["columns"], c]))),
+        "label_column": names,
+        "sensitive_column": names,
+        "sensitive_positive_value": cells,
+        "label_positive_value": cells,
+        "binarization_map": _or_wrong(st.dictionaries(
+            st.sampled_from(["yes", "no", "a", ""]),
+            st.one_of(st.integers(-1, 2), st.booleans(), st.floats(), st.none(),
+                      st.text(max_size=2), st.sampled_from([2**70, 10**400, [1]])),
+            max_size=3)),
+    }
+    one = st.sampled_from(sorted(fields)).flatmap(
+        lambda name: st.fixed_dictionaries({name: st.one_of(st.just(_ABSENT), fields[name])}))
+    return st.lists(one, min_size=1, max_size=2).map(
+        lambda parts: {k: v for part in parts for k, v in part.items()})
+
+
+def test_generated_schema_ends_in_a_result_or_one_named_stage(cli_setup):
+    """Any value of any schema-file field ends in exit 0, or in exit 2 with
+    one `error [stage=...]` line: never in an exception out of cli.main."""
+    d, _, config = cli_setup
+    with open(config["schema"], encoding="utf-8") as fh:
+        raw = json.load(fh)
+    schema_path, path = os.path.join(d, "generated_schema.json"), os.path.join(d, "generated.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**config, "schema": schema_path,
+                   "output_dir": os.path.join(d, "generated")}, fh)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_generated_schema_fields(raw))
+    def run(override):
+        with open(schema_path, "w", encoding="utf-8") as fh:
+            json.dump({k: v for k, v in {**raw, **override}.items() if v is not _ABSENT}, fh)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             status = cli.main(["experiment", path])

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import socket
+import weakref
 
 import numpy as np
 import pytest
@@ -131,6 +132,27 @@ class TestRunExperiment:
         assert row.surface == "phi_all"
         assert row.f1 == 1.0
         assert row.precision == 1.0 and row.recall == 1.0
+
+    def test_raw_table_released_before_the_target_trains(
+            self, synth_paths, tmp_path, monkeypatch):
+        """prepare lets the CSV's table go once the test rows are encoded,
+        so it does not live through training."""
+        tables, alive = [], []
+        load_csv, train = pipeline.data_mod.load_csv, pipeline.nn.train
+
+        def loading(*args):
+            table = load_csv(*args)
+            tables.append(weakref.ref(table))
+            return table
+
+        def training(*args):
+            alive.append([ref() is not None for ref in tables])
+            return train(*args)
+
+        monkeypatch.setattr(pipeline.data_mod, "load_csv", loading)
+        monkeypatch.setattr(pipeline.nn, "train", training)
+        pipeline.prepare(fast_config(synth_paths, str(tmp_path), target_epochs=1))
+        assert alive == [[False]]
 
     def test_deterministic_report_bytes(self, synth_paths, tmp_path):
         cfg_a = fast_config(synth_paths, str(tmp_path / "a"))
