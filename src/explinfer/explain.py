@@ -56,12 +56,11 @@ class ExplainerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.ig_steps < 1 or self.shap_samples < 1 or self.smoothgrad_samples < 1:
-            raise ValueError("sample and step counts must be >= 1")
-        if self.shap_stdev < 0 or self.smoothgrad_sigma < 0:
-            raise ValueError("noise standard deviations must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        for name, integer, positive in (
+                ("ig_steps", True, True), ("shap_samples", True, True),
+                ("shap_stdev", False, False), ("smoothgrad_samples", True, True),
+                ("smoothgrad_sigma", False, False), ("seed", True, False)):
+            nn._check_number(self, name, integer, positive)
 
 
 @dataclass(eq=False)  # an array comparison has no single truth value

@@ -13,6 +13,8 @@ as 0 so that gradients are a deterministic function of (model, input).
 A forward pass over many rows runs FORWARD_ROWS rows at a time, so its
 memory is bounded by one chunk's activations. The chunk boundaries depend
 only on the row count, and the bits equal those of one pass over every row.
+Training runs Adam inside the backward pass, so it holds the gradients of
+one run of layers, not the whole model's.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-ADAM_BLOCK = 32768  # elements per Adam block: its p, g, m, v and scratch stay in cache
+ADAM_BLOCK = 32768  # elements per Adam block, and the least gradient buffer of train
 FORWARD_ROWS = 1024  # rows per chunk of a forward pass over many rows
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
@@ -52,14 +54,26 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        for name, integer, positive in (("epochs", True, False), ("learning_rate", False, True),
+                                        ("batch_size", True, True), ("seed", True, False)):
+            _check_number(self, name, integer, positive)
+
+
+def _check_number(cfg, name: str, integer: bool, positive: bool) -> None:
+    """Raise a ValueError naming the field unless cfg.<name> is a number,
+    never a bool: an integer >= 1 (>= 0 where not positive) where integer is
+    set, else a finite number > 0 (>= 0). NumPy scalars count."""
+    value = getattr(cfg, name)
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    try:
+        ok = (isinstance(value, kinds) and not isinstance(value, bool)
+              and (integer or math.isfinite(value)) and (value > 0 if positive else value >= 0))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        bound = (">= 1" if positive else ">= 0") if integer else ("> 0" if positive else ">= 0")
+        kind = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name} must be {kind} {bound}, got {value!r}")
 
 
 @dataclass
@@ -219,15 +233,16 @@ def _bce_loss(logits: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, logits) - y * logits))
 
 
-def _param_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray,
-                     grads_w: list[np.ndarray], grads_b: list[np.ndarray]) -> float:
-    """Mean binary cross-entropy loss of one batch; its gradients are written
-    into grads_w and grads_b. Once a layer's gradients are written, the
-    gradient rows below it go into its spent activation, which has their
-    shape, after its ReLU mask is taken."""
-    activations, logits = _forward_parts(model, X, keep=lambda a: a)
-    loss = _bce_loss(logits, y)
-    g = ((_sigmoid(logits) - y) / X.shape[0])[:, None]
+def _backward(model: MlpModel, activations: list, logits: np.ndarray, y: np.ndarray,
+              grads_w: list[np.ndarray], grads_b: list[np.ndarray]):
+    """Backward pass of the mean binary cross-entropy over one batch, from
+    the kept activations of _forward_parts and its logits. For each layer i,
+    last first, it writes the layer's gradients into grads_w[i] and
+    grads_b[i], then the gradient rows below the layer, from its weights as
+    they stand, into its spent activation, which has their shape, and then
+    yields i. So the caller may update layer i's parameters, and reuse the
+    gradient buffers of layers i and above, before it resumes the pass."""
+    g = ((_sigmoid(logits) - y) / len(y))[:, None]
     for i in range(len(model.weights) - 1, -1, -1):
         np.matmul(g.T, activations[i], out=grads_w[i])
         np.sum(g, axis=0, out=grads_b[i])
@@ -236,12 +251,13 @@ def _param_gradients(model: MlpModel, X: np.ndarray, y: np.ndarray,
             g = np.matmul(g, model.weights[i], out=activations[i])
             g *= mask
         activations[i] = None
-    return loss
+        yield i
 
 
-def _flat_views(buf: np.ndarray, model: MlpModel) -> tuple[list, list]:
-    """Views shaped like the model's weights and biases into a flat buffer."""
-    shapes = [a.shape for wb in zip(model.weights, model.biases) for a in wb]
+def _flat_views(buf: np.ndarray, weights: list, biases: list) -> tuple[list, list]:
+    """Views shaped like the weights and biases, layer after layer, into a
+    flat buffer from its start."""
+    shapes = [a.shape for wb in zip(weights, biases) for a in wb]
     ends = np.cumsum([math.prod(s) for s in shapes])
     views = [buf[e - math.prod(s):e].reshape(s) for s, e in zip(shapes, ends)]
     return views[0::2], views[1::2]
@@ -277,11 +293,17 @@ def train(model: MlpModel, features, labels, cfg: TrainConfig) -> MlpModel:
 
     The input model is left untouched. Mini-batches are drawn from a fresh
     seeded shuffle each epoch, so (cfg.seed, data order) fully determines the
-    returned parameters. Raises TrainingDivergence if the loss goes
-    non-finite. Training holds the parameters, their gradients, both Adam
-    moments and one batch's activations, which the backward pass overwrites
-    with gradient rows; from CPython 3.11 it holds no copy of a model passed
-    inline, as in train(init_model(...), ...).
+    returned parameters. Raises TrainingDivergence, before any parameter of
+    its step changes, if the loss goes non-finite.
+
+    Adam runs inside the backward pass, on each run of consecutive layers
+    that fits one gradient buffer of max(largest layer, min(parameters,
+    ADAM_BLOCK)) elements, once the run's gradients are written; Adam is
+    elementwise, so the bits equal those of one update after the pass.
+    Training holds the parameters, both Adam moments, that buffer and one
+    batch's activations, which the backward pass overwrites with gradient
+    rows; from CPython 3.11 it holds no copy of a model passed inline, as
+    in train(init_model(...), ...).
     """
     X = _check_matrix(features, model)
     y = np.asarray(labels, dtype=np.float64).ravel()
@@ -290,13 +312,22 @@ def train(model: MlpModel, features, labels, cfg: TrainConfig) -> MlpModel:
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
 
-    # parameters, gradients and both Adam moments in four flat buffers; p is
-    # read straight from the input model, which this frame then lets go of
+    # parameters and both Adam moments in three flat buffers; p is read
+    # straight from the input model, which this frame then lets go of
     p = np.concatenate([a.ravel() for wb in zip(model.weights, model.biases) for a in wb])
-    out = MlpModel(list(model.layer_dims), *_flat_views(p, model))
+    out = MlpModel(list(model.layer_dims), *_flat_views(p, model.weights, model.biases))
     del model
-    g, m, v = np.zeros_like(p), np.zeros_like(p), np.zeros_like(p)
-    grads_w, grads_b = _flat_views(g, out)
+    m, v = np.zeros_like(p), np.zeros_like(p)
+    # layer i is p[at[i]:at[i + 1]]; the run of layers lo..hi-1 has its
+    # gradients at the start of g, and runs[lo] is its range in p
+    sizes = [w.size + b.size for w, b in zip(out.weights, out.biases)]
+    at = [0, *np.cumsum(sizes).tolist()]
+    g = np.empty(max(*sizes, min(p.size, ADAM_BLOCK)))
+    grads_w, grads_b, runs, hi = [None] * len(sizes), [None] * len(sizes), {}, len(sizes)
+    for lo in range(len(sizes) - 1, -1, -1):
+        if lo == 0 or at[hi] - at[lo - 1] > g.size:  # layer lo - 1 would not fit
+            grads_w[lo:hi], grads_b[lo:hi] = _flat_views(g, out.weights[lo:hi], out.biases[lo:hi])
+            runs[lo], hi = (at[lo], at[hi]), lo
     s1, s2 = np.empty(min(p.size, ADAM_BLOCK)), np.empty(min(p.size, ADAM_BLOCK))
     rng = np.random.default_rng(cfg.seed)
     t = 0
@@ -307,13 +338,17 @@ def train(model: MlpModel, features, labels, cfg: TrainConfig) -> MlpModel:
             perm = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 idx = perm[start : start + cfg.batch_size]
-                loss = _param_gradients(out, X[idx], y[idx], grads_w, grads_b)
-                if not math.isfinite(loss):
+                activations, logits = _forward_parts(out, X[idx], keep=lambda a: a)
+                yb = y[idx]
+                if not math.isfinite(_bce_loss(logits, yb)):
                     raise TrainingDivergence(
                         f"non-finite training loss at epoch {epoch}, step {t}"
                     )
                 t += 1
-                _adam_step(p, g, m, v, t, cfg, s1, s2)
+                for i in _backward(out, activations, logits, yb, grads_w, grads_b):
+                    if i in runs:
+                        a, b = runs[i]
+                        _adam_step(p[a:b], g[:b - a], m[a:b], v[a:b], t, cfg, s1, s2)
     del g, m, v, grads_w, grads_b, s1, s2  # only p is left to copy out
     return out.copy()  # own contiguous arrays, not views of p
 

@@ -134,6 +134,13 @@ class TestTrainAttack:
             train_attack(np.zeros((10, 2)), np.r_[np.ones(5), np.zeros(5)],
                          kind="svm")
 
+    @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf")])
+    def test_nonfinite_learning_rate_rejected(self, learning_rate):
+        """It once trained to a scorer that gave every row NaN."""
+        with pytest.raises(ValueError, match="^learning_rate must be"):
+            train_attack(np.eye(4), np.r_[np.ones(2), np.zeros(2)], kind="mlp",
+                         mlp_epochs=1, mlp_learning_rate=learning_rate)
+
 
 def per_feature_best_split(X, y, rows, features, min_leaf):
     """Split search one candidate feature at a time: a later feature wins

@@ -332,6 +332,22 @@ class TestRestrict:
             self.restrict(a, [1])
 
 
+class TestExplainerConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("shap_stdev", float("nan")), ("shap_stdev", float("inf")), ("shap_stdev", -0.1),
+        ("smoothgrad_sigma", float("nan")), ("smoothgrad_sigma", float("inf")),
+        ("smoothgrad_sigma", True),
+        ("ig_steps", 50.0), ("ig_steps", True), ("ig_steps", 0),
+        ("shap_samples", 2.5), ("shap_samples", "20"),
+        ("smoothgrad_samples", 25.0), ("smoothgrad_samples", 0),
+        ("seed", 1.5), ("seed", -1)])
+    def test_invalid_field_named(self, field, value):
+        """A non-finite noise scale once failed inside explain_batch as
+        non-finite features, and a float count as a TypeError."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ExplainerConfig(**{field: value})
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("algorithm", [Algorithm.GRADIENT_SHAP,
                                            Algorithm.SMOOTHGRAD])
