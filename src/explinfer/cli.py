@@ -3,7 +3,6 @@
 Subcommands:
     train       builder stages only; saves each target model and baseline
     explain     compute and dump explanations for the aux and eval splits
-    attack      same as experiment
     audit       correlation audit (sensitive attribute vs observables)
     serve       expose the target model through the blackbox HTTP API
     experiment  full matrix run: attacks + audit + report emission
@@ -171,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="dump explanations for aux/eval records")
     _add_common(p)
     p.set_defaults(func=_cmd_explain)
-
-    p = sub.add_parser("attack", help="same as experiment")
-    _add_common(p)
-    p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("audit", help="correlation audit of s vs observables")
     _add_common(p)

@@ -20,7 +20,8 @@ slice with the shape a lone record's call has. So a record's scores and
 delta never depend on how many records share a call or how they are chunked.
 Stochastic explainers draw all noise from a generator derived from (config
 seed, record id), so serial, parallel and remote executions of the same
-record agree bit-for-bit.
+record agree bit-for-bit. A record id must be an integer >= 0
+(check_record_ids), so an id of 2.9 raises rather than reuse record 2's noise.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class ExplainerConfig:
                 ("ig_steps", True, True), ("shap_samples", True, True),
                 ("shap_stdev", False, False), ("smoothgrad_samples", True, True),
                 ("smoothgrad_sigma", False, False), ("seed", True, False)):
-            nn._check_number(self, name, integer, positive)
+            nn.check_number(name, getattr(self, name), integer, positive)
 
 
 @dataclass(eq=False)  # an array comparison has no single truth value
@@ -83,10 +84,14 @@ class Explanations:
         return Explanations(self.algorithm, self.target, self.scores[i], self.delta[i])
 
 
-def _rng(seed: int, record_id: int) -> np.random.Generator:
-    if record_id < 0:
-        raise ValueError("record_id must be a nonnegative integer")
-    return np.random.default_rng([int(seed), int(record_id)])
+def check_record_ids(record_ids, n: int) -> list[int]:
+    """record_ids as a list of n ints, each an integer >= 0 by nn.check_number;
+    explain_batch and the service client share this rule."""
+    ids = [int(nn.check_number(f"record_ids[{i}]", r, True, False))
+           for i, r in enumerate(record_ids)]
+    if len(ids) != n:
+        raise ValueError(f"record_ids has {len(ids)} ids for {n} records")
+    return ids
 
 
 def mean_baseline(features) -> np.ndarray:
@@ -160,7 +165,7 @@ def _gradient_shap(model, X, base, cfg, target, ids) -> np.ndarray:
     n = cfg.shap_samples
     points = np.empty((len(X), n, X.shape[1]))
     for x, rid, out in zip(X, ids, points):
-        rng = _rng(cfg.seed, rid)
+        rng = np.random.default_rng([cfg.seed, rid])
         noisy = x + rng.normal(0.0, cfg.shap_stdev, size=(n, len(x)))
         out[...] = base + rng.uniform(0.0, 1.0, size=(n, 1)) * (noisy - base)
     return nn.input_gradient_batch(model, points, target).mean(axis=1) * (X - base)
@@ -173,9 +178,9 @@ def _smoothgrad(model, X, base, cfg, target, ids) -> np.ndarray:
     informational delta so every algorithm emits the same vector layout.
     """
     n = cfg.smoothgrad_samples
-    points = np.stack([x + _rng(cfg.seed, rid).normal(0.0, cfg.smoothgrad_sigma,
-                                                       size=(n, len(x)))
-                       for x, rid in zip(X, ids)])
+    points = np.stack([
+        x + np.random.default_rng([cfg.seed, rid]).normal(0.0, cfg.smoothgrad_sigma, (n, len(x)))
+        for x, rid in zip(X, ids)])
     return nn.input_gradient_batch(model, points, target).mean(axis=1)
 
 
@@ -207,8 +212,8 @@ def explain_batch(
     *,
     f_baseline=None,
 ) -> Explanations:
-    """Explain every row of X; record_ids (default 0..n-1) seed the
-    per-record noise streams.
+    """Explain every row of X; record_ids (default 0..n-1, else checked by
+    check_record_ids) seed the per-record noise streams.
 
     Records go through in chunks of at most GRAD_ROWS gradient rows (at
     least one record). f(x) is evaluated once per chunk, after the chunk's
@@ -220,9 +225,7 @@ def explain_batch(
     base = np.asarray(baseline, dtype=np.float64)
     if base.shape != (model.input_dim,):
         raise ValueError(f"baseline must have length {model.input_dim}, got {base.shape}")
-    ids = list(range(len(X))) if record_ids is None else [int(r) for r in record_ids]
-    if len(ids) != len(X):
-        raise ValueError("record_ids must match the number of rows")
+    ids = list(range(len(X))) if record_ids is None else check_record_ids(record_ids, len(X))
     body, rows = _explainer(algorithm, cfg)
     if f_baseline is None and ids:
         f_baseline = nn.forward(model, base, target)

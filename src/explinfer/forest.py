@@ -5,7 +5,8 @@ sqrt(d) features drawn per split. Leaves store the positive-class fraction
 of the training rows they hold; the forest scores a record by averaging
 leaf values over trees. Every random draw flows from a generator derived
 from (seed, tree index), so fitting trees in parallel or serially yields
-identical forests.
+identical forests. fit_forest checks its sizes and seed by nn.check_number,
+so a seed of 2.9 raises rather than grow seed 2's forest.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .nn import check_number
 
 
 @dataclass
@@ -114,14 +117,14 @@ def fit_forest(
         raise ValueError("features must be a matrix with one label per row")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be 0 or 1")
-    for name, size in (("n_trees", n_trees), ("max_depth", max_depth), ("min_leaf", min_leaf)):
-        if size < 1:
-            raise ValueError(f"{name} must be >= 1, got {size}")
+    for name, value in (("n_trees", n_trees), ("max_depth", max_depth), ("min_leaf", min_leaf),
+                        ("seed", seed)):
+        check_number(name, value, True, name != "seed")
     n = X.shape[0]
     n_sub = max(1, int(round(math.sqrt(X.shape[1]))))
     trees = []
     for t in range(n_trees):
-        rng = np.random.default_rng([int(seed), t])
+        rng = np.random.default_rng([seed, t])
         rows = rng.integers(0, n, size=n)  # bootstrap sample
         trees.append(_grow_tree(X, y, rows, rng, max_depth, min_leaf, n_sub))
     return ForestModel(trees=trees, n_features=X.shape[1])

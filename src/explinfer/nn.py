@@ -14,7 +14,8 @@ A forward pass over many rows runs FORWARD_ROWS rows at a time, so its
 memory is bounded by one chunk's activations. The chunk boundaries depend
 only on the row count, and the bits equal those of one pass over every row.
 Training runs Adam inside the backward pass, so it holds the gradients of
-one run of layers, not the whole model's.
+one run of layers, not the whole model's. check_number is the package's one
+rule for every count, seed, width, rate and record id.
 """
 
 from __future__ import annotations
@@ -56,14 +57,14 @@ class TrainConfig:
     def __post_init__(self):
         for name, integer, positive in (("epochs", True, False), ("learning_rate", False, True),
                                         ("batch_size", True, True), ("seed", True, False)):
-            _check_number(self, name, integer, positive)
+            check_number(name, getattr(self, name), integer, positive)
 
 
-def _check_number(cfg, name: str, integer: bool, positive: bool) -> None:
-    """Raise a ValueError naming the field unless cfg.<name> is a number,
-    never a bool: an integer >= 1 (>= 0 where not positive) where integer is
-    set, else a finite number > 0 (>= 0). NumPy scalars count."""
-    value = getattr(cfg, name)
+def check_number(name: str, value, integer: bool, positive: bool):
+    """Return value if it is a number, never a bool: an integer >= 1 (>= 0
+    where not positive) where integer is set, else a finite number > 0
+    (>= 0). NumPy scalars count. Otherwise raise a ValueError that names
+    it, such as `layer_dims[1] must be an integer >= 1, got 4.7`."""
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
     try:
         ok = (isinstance(value, kinds) and not isinstance(value, bool)
@@ -74,6 +75,7 @@ def _check_number(cfg, name: str, integer: bool, positive: bool) -> None:
         bound = (">= 1" if positive else ">= 0") if integer else ("> 0" if positive else ">= 0")
         kind = "an integer" if integer else "a finite number"
         raise ValueError(f"{name} must be {kind} {bound}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -128,16 +130,15 @@ def init_model(layer_dims: list[int], seed: int) -> MlpModel:
     """Create a model with Glorot-uniform weights and zero biases.
 
     Weights for layer i are drawn uniformly from +-sqrt(6/(fan_in+fan_out)).
-    The same seed always yields bit-identical parameters.
+    The same seed always yields bit-identical parameters. A width of 4.7 or
+    True raises, as check_number takes each width and the seed.
     """
-    dims = [int(d) for d in layer_dims]
+    dims = [int(check_number(f"layer_dims[{i}]", d, True, True)) for i, d in enumerate(layer_dims)]
     if len(dims) < 2:
         raise ValueError("layer_dims needs at least an input and an output entry")
-    if any(d <= 0 for d in dims):
-        raise ValueError("all layer dimensions must be positive")
     if dims[-1] != 1:
         raise ValueError("the output layer must have exactly one unit")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_number("seed", seed, True, False))
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         lim = math.sqrt(6.0 / (fan_in + fan_out))

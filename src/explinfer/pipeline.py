@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -78,14 +77,6 @@ class _stage:
             raise PipelineError(self.name, self.prefix + (str(exc) or kind.__name__)) from exc
 
 
-def _finite_number(value) -> bool:
-    """An int or float, not a bool, of finite float value."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 @dataclass
 class ExperimentConfig:
     dataset_csv: str
@@ -125,11 +116,27 @@ class ExperimentConfig:
     transport: str = IN_PROCESS
 
     def __post_init__(self):
-        # an int path would be opened as a file descriptor
-        for name in ("dataset_csv", "schema", "output_dir", "transport", "dataset_name"):
-            value = getattr(self, name)
-            if not (isinstance(value, str) or (name == "dataset_name" and value is None)):
+        # each field once, by its declared type (f.type, the annotation's
+        # text): only seeds and noise scales may be 0, an int path would be
+        # opened as a file descriptor, and the memo keys and the manifest are
+        # the fields' JSON text, so a NumPy integer fails though it is a number
+        for f in dataclasses.fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if f.type in ("int", "float"):
+                nn.check_number(name, value, f.type == "int",
+                                not name.endswith(("_seed", "_stdev", "_sigma")))
+            elif f.type == "list[int]":
+                if not isinstance(value, list):
+                    raise ValueError(f"{name} must be a list of integers >= 1, got {value!r}")
+                for i, v in enumerate(value):
+                    nn.check_number(f"{name}[{i}]", v, True, True)
+            elif f.type.startswith("str") and not (
+                    isinstance(value, str) or (f.type == "str | None" and value is None)):
                 raise ValueError(f"{name} must be a string, got {value!r}")
+            try:
+                json.dumps(value)
+            except TypeError:
+                raise ValueError(f"{name} must be JSON data, got {value!r}") from None
         self.tm = ThreatModel(self.threat_model)
         self.algorithm = Algorithm(self.explainer)
         self.scalar_target = ScalarTarget(self.explanation_target)
@@ -152,27 +159,6 @@ class ExperimentConfig:
         if any(c and c in self.dataset_name for c in (",", '"', "\r", "\n", os.sep, os.altsep)):
             raise ValueError(f"dataset name {self.dataset_name!r} holds a comma, quote, line "
                              f"break or path separator; set dataset_name to a name without them")
-        # exact types: bool is an int subclass, and "1" would fail deep in a stage
-        for name, low in (("split_seed", 0), ("model_seed", 0), ("attack_seed", 0),
-                          ("explainer_seed", 0), ("target_epochs", 1),
-                          ("attack_epochs", 1), ("target_batch_size", 1),
-                          ("attack_batch_size", 1), ("forest_trees", 1),
-                          ("forest_depth", 1), ("forest_min_leaf", 1), ("ig_steps", 1),
-                          ("shap_samples", 1), ("smoothgrad_samples", 1)):
-            value = getattr(self, name)
-            if type(value) is not int or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("target_hidden", "attack_hidden"):
-            value = getattr(self, name)
-            if not isinstance(value, list) or any(type(v) is not int or v < 1 for v in value):
-                raise ValueError(f"{name} must be a list of integers >= 1, got {value!r}")
-        for name, positive in (("target_learning_rate", True),
-                               ("attack_learning_rate", True),
-                               ("shap_stdev", False), ("smoothgrad_sigma", False)):
-            value = getattr(self, name)
-            if not (_finite_number(value) and (value > 0 if positive else value >= 0)):
-                raise ValueError(f"{name} must be a finite number "
-                                 f"{'> 0' if positive else '>= 0'}, got {value!r}")
         self.explainer_config = ExplainerConfig(
             ig_steps=self.ig_steps,
             shap_samples=self.shap_samples,

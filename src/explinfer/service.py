@@ -68,7 +68,7 @@ from http import HTTPStatus
 
 import numpy as np
 
-from .explain import Algorithm, ExplainerConfig, Explanations, explain_batch
+from .explain import Algorithm, ExplainerConfig, Explanations, check_record_ids, explain_batch
 from .nn import MlpModel, ScalarTarget, forward, forward_rows
 
 CHUNK_RECORDS = 256  # records per request sent by the client
@@ -612,9 +612,7 @@ def client_fetch_explanations(
     """
     X = np.asarray(records, dtype=np.float64)
     if record_ids is not None:
-        record_ids = [int(r) for r in record_ids]
-        if len(record_ids) != X.shape[0]:
-            raise ValueError("record_ids must match the number of records")
+        record_ids = check_record_ids(record_ids, X.shape[0])
     if not len(X):
         return Explanations(algorithm, None, np.empty(X.shape), np.empty(0))
     answers = _exchange(endpoint, "/v1/explain",

@@ -91,7 +91,7 @@ def test_explain_file_roundtrip_exact(cli_setup, tmp_path):
 
 def test_attack_emits_report(cli_setup, capsys):
     d, config_path, config = cli_setup
-    assert cli.main(["attack", config_path]) == 0
+    assert cli.main(["experiment", config_path]) == 0
     assert os.path.exists(os.path.join(config["output_dir"], "report.csv"))
     out = capsys.readouterr().out
     assert "F1=" in out
@@ -148,8 +148,8 @@ def test_seed_override_changes_report(cli_setup, tmp_path):
     d, config_path, config = cli_setup
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")
-    assert cli.main(["attack", config_path, "--out-dir", out_a]) == 0
-    assert cli.main(["attack", config_path, "--out-dir", out_b,
+    assert cli.main(["experiment", config_path, "--out-dir", out_a]) == 0
+    assert cli.main(["experiment", config_path, "--out-dir", out_b,
                      "--split-seed", "99"]) == 0
     with open(os.path.join(out_a, "report.csv")) as fa:
         with open(os.path.join(out_b, "report.csv")) as fb:
@@ -159,7 +159,7 @@ def test_seed_override_changes_report(cli_setup, tmp_path):
 def test_invalid_config_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
-    assert cli.main(["attack", str(bad)]) == 2
+    assert cli.main(["experiment", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
 
 
@@ -525,7 +525,7 @@ def test_generated_schema_ends_in_a_result_or_one_named_stage(cli_setup):
 def test_transport_override_matches_in_process(cli_setup, tmp_path):
     d, config_path, config = cli_setup
     out_local = str(tmp_path / "local")
-    assert cli.main(["attack", config_path, "--out-dir", out_local]) == 0
+    assert cli.main(["experiment", config_path, "--out-dir", out_local]) == 0
 
     # stand up the same model behind the API, then attack through it
     from explinfer import pipeline
@@ -539,7 +539,7 @@ def test_transport_override_matches_in_process(cli_setup, tmp_path):
                            target=cells[0].scalar_target)
     try:
         out_remote = str(tmp_path / "remote")
-        assert cli.main(["attack", config_path, "--out-dir", out_remote,
+        assert cli.main(["experiment", config_path, "--out-dir", out_remote,
                          "--transport", server.url]) == 0
     finally:
         server.shutdown()
@@ -644,7 +644,7 @@ def test_remote_run_trains_no_target(cli_setup, tmp_path, monkeypatch):
     path = tmp_path / "forest.json"
     path.write_text(json.dumps(forest))
     out_local, out_remote = str(tmp_path / "local"), str(tmp_path / "remote")
-    assert cli.main(["attack", str(path), "--out-dir", out_local]) == 0
+    assert cli.main(["experiment", str(path), "--out-dir", out_local]) == 0
 
     def no_training(*args, **kwargs):
         raise AssertionError("a remote run trained a model")
@@ -652,7 +652,7 @@ def test_remote_run_trains_no_target(cli_setup, tmp_path, monkeypatch):
     _, server = _serve_target(forest)
     monkeypatch.setattr(nn, "train", no_training)
     try:
-        assert cli.main(["attack", str(path), "--out-dir", out_remote,
+        assert cli.main(["experiment", str(path), "--out-dir", out_remote,
                          "--transport", server.url]) == 0
     finally:
         server.shutdown()
@@ -666,7 +666,7 @@ def test_remote_run_reports_served_model_accuracy(cli_setup, tmp_path):
     served, server = _serve_target(config, model_seed=4)
     try:
         out = str(tmp_path / "remote")
-        assert cli.main(["attack", config_path, "--out-dir", out,
+        assert cli.main(["experiment", config_path, "--out-dir", out,
                          "--transport", server.url, "--model-seed", "1"]) == 0
     finally:
         server.shutdown()
@@ -690,11 +690,11 @@ def test_remote_report_echoes_the_local_explainer_seed(cli_setup, tmp_path):
     path.write_text(json.dumps(smooth))
     local, remote = str(tmp_path / "local"), str(tmp_path / "remote")
     for args in (["explain"], ["explain", "--explainer-seed", "9"],
-                 ["attack", "--explainer-seed", "9"]):
+                 ["experiment", "--explainer-seed", "9"]):
         assert cli.main([*args, str(path), "--out-dir", local]) == 0
     _, server = _serve_target(smooth, explainer_seed=9)
     try:
-        for command in ("explain", "attack"):
+        for command in ("explain", "experiment"):
             assert cli.main([command, str(path), "--out-dir", remote,
                              "--transport", server.url]) == 0
     finally:

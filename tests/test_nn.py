@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from explinfer import metrics, nn
+from explinfer import attack, explain, forest, metrics, nn, service
 from explinfer.nn import MlpModel, ScalarTarget, TrainConfig, TrainingDivergence
 
 
@@ -357,6 +357,74 @@ class TestTrainConfig:
         cfg = TrainConfig(epochs=np.int64(2), learning_rate=np.float64(0.1),
                           batch_size=np.int32(8), seed=np.uint8(3))
         assert cfg.epochs == 2 and cfg.batch_size == 8
+
+
+def _init_model_with_width(X, y, width):
+    return nn.init_model([3, width, 1], 0)
+
+
+def _explain_with_id(X, y, rid):
+    return explain.explain_batch(nn.init_model([3, 1], 0), X[:1], X.mean(axis=0),
+                                 explain.Algorithm.SMOOTHGRAD, explain.ExplainerConfig(),
+                                 record_ids=[rid])
+
+
+def _fetch_with_id(X, y, rid):
+    return service.client_fetch_explanations("http://127.0.0.1:9", X[:1],
+                                             explain.Algorithm.SMOOTHGRAD, record_ids=[rid])
+
+
+def _fit_forest_with(name):
+    return lambda X, y, value: forest.fit_forest(X, y, **{name: value})
+
+
+def _no_connection(*args, **kwargs):
+    raise AssertionError("a connection was opened before the record ids were checked")
+
+
+class TestLibraryNumbers:
+    """Every library entry point that takes a width, size, seed or record id
+    checks it by nn.check_number. Each of these once truncated the value
+    (a width of 4.7 trained a width-4 layer, a forest seed of 2.9 grew seed
+    2's forest, a record id of 2.9 used record 2's noise) or failed late."""
+
+    X = np.random.default_rng(0).normal(size=(8, 3))
+    y = np.r_[np.zeros(4), np.ones(4)]
+
+    @pytest.mark.parametrize("call, value, message", [
+        (_init_model_with_width, 4.7, "layer_dims[1] must be an integer >= 1"),
+        (_init_model_with_width, True, "layer_dims[1] must be an integer >= 1"),
+        (lambda X, y, v: attack.train_attack(X, y, mlp_hidden=(v,), mlp_epochs=1), 2.9,
+         "layer_dims[1] must be an integer >= 1"),
+        (_fit_forest_with("n_trees"), 2.5, "n_trees must be an integer >= 1"),
+        (_fit_forest_with("max_depth"), True, "max_depth must be an integer >= 1"),
+        (_fit_forest_with("max_depth"), 2.5, "max_depth must be an integer >= 1"),
+        (_fit_forest_with("min_leaf"), 1.5, "min_leaf must be an integer >= 1"),
+        (_fit_forest_with("seed"), 2.9, "seed must be an integer >= 0"),
+        (_explain_with_id, 2.9, "record_ids[0] must be an integer >= 0"),
+        (_explain_with_id, True, "record_ids[0] must be an integer >= 0"),
+        (_explain_with_id, "3", "record_ids[0] must be an integer >= 0"),
+        (_fetch_with_id, 2.9, "record_ids[0] must be an integer >= 0"),
+    ])
+    def test_non_integer_is_named(self, monkeypatch, call, value, message):
+        monkeypatch.setattr(service, "_exchange", _no_connection)
+        with pytest.raises(ValueError) as info:
+            call(self.X, self.y, value)
+        assert str(info.value) == f"{message}, got {value!r}"
+
+    def test_numpy_integers_accepted(self):
+        a = nn.init_model([3, 4, 1], 5)
+        b = nn.init_model([np.int64(3), np.int32(4), 1], np.int64(5))
+        assert a.layer_dims == b.layer_dims
+        assert all(np.array_equal(p, q) for p, q in zip(a.weights, b.weights))
+        f, g = (forest.fit_forest(self.X, self.y, n_trees=np.int64(2), seed=seed)
+                for seed in (2, np.int64(2)))
+        assert all(np.array_equal(s.threshold, t.threshold) for s, t in zip(f.trees, g.trees))
+        e, h = (explain.explain_batch(a, self.X[:2], self.X.mean(axis=0),
+                                      explain.Algorithm.SMOOTHGRAD, explain.ExplainerConfig(),
+                                      record_ids=ids)
+                for ids in ([3, 4], np.array([3, 4])))
+        assert np.array_equal(e.scores, h.scores)
 
 
 class TestTrain:

@@ -41,6 +41,21 @@ def fast_config(synth_paths, out_dir, **overrides):
 
 
 class TestConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("target_hidden", [1024, 0], "target_hidden[1] must be an integer >= 1, got 0"),
+        ("attack_hidden", [8, 2.5], "attack_hidden[1] must be an integer >= 1, got 2.5"),
+        ("model_seed", np.int64(1), "model_seed must be JSON data, got "),
+        ("target_learning_rate", float("nan"), "target_learning_rate must be a finite number > 0"),
+        ("shap_stdev", -0.1, "shap_stdev must be a finite number >= 0"),
+        ("split_seed", True, "split_seed must be an integer >= 0, got True"),
+    ])
+    def test_bad_number_is_named(self, synth_paths, tmp_path, field, value, message):
+        """Numbers follow nn.check_number's rule, and every field must be
+        JSON data, which a NumPy integer is not."""
+        with pytest.raises(ValueError) as info:
+            fast_config(synth_paths, str(tmp_path), **{field: value})
+        assert str(info.value).startswith(message)
+
     def test_tm2_rejects_sensitive_surfaces(self, synth_paths, tmp_path):
         with pytest.raises(ValueError, match="not valid"):
             fast_config(synth_paths, str(tmp_path), threat_model="tm2",
