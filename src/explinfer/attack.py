@@ -97,7 +97,8 @@ def train_attack(
     s = np.asarray(s_labels, dtype=np.float64).ravel()
     if X.ndim != 2 or X.shape[0] != s.shape[0]:
         raise ValueError("features must be a matrix with one sensitive label per row")
-    if len(np.unique(s)) < 2:
+    # not np.unique, whose masked-array check would load numpy.ma (about 1 MB)
+    if not s.size or np.all(s == s[0]):
         raise ValueError("attack training needs both sensitive classes present")
     if kind == "mlp":
         cfg = TrainConfig(

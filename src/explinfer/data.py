@@ -23,6 +23,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import nn
+
 
 class SchemaError(ValueError):
     """The schema file or its relationship to the CSV is invalid."""
@@ -319,7 +321,10 @@ def encode(
 
 def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Seeded shuffle, then (train, test, n_aux): 70% train rows, and test
-    rows whose first n_aux (half, rounded down) are aux and the rest eval."""
+    rows whose first n_aux (half, rounded down) are aux and the rest eval.
+    n and seed are checked by nn.check_number."""
+    nn.check_number("n", n, True, False)
+    nn.check_number("seed", seed, True, False)
     if n < 10:
         raise ValueError(f"need at least 10 rows to split, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
@@ -329,9 +334,10 @@ def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
 
 @dataclass
 class DatasetSplits:
-    """The train rows, and the test rows: n_aux aux rows, then eval rows."""
+    """The test rows, n_aux aux rows then eval rows, and the count of the
+    train rows, which nothing after the target's training reads."""
 
-    target_train: TabularDataset
+    train_rows: int
     test: TabularDataset
     n_aux: int
 

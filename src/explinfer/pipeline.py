@@ -21,6 +21,8 @@ stage reads, and that names the sensitive attribute's column, if any. A remote
 run trains no target: the service's predictions for the test set, fetched
 once, give the accuracy and the pred_* surfaces. In process forward_batch gives
 the accuracy, and run_matrix makes the surfaces' predictions once per target.
+Nothing after training reads the training rows, so prepare lets them go: a
+prepared target is its model, baseline, test set and counts.
 
 Every stage runs under _stage(name): config, load, split, encode,
 train-target, predict, explain, attack, audit, emit (every output write) and
@@ -273,7 +275,8 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
     """Run the builder-side stages: load, split, encode, train, baseline.
 
     The CSV's table is let go once the test rows are encoded, so it does not
-    live through training. With a remote transport nothing is trained: the
+    live through training, and the training set once the target is trained.
+    With a remote transport nothing is trained: the
     adversary reaches the target only through the service, whose predictions
     on the test rows give the test accuracy."""
     with _stage("load"):
@@ -306,6 +309,8 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
                 nn.init_model([ds_train.n_columns, *cfg.target_hidden, 1], seed=cfg.model_seed),
                 ds_train.features, ds_train.labels, train_cfg)
             baseline = explain_mod.mean_baseline(ds_train.features)
+    train_rows = ds_train.n_rows
+    del ds_train  # no later stage reads the training rows
 
     with _stage("predict"):
         if model is None:  # only remote runs load the service, and ssl with it for https
@@ -318,7 +323,7 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
 
     return _Prepared(
         cfg=cfg,
-        splits=data_mod.DatasetSplits(target_train=ds_train, test=test, n_aux=n_aux),
+        splits=data_mod.DatasetSplits(train_rows=train_rows, test=test, n_aux=n_aux),
         model=model,
         baseline=baseline,
         test_accuracy=test_accuracy,
@@ -489,13 +494,13 @@ def run_matrix(cells: list[ExperimentConfig]) -> AttackReport:
             targets[key] = {
                 **{name: getattr(cfg, name) for name in PREPARE_KEY},
                 "dataset": {
-                    "rows_after_filtering": splits.target_train.n_rows + splits.test.n_rows,
+                    "rows_after_filtering": splits.train_rows + splits.test.n_rows,
                     "rows_dropped_missing": prep.n_dropped_missing,
                     "unknown_category_values": splits.test.unknown_category_count,
-                    "train_rows": splits.target_train.n_rows,
+                    "train_rows": splits.train_rows,
                     "aux_rows": splits.n_aux,
                     "eval_rows": splits.test.n_rows - splits.n_aux,
-                    "encoded_columns": splits.target_train.n_columns,
+                    "encoded_columns": splits.test.n_columns,
                 },
                 "target_test_accuracy": prep.test_accuracy,
             }

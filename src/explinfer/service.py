@@ -15,8 +15,9 @@ it gets alone, and floats round-trip, so answers are bit-identical to
 one-record and in-process ones for the same record id; without ids the
 server draws fresh noise per record. The client sends CHUNK_RECORDS records
 per request over a keep-alive http(s) connection (ssl is imported only for
-https), and its timeout bounds the connect and each record's answer time.
-It joins the answers into one
+https), and its timeout bounds the connect and each record's answer time;
+max_retries (an integer >= 1) and timeout (a finite number > 0) are checked
+by nn.check_number before a connection opens. It joins the answers into one
 explain.Explanations, or one array of probabilities, and raises
 ServiceError for answers that hold another count than the records sent. Between calls the client keeps
 one idle connection, that of the last call that finished cleanly, and the
@@ -69,7 +70,7 @@ from http import HTTPStatus
 import numpy as np
 
 from .explain import Algorithm, ExplainerConfig, Explanations, check_record_ids, explain_batch
-from .nn import MlpModel, ScalarTarget, forward, forward_rows
+from .nn import MlpModel, ScalarTarget, check_number, forward, forward_rows
 
 CHUNK_RECORDS = 256  # records per request sent by the client
 MAX_BODY_BYTES = 16 * 2**20  # a chunk of 100-feature records is about 0.7 MB
@@ -584,10 +585,16 @@ def _joined(answers: list, key: str, n: int) -> list:
     return items
 
 
+def _check_attempts(max_retries, timeout) -> None:
+    check_number("max_retries", max_retries, True, True)
+    check_number("timeout", timeout, False, True)
+
+
 def client_fetch_predictions(
     endpoint: str, records, max_retries: int = 3, timeout: float = 30.0
 ) -> np.ndarray:
     """Predicted probabilities for each record, in request order."""
+    _check_attempts(max_retries, timeout)
     X = np.asarray(records, dtype=np.float64)
     answers = _exchange(endpoint, "/v1/predict", _chunks(X), max_retries, timeout)
     try:
@@ -610,6 +617,7 @@ def client_fetch_explanations(
     runs reproduce bit-identical explanations. No records send no request,
     and their empty Explanations names no target.
     """
+    _check_attempts(max_retries, timeout)
     X = np.asarray(records, dtype=np.float64)
     if record_ids is not None:
         record_ids = check_record_ids(record_ids, X.shape[0])
@@ -634,6 +642,8 @@ def client_fetch_explanations(
 
 
 def fetch_health(endpoint: str, max_retries: int = 3, timeout: float = 10.0) -> bool:
+    """Whether the endpoint answers; a bad max_retries or timeout raises."""
+    _check_attempts(max_retries, timeout)
     try:
         answer = _exchange(endpoint, "/v1/health", [None], max_retries, timeout)[0]
     except (ServiceError, ValueError):

@@ -13,13 +13,17 @@ import os
 
 import numpy as np
 
+from . import nn
 from .data import TabularSchema, write_csv
 
 
 def write_synthetic_dataset(
     directory: str, n: int = 300, seed: int = 0
 ) -> tuple[str, str]:
-    """Write synthetic.csv and synthetic_schema.json; returns their paths."""
+    """Write synthetic.csv and synthetic_schema.json; returns their paths.
+    n and seed are checked by nn.check_number before anything is written."""
+    nn.check_number("n", n, True, True)
+    nn.check_number("seed", seed, True, False)
     os.makedirs(directory, exist_ok=True)
     rng = np.random.default_rng(seed)
     sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)

@@ -125,9 +125,19 @@ class TestTrainAttack:
         preds = (score(model, X) >= 0.5).astype(float)
         assert np.mean(preds == s) <= 0.75
 
-    def test_single_class_rejected(self):
-        with pytest.raises(ValueError):
-            train_attack(np.zeros((10, 2)), np.ones(10), kind="mlp")
+    @pytest.mark.parametrize("kind", ["mlp", "forest"])
+    @pytest.mark.parametrize("s", [np.zeros(10), np.ones(10), np.zeros(0)])
+    def test_single_class_rejected(self, kind, s):
+        """All-0, all-1 and empty sensitive labels leave nothing to learn."""
+        with pytest.raises(ValueError) as info:
+            train_attack(np.zeros((len(s), 2)), s, kind=kind)
+        assert str(info.value) == "attack training needs both sensitive classes present"
+
+    @pytest.mark.parametrize("kind", ["mlp", "forest"])
+    def test_two_classes_train(self, kind):
+        s = np.r_[np.zeros(5), np.ones(5)]
+        model = train_attack(s[:, None], s, kind=kind, mlp_epochs=1, forest_trees=1)
+        assert model.kind == kind and score(model, s[:, None]).shape == (10,)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -127,16 +127,20 @@ def test_experiment_full_run(cli_setup, capsys):
 
 def test_in_process_commands_leave_the_http_stack_unloaded(cli_setup, tmp_path):
     """train, explain, audit and experiment in process load neither the
-    service nor the standard library's HTTP and TLS modules. They run in a
-    fresh interpreter, since this one has imported the service."""
+    service nor the standard library's HTTP and TLS modules, nor numpy.ma
+    where import numpy leaves it unloaded (numpy 2 loads it lazily, for
+    about 1 MB). They run in a fresh interpreter, since this one has
+    imported the service."""
     _, config_path, _ = cli_setup
     script = (
         "import json, sys\n"
+        "import numpy\n"
+        "unread = {'ssl', 'http.client', 'http.server', 'explinfer.service'}\n"
+        "unread |= {'numpy.ma'} - set(sys.modules)  # numpy 1 imports it eagerly\n"
         "from explinfer import cli\n"
         "for command in ('train', 'explain', 'audit', 'experiment'):\n"
         f"    assert cli.main([command, {config_path!r}, '--out-dir', {str(tmp_path)!r}]) == 0\n"
-        "loaded = {'ssl', 'http.client', 'http.server', 'explinfer.service'} & set(sys.modules)\n"
-        "print(json.dumps(sorted(loaded)))\n")
+        "print(json.dumps(sorted(unread & set(sys.modules))))\n")
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=package_root), timeout=300)

@@ -108,7 +108,7 @@ class TestEncode:
         assert "minority" not in ds.column_groups
         assert ds.n_columns == 3
         assert ds.sensitive_columns == []
-        splits = data.DatasetSplits(target_train=ds, test=ds, n_aux=2)
+        splits = data.DatasetSplits(train_rows=4, test=ds, n_aux=2)
         assert splits.aux.sensitive_columns == splits.eval.sensitive_columns == []
 
     def test_sensitive_included_as_single_column(self):
@@ -119,7 +119,7 @@ class TestEncode:
         assert np.array_equal(ds.features[:, cols[0]], ds.sensitive)
         assert ds.sensitive_columns == cols == [
             c for c in range(ds.n_columns) if np.array_equal(ds.features[:, c], ds.sensitive)]
-        splits = data.DatasetSplits(target_train=ds, test=ds, n_aux=2)
+        splits = data.DatasetSplits(train_rows=4, test=ds, n_aux=2)
         assert splits.aux.sensitive_columns == splits.eval.sensitive_columns == cols
 
     def test_standardized_numeric_moments(self):
@@ -305,9 +305,28 @@ class TestSplit:
             assert abs(len(ev) - 0.15 * n) <= 1
             assert len(train) + len(aux) + len(ev) == n
 
-    def test_too_few_rows(self):
-        with pytest.raises(ValueError):
-            split_indices(9, seed=0)
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_too_few_rows(self, n):
+        with pytest.raises(ValueError, match=f"^need at least 10 rows to split, got {n}$"):
+            split_indices(n, seed=0)
+
+    @pytest.mark.parametrize("n, seed, message", [
+        (10, True, "seed must be an integer >= 0, got True"),
+        (10, 2.9, "seed must be an integer >= 0, got 2.9"),
+        (10, -1, "seed must be an integer >= 0, got -1"),
+        (10.5, 1, "n must be an integer >= 0, got 10.5"),
+        (True, 1, "n must be an integer >= 0, got True"),
+    ])
+    def test_bad_number_is_named(self, n, seed, message):
+        """A bool seed once split as seed 1, and a float count or seed
+        failed inside NumPy with an error that did not name it."""
+        with pytest.raises(ValueError) as info:
+            split_indices(n, seed)
+        assert str(info.value) == message
+
+    def test_numpy_integers_accepted(self):
+        for x, y in zip(split_indices(57, 9), split_indices(np.int64(57), np.uint8(9))):
+            assert np.array_equal(x, y)
 
     def test_split_dataset_topology(self):
         train, aux, ev = three_way(40, seed=5)
@@ -452,6 +471,20 @@ class TestSynthetic:
         x0 = table.columns["x0"]
         assert np.array_equal(ds.sensitive, (x0 > 0).astype(float))
         assert np.array_equal(ds.labels, ds.sensitive)
+
+    @pytest.mark.parametrize("n, seed, message", [
+        (30, True, "seed must be an integer >= 0, got True"),
+        (30, 1.5, "seed must be an integer >= 0, got 1.5"),
+        (30.7, 0, "n must be an integer >= 1, got 30.7"),
+        (0, 0, "n must be an integer >= 1, got 0"),
+    ])
+    def test_bad_number_is_named_before_writing(self, tmp_path, n, seed, message):
+        """A bool seed once wrote seed 1's data, and a float count failed
+        inside NumPy with an error that did not name it."""
+        with pytest.raises(ValueError) as info:
+            write_synthetic_dataset(str(tmp_path / "d"), n=n, seed=seed)
+        assert str(info.value) == message
+        assert not (tmp_path / "d").exists()
 
 
 # every float (nan, +-inf, -0.0, subnormals), numpy's float64 too, any

@@ -169,6 +169,30 @@ class TestRunExperiment:
         pipeline.prepare(fast_config(synth_paths, str(tmp_path), target_epochs=1))
         assert alive == [[False]]
 
+    def test_training_set_released_once_the_target_is_trained(
+            self, synth_paths, tmp_path, monkeypatch):
+        """Nothing after training reads the training rows: they are gone
+        before the test rows are predicted, and the prepared target keeps
+        only their count."""
+        encoded, alive = [], []
+        encode, forward_batch = pipeline.data_mod.encode, pipeline.nn.forward_batch
+
+        def encoding(*args):
+            ds = encode(*args)
+            encoded.append(weakref.ref(ds))
+            return ds
+
+        def predicting(*args):
+            alive.append(encoded[0]() is not None)
+            return forward_batch(*args)
+
+        monkeypatch.setattr(pipeline.data_mod, "encode", encoding)
+        monkeypatch.setattr(pipeline.nn, "forward_batch", predicting)
+        prep = pipeline.prepare(fast_config(synth_paths, str(tmp_path), target_epochs=1))
+        assert alive == [False]
+        assert encoded[0]() is None
+        assert prep.splits.train_rows == 210 and prep.splits.test.n_rows == 90
+
     def test_deterministic_report_bytes(self, synth_paths, tmp_path):
         cfg_a = fast_config(synth_paths, str(tmp_path / "a"))
         cfg_b = fast_config(synth_paths, str(tmp_path / "b"))

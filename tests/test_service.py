@@ -281,6 +281,34 @@ class TestClient:
             service.client_fetch_predictions(
                 "http://127.0.0.1:9", np.zeros((1, 2)), max_retries=2, timeout=0.5)
 
+    @pytest.mark.parametrize("fetch", [
+        lambda **kw: service.client_fetch_predictions("http://127.0.0.1:9", np.zeros((1, 2)),
+                                                      **kw),
+        lambda **kw: service.client_fetch_explanations("http://127.0.0.1:9", np.zeros((1, 2)),
+                                                       Algorithm.DEEPLIFT, **kw),
+        lambda **kw: service.fetch_health("http://127.0.0.1:9", **kw),
+    ], ids=["predictions", "explanations", "health"])
+    @pytest.mark.parametrize("name, value, message", [
+        ("max_retries", 0, "max_retries must be an integer >= 1, got 0"),
+        ("max_retries", 2.5, "max_retries must be an integer >= 1, got 2.5"),
+        ("max_retries", True, "max_retries must be an integer >= 1, got True"),
+        ("timeout", 0, "timeout must be a finite number > 0, got 0"),
+        ("timeout", -1.0, "timeout must be a finite number > 0, got -1.0"),
+        ("timeout", math.nan, "timeout must be a finite number > 0, got nan"),
+    ])
+    def test_bad_retry_or_timeout_is_named_before_connecting(
+            self, monkeypatch, fetch, name, value, message):
+        """These once gave up untried (0 attempts), made 3 attempts for 2.5,
+        made a non-blocking socket (timeout 0) or raised socket's own error;
+        fetch_health raises for them rather than answer False."""
+        def no_connection(*args):
+            raise AssertionError(f"a connection was opened before {name} was checked")
+
+        monkeypatch.setattr(service, "_exchange", no_connection)
+        with pytest.raises(ValueError) as info:
+            fetch(**{name: value})
+        assert str(info.value) == message
+
     def test_protocol_error_raised(self, running_server):
         server, *_ = running_server
         with pytest.raises(service.ServiceError, match="422"):
