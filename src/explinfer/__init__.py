@@ -7,8 +7,8 @@ explanations under two threat models, with F1-maximizing threshold
 calibration.
 """
 
-from .attack import (AttackModel, AttackSurface, CalibratedThreshold,
-                     ThreatModel, build_surface_matrix, calibrate, score, train_attack)
+from .attack import (AttackSurface, CalibratedThreshold, ThreatModel, build_surface_matrix,
+                     calibrate, score, train_attack)
 from .data import DatasetSplits, TabularDataset, TabularSchema, encode, load_csv
 from .explain import Algorithm, ExplainerConfig, Explanations, explain_batch, mean_baseline
 from .metrics import (ConfusionCounts, PrCurve, accuracy, confusion, f1, pearson, pr_curve,
@@ -20,7 +20,7 @@ from .pipeline import AttackReport, ExperimentConfig, emit_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algorithm", "AttackModel", "AttackReport", "AttackSurface",
+    "Algorithm", "AttackReport", "AttackSurface",
     "CalibratedThreshold", "ConfusionCounts", "DatasetSplits",
     "ExperimentConfig", "ExplainerConfig", "Explanations", "MlpModel", "PrCurve",
     "ScalarTarget", "TabularDataset", "TabularSchema", "ThreatModel",

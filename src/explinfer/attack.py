@@ -2,9 +2,9 @@
 
 The adversary turns each record's explanation (and optionally the served
 prediction) into a feature vector, trains a model mapping those vectors to
-the sensitive attribute on the auxiliary split, picks the decision threshold
-that maximizes F1 on that same split, and only then touches the evaluation
-records.
+the sensitive attribute on the auxiliary split (an nn.MlpModel or a
+forest.ForestModel), picks the decision threshold that maximizes F1 on that
+same split, and only then touches the evaluation records.
 """
 
 from __future__ import annotations
@@ -72,13 +72,6 @@ def build_surface_matrix(
     return np.hstack([pred, rest]) if surface is AttackSurface.PRED_PLUS_PHI else pred
 
 
-@dataclass
-class AttackModel:
-    kind: str  # "mlp" or "forest"
-    mlp: MlpModel | None
-    forest: forest_mod.ForestModel | None
-
-
 def train_attack(
     features,
     s_labels,
@@ -91,8 +84,9 @@ def train_attack(
     forest_trees: int = 100,
     forest_depth: int = 150,
     forest_min_leaf: int = 1,
-) -> AttackModel:
-    """Fit the adversary's scorer on explanation-derived features."""
+) -> MlpModel | forest_mod.ForestModel:
+    """Fit the adversary's scorer on explanation-derived features: an MLP
+    for kind "mlp", a random forest for kind "forest"."""
     X = np.asarray(features, dtype=np.float64)
     s = np.asarray(s_labels, dtype=np.float64).ravel()
     if X.ndim != 2 or X.shape[0] != s.shape[0]:
@@ -104,22 +98,20 @@ def train_attack(
         cfg = TrainConfig(
             epochs=mlp_epochs, learning_rate=mlp_learning_rate,
             batch_size=mlp_batch_size, seed=seed)
-        trained = nn.train(nn.init_model([X.shape[1], *mlp_hidden, 1], seed=seed), X, s, cfg)
-        return AttackModel(kind="mlp", mlp=trained, forest=None)
+        return nn.train(nn.init_model([X.shape[1], *mlp_hidden, 1], seed=seed), X, s, cfg)
     if kind == "forest":
-        f = forest_mod.fit_forest(
+        return forest_mod.fit_forest(
             X, s, n_trees=forest_trees, max_depth=forest_depth,
             min_leaf=forest_min_leaf, seed=seed)
-        return AttackModel(kind="forest", mlp=None, forest=f)
     raise ValueError(f"unknown attack model kind {kind!r}")
 
 
-def score(model: AttackModel, features) -> np.ndarray:
-    """Per-row P(s=1) estimates in [0, 1]. The features must be a matrix of
-    the training width; either model raises ValueError otherwise."""
-    if model.kind == "mlp":
-        return nn.forward_batch(model.mlp, features, nn.ScalarTarget.PROBABILITY)
-    return forest_mod.forest_scores(model.forest, features)
+def score(model: MlpModel | forest_mod.ForestModel, features) -> np.ndarray:
+    """Per-row P(s=1) estimates in [0, 1] of a train_attack model. The features
+    must be a matrix of the training width; either model raises ValueError otherwise."""
+    if isinstance(model, MlpModel):
+        return nn.forward_batch(model, features, nn.ScalarTarget.PROBABILITY)
+    return forest_mod.forest_scores(model, features)
 
 
 @dataclass
@@ -142,7 +134,8 @@ def calibrate_scores(scores_aux, aux_s) -> CalibratedThreshold:
     return CalibratedThreshold(tau_star=tau, achieved_f1_on_aux=best_f1, curve=curve)
 
 
-def calibrate(model: AttackModel, aux_features, aux_s) -> CalibratedThreshold:
+def calibrate(model: MlpModel | forest_mod.ForestModel, aux_features,
+              aux_s) -> CalibratedThreshold:
     """Calibrate the decision threshold on auxiliary records with known s."""
     return calibrate_scores(score(model, aux_features), aux_s)
 

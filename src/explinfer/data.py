@@ -169,8 +169,8 @@ class RawTable:
 
 def load_csv(path: str, schema: TabularSchema) -> RawTable:
     """Read and type-check the CSV; rows with missing schema values are
-    dropped and counted."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    dropped and counted. A UTF-8 byte-order mark is not part of the header."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -181,6 +181,9 @@ def load_csv(path: str, schema: TabularSchema) -> RawTable:
         missing = [c for c in needed if c not in header]
         if missing:
             raise SchemaError(f"CSV is missing schema columns: {missing}")
+        twice = [c for c in needed if header.count(c) > 1]
+        if twice:
+            raise SchemaError(f"CSV header names schema columns more than once: {twice}")
         positions = [header.index(c) for c in needed]
         numeric = {n for n, kind in schema.columns if kind == NUMERIC}
         # numbers as C doubles: a float object per cell would outlive the read
@@ -242,7 +245,6 @@ class TabularDataset:
     features: np.ndarray
     labels: np.ndarray
     sensitive: np.ndarray
-    column_groups: dict[str, list[int]]
     sensitive_columns: list[int]  # the sensitive attribute's column; [] if censored
     row_ids: np.ndarray
     # categorical values unseen by fit_encoding; a row slice keeps its dataset's count
@@ -276,8 +278,6 @@ def encode(
     include_sensitive.
     """
     blocks: list[np.ndarray] = []
-    column_groups: dict[str, list[int]] = {}
-    next_col = 0
     unknown = 0
     n = table.n_rows
     for name, kind in schema.columns:
@@ -287,8 +287,6 @@ def encode(
                 raise SchemaError(f"statistics missing numeric column {name!r}")
             arr = (col - stats.numeric_mean[name]) / stats.numeric_std[name]
             blocks.append(arr[:, None])
-            column_groups[name] = [next_col]
-            next_col += 1
         else:
             vocab = stats.vocabularies.get(name)
             if vocab is None:
@@ -300,20 +298,17 @@ def encode(
             block = np.zeros((n, len(vocab)))
             block[known, codes[known]] = 1.0
             blocks.append(block)
-            column_groups[name] = list(range(next_col, next_col + len(vocab)))
-            next_col += len(vocab)
 
     sensitive = _per_value(table.columns[schema.sensitive_column], schema.sensitive_bit)
     if include_sensitive:
         blocks.append(sensitive[:, None])
-        column_groups[schema.sensitive_column] = [next_col]
+    features = np.hstack(blocks) if blocks else np.zeros((n, 0))
 
     return TabularDataset(
-        features=np.hstack(blocks) if blocks else np.zeros((n, 0)),
+        features=features,
         labels=_per_value(table.columns[schema.label_column], schema.label_bit),
         sensitive=sensitive,
-        column_groups=column_groups,
-        sensitive_columns=[next_col] if include_sensitive else [],
+        sensitive_columns=[features.shape[1] - 1] if include_sensitive else [],
         row_ids=np.asarray(table.row_ids, dtype=np.int64),
         unknown_category_count=unknown,
     )

@@ -21,8 +21,9 @@ stage reads, and that names the sensitive attribute's column, if any. A remote
 run trains no target: the service's predictions for the test set, fetched
 once, give the accuracy and the pred_* surfaces. In process forward_batch gives
 the accuracy, and run_matrix makes the surfaces' predictions once per target.
-Nothing after training reads the training rows, so prepare lets them go: a
-prepared target is its model, baseline, test set and counts.
+Nothing after training reads the training rows, so prepare lets them go, and
+a remote run never encodes them: a prepared target is its model, baseline,
+test set and counts.
 
 Every stage runs under _stage(name): config, load, split, encode,
 train-target, predict, explain, attack, audit, emit (every output write) and
@@ -276,9 +277,9 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
 
     The CSV's table is let go once the test rows are encoded, so it does not
     live through training, and the training set once the target is trained.
-    With a remote transport nothing is trained: the
-    adversary reaches the target only through the service, whose predictions
-    on the test rows give the test accuracy."""
+    With a remote transport nothing is trained, so only the test rows are
+    encoded: the adversary reaches the target only through the service, whose
+    predictions on the test rows give the test accuracy."""
     with _stage("load"):
         schema = data_mod.TabularSchema.from_json(cfg.schema)
         table = data_mod.load_csv(cfg.dataset_csv, schema)
@@ -290,7 +291,8 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
         include_s = cfg.tm is ThreatModel.TM1
         raw_train = table.select(train_idx)
         stats = data_mod.fit_encoding(raw_train, schema)
-        ds_train = data_mod.encode(raw_train, schema, include_s, stats)
+        ds_train = (data_mod.encode(raw_train, schema, include_s, stats)
+                    if cfg.transport == IN_PROCESS else None)
         test = data_mod.encode(table.select(test_idx), schema, include_s, stats)
         n_dropped_missing = table.n_dropped_missing
         del table, raw_train  # training and every later stage read the encoded sets
@@ -309,7 +311,6 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
                 nn.init_model([ds_train.n_columns, *cfg.target_hidden, 1], seed=cfg.model_seed),
                 ds_train.features, ds_train.labels, train_cfg)
             baseline = explain_mod.mean_baseline(ds_train.features)
-    train_rows = ds_train.n_rows
     del ds_train  # no later stage reads the training rows
 
     with _stage("predict"):
@@ -323,7 +324,7 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
 
     return _Prepared(
         cfg=cfg,
-        splits=data_mod.DatasetSplits(train_rows=train_rows, test=test, n_aux=n_aux),
+        splits=data_mod.DatasetSplits(train_rows=len(train_idx), test=test, n_aux=n_aux),
         model=model,
         baseline=baseline,
         test_accuracy=test_accuracy,

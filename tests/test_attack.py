@@ -137,7 +137,8 @@ class TestTrainAttack:
     def test_two_classes_train(self, kind):
         s = np.r_[np.zeros(5), np.ones(5)]
         model = train_attack(s[:, None], s, kind=kind, mlp_epochs=1, forest_trees=1)
-        assert model.kind == kind and score(model, s[:, None]).shape == (10,)
+        assert isinstance(model, {"mlp": nn.MlpModel, "forest": forest.ForestModel}[kind])
+        assert score(model, s[:, None]).shape == (10,)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -190,7 +191,7 @@ class TestForest:
         got = score(model, X)
         # oracle: per-record, per-tree python traversal, averaged
         for r in range(X.shape[0]):
-            vals = [walk_tree(t, X[r]) for t in model.forest.trees]
+            vals = [walk_tree(t, X[r]) for t in model.trees]
             assert got[r] == pytest.approx(sum(vals) / len(vals), abs=1e-12)
 
     def test_deterministic_per_seed(self):
@@ -264,8 +265,7 @@ class TestScore:
     def test_zero_weight_mlp_scores_half(self):
         m = nn.init_model([3, 1], seed=0)
         m.weights[0][:] = 0.0
-        model = attack.AttackModel(kind="mlp", mlp=m, forest=None)
-        assert np.all(score(model, np.random.default_rng(0).normal(size=(5, 3))) == 0.5)
+        assert np.all(score(m, np.random.default_rng(0).normal(size=(5, 3))) == 0.5)
 
     def test_batch_equals_rowwise(self):
         rng = np.random.default_rng(1)

@@ -82,6 +82,27 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(str(p), toy_schema())
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        """A CSV saved with a UTF-8 byte-order mark, as spreadsheet
+        programs write "CSV UTF-8", loads like one without it."""
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"\xef\xbb\xbfage,job,minority,outcome\n30,nurse,yes,pos\n")
+        table = load_csv(str(p), toy_schema())
+        assert table.n_rows == 1 and table.columns["age"][0] == 30.0
+
+    def test_schema_column_named_twice_is_named(self, tmp_path):
+        """A header that names a schema column twice is ambiguous, so it is
+        refused rather than read from its first copy."""
+        p = write_csv(tmp_path / "t.csv", ["30,nurse,yes,pos,40"],
+                      header="age,job,minority,outcome,age")
+        with pytest.raises(SchemaError, match=r"\['age'\]"):
+            load_csv(p, toy_schema())
+
+    def test_other_columns_may_repeat(self, tmp_path):
+        p = write_csv(tmp_path / "t.csv", ["30,nurse,1,yes,pos,2"],
+                      header="age,job,note,minority,outcome,note")
+        assert load_csv(p, toy_schema()).n_rows == 1
+
     def test_row_ids_sequential_after_filtering(self, tmp_path):
         p = write_csv(tmp_path / "t.csv",
                       ["30,nurse,yes,pos", "?,clerk,no,neg", "50,aide,no,pos"])
@@ -90,6 +111,8 @@ class TestLoadCsv:
 
 
 class TestEncode:
+    # toy_schema encodes age to column 0 and job's vocabulary (a, b) to
+    # columns 1 and 2; under tm1 the sensitive column follows, as column 3
     def make_table(self):
         return toy_table(age=[1.0, 2.0, 3.0, 6.0], job=["a", "b", "a", "b"],
                          minority=["yes", "no", "no", "yes"],
@@ -98,14 +121,14 @@ class TestEncode:
     def test_two_value_categorical_gives_two_indicators(self):
         ds = encode(self.make_table(), toy_schema(), include_sensitive=False,
                     stats=fit_encoding(self.make_table(), toy_schema()))
-        job_cols = ds.column_groups["job"]
-        assert len(job_cols) == 2
-        assert np.all(ds.features[:, job_cols].sum(axis=1) == 1.0)
+        assert ds.n_columns == 3
+        assert ds.features[:, 1:].tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
 
     def test_censoring_excludes_sensitive_group(self):
         ds = encode(self.make_table(), toy_schema(), include_sensitive=False,
                     stats=fit_encoding(self.make_table(), toy_schema()))
-        assert "minority" not in ds.column_groups
+        assert not any(np.array_equal(ds.features[:, c], ds.sensitive)
+                       for c in range(ds.n_columns))
         assert ds.n_columns == 3
         assert ds.sensitive_columns == []
         splits = data.DatasetSplits(train_rows=4, test=ds, n_aux=2)
@@ -114,10 +137,10 @@ class TestEncode:
     def test_sensitive_included_as_single_column(self):
         ds = encode(self.make_table(), toy_schema(), include_sensitive=True,
                     stats=fit_encoding(self.make_table(), toy_schema()))
-        cols = ds.column_groups["minority"]
-        assert len(cols) == 1
+        cols = ds.sensitive_columns
+        assert cols == [3]
         assert np.array_equal(ds.features[:, cols[0]], ds.sensitive)
-        assert ds.sensitive_columns == cols == [
+        assert cols == [
             c for c in range(ds.n_columns) if np.array_equal(ds.features[:, c], ds.sensitive)]
         splits = data.DatasetSplits(train_rows=4, test=ds, n_aux=2)
         assert splits.aux.sensitive_columns == splits.eval.sensitive_columns == cols
@@ -125,7 +148,7 @@ class TestEncode:
     def test_standardized_numeric_moments(self):
         ds = encode(self.make_table(), toy_schema(), include_sensitive=False,
                     stats=fit_encoding(self.make_table(), toy_schema()))
-        col = ds.features[:, ds.column_groups["age"][0]]
+        col = ds.features[:, 0]
         # recompute moments independently
         assert abs(sum(col) / len(col)) <= 1e-9
         var = sum(v * v for v in col) / len(col) - (sum(col) / len(col)) ** 2
@@ -137,14 +160,14 @@ class TestEncode:
         other = toy_table(age=[10.0], job=["a"], minority=["no"], outcome=["pos"])
         ds = encode(other, toy_schema(), include_sensitive=False, stats=stats)
         expected = (10.0 - stats.numeric_mean["age"]) / stats.numeric_std["age"]
-        assert ds.features[0, ds.column_groups["age"][0]] == pytest.approx(expected)
+        assert ds.features[0, 0] == pytest.approx(expected)
 
     def test_unseen_category_zero_pattern_and_counted(self):
         table = self.make_table()
         stats = fit_encoding(table, toy_schema())
         other = toy_table(age=[2.0], job=["zzz"], minority=["no"], outcome=["neg"])
         ds = encode(other, toy_schema(), include_sensitive=False, stats=stats)
-        assert np.all(ds.features[0, ds.column_groups["job"]] == 0.0)
+        assert np.all(ds.features[0, 1:] == 0.0)
         assert ds.unknown_category_count == 1
 
     def test_binarization_map(self):
@@ -270,7 +293,7 @@ class TestEncodeCommutesWithSelection:
             got = getattr(whole, field)
             assert (got.dtype, got.shape) == (joined.dtype, joined.shape), field
             assert got.tobytes() == joined.tobytes(), field
-        assert whole.column_groups == first.column_groups == second.column_groups
+        assert whole.sensitive_columns == first.sensitive_columns == second.sensitive_columns
         assert whole.unknown_category_count == (first.unknown_category_count
                                                 + second.unknown_category_count)
 
@@ -343,7 +366,7 @@ class TestBaseRate:
         s = np.asarray(s, dtype=float)
         return data.TabularDataset(
             features=np.zeros((len(s), 1)), labels=np.zeros(len(s)),
-            sensitive=s, column_groups={}, sensitive_columns=[],
+            sensitive=s, sensitive_columns=[],
             row_ids=np.arange(len(s)))
 
     def test_half(self):

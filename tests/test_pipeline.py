@@ -193,6 +193,48 @@ class TestRunExperiment:
         assert encoded[0]() is None
         assert prep.splits.train_rows == 210 and prep.splits.test.n_rows == 90
 
+    def test_remote_run_encodes_only_the_test_rows(
+            self, synth_paths, tmp_path, monkeypatch):
+        """A remote run trains nothing, so it encodes no training row; it
+        still counts them, and its accuracy is the in-process run's."""
+        cfg = fast_config(synth_paths, str(tmp_path), target_epochs=1)
+        local = pipeline.prepare(cfg)
+        encoded, encode = [], pipeline.data_mod.encode
+
+        def encoding(*args):
+            encoded.append(args[0].n_rows)
+            return encode(*args)
+
+        monkeypatch.setattr(pipeline.data_mod, "encode", encoding)
+        with service.serve(local.model, local.baseline, cfg.explainer_config,
+                           target=cfg.scalar_target) as server:
+            remote = pipeline.prepare(dataclasses.replace(cfg, transport=server.url))
+        assert encoded == [90]
+        assert remote.splits.train_rows == 210
+        assert remote.test_accuracy == local.test_accuracy
+
+    def test_bad_training_label_fails_only_a_run_that_trains(self, synth_paths, tmp_path):
+        """A label that is not 0/1 in a training row fails an in-process run at
+        encode; a remote run never encodes the training rows, so it runs."""
+        cfg = fast_config(synth_paths, str(tmp_path), target_epochs=1)
+        local = pipeline.prepare(cfg)
+        with open(cfg.dataset_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        row = 1 + int(pipeline.data_mod.split_indices(len(rows) - 1, cfg.split_seed)[0][0])
+        rows[row][rows[0].index("outcome")] = "2"
+        bad_csv = str(tmp_path / "bad_label.csv")
+        with open(bad_csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        bad = dataclasses.replace(cfg, dataset_csv=bad_csv)
+        with pytest.raises(PipelineError) as err:
+            pipeline.prepare(bad)
+        assert err.value.stage == "encode" and "'2'" in str(err.value)
+        with service.serve(local.model, local.baseline, cfg.explainer_config,
+                           target=cfg.scalar_target) as server:
+            remote = pipeline.prepare(dataclasses.replace(bad, transport=server.url))
+        assert remote.splits.train_rows == 210
+        assert remote.test_accuracy == local.test_accuracy
+
     def test_deterministic_report_bytes(self, synth_paths, tmp_path):
         cfg_a = fast_config(synth_paths, str(tmp_path / "a"))
         cfg_b = fast_config(synth_paths, str(tmp_path / "b"))
