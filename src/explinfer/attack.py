@@ -1,10 +1,10 @@
 """Adversary side: attack surfaces, attack models, threshold calibration.
 
-The adversary turns each record's explanation (and optionally the served
-prediction) into a feature vector, trains a model mapping those vectors to
-the sensitive attribute on the auxiliary split (an nn.MlpModel or a
-forest.ForestModel), picks the decision threshold that maximizes F1 on that
-same split, and only then touches the evaluation records.
+The adversary turns each record's explanation (and the served prediction,
+for a surface that takes_prediction) into a feature vector, trains a model
+mapping those vectors to the sensitive attribute on the auxiliary split (an
+nn.MlpModel or a forest.ForestModel), picks the threshold that maximizes F1
+on that same split, and only then touches the evaluation records.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ class AttackSurface(Enum):
             return tm is ThreatModel.TM1
         return True
 
+    @property
+    def takes_prediction(self) -> bool:
+        return self in (AttackSurface.PRED_PLUS_PHI, AttackSurface.PRED_ONLY)
+
 
 class SurfaceError(ValueError):
     """Surface is incompatible with the threat model or its inputs."""
@@ -64,7 +68,7 @@ def build_surface_matrix(
         [scores[:, [c for c in range(scores.shape[1]) if c not in sensitive_cols]], delta])
     if surface is AttackSurface.PHI_NON_SENSITIVE:
         return rest
-    if surface not in (AttackSurface.PRED_PLUS_PHI, AttackSurface.PRED_ONLY):
+    if not (isinstance(surface, AttackSurface) and surface.takes_prediction):
         raise SurfaceError(f"unknown surface {surface}")
     if predictions is None:
         raise SurfaceError(f"{surface.value} needs the model prediction")

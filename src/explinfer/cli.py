@@ -16,7 +16,8 @@ the target in process and refuse a remote transport; with one, the other
 subcommands train nothing and query the service.
 
 Every subcommand takes a JSON experiment config; common flags override the
-config's output_dir, transport and seeds. Exit code 0 on success; on any
+config's output_dir, transport and seeds. train and explain name their
+files by pipeline.file_tag. Exit code 0 on success; on any
 failure 2, with one line `error [stage=<name>] <message>` on stderr that
 names the failed stage (pipeline._stage); a failed write is stage emit.
 """
@@ -38,15 +39,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", dest="output_dir", help="override output_dir")
     parser.add_argument("--transport",
                         help="'in_process' or the base URL of a running service")
-    for seed in ("split", "model", "attack", "explainer"):
-        parser.add_argument(f"--{seed}-seed", type=int)
+    for seed in pipeline.SEEDS:
+        parser.add_argument("--" + seed.replace("_", "-"), type=int)
 
 
 def _load_cells(args) -> list[ExperimentConfig]:
     with pipeline._stage("config"):
         raw = pipeline.read_config(args.config)
-        for key in ("output_dir", "transport", "split_seed", "model_seed", "attack_seed",
-                    "explainer_seed"):
+        for key in ("output_dir", "transport", *pipeline.SEEDS):
             if getattr(args, key) is not None:
                 raw[key] = getattr(args, key)
         cells = pipeline.expand_matrix(raw)
@@ -71,8 +71,7 @@ def _in_process_cells(args) -> list[ExperimentConfig]:
 def _cmd_train(args) -> int:
     for cfg in pipeline.first_cells(_in_process_cells(args), pipeline.PREPARE_KEY):
         prep = pipeline.prepare(cfg)
-        # named by the matrix fields that key a target
-        tag = f"{cfg.tm.value}-s{cfg.split_seed}m{cfg.model_seed}"
+        tag = pipeline.file_tag(cfg, pipeline.PREPARE_KEY)
         with pipeline._stage("emit"):
             os.makedirs(cfg.output_dir, exist_ok=True)
             model_path = os.path.join(cfg.output_dir, f"target-{tag}.npz")
@@ -86,13 +85,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    sets = pipeline.first_cells(_load_cells(args), pipeline.PREPARE_KEY + pipeline.EXPLAIN_KEY)
-    for prep, explanations in pipeline.run_cells(sets):
+    key = pipeline.PREPARE_KEY + pipeline.EXPLAIN_KEY
+    for prep, explanations in pipeline.run_cells(pipeline.first_cells(_load_cells(args), key)):
         cfg = prep.cfg
-        # named by the matrix fields that key an explanation set
-        stem = os.path.join(
-            cfg.output_dir, f"explanations-{cfg.tm.value}-{cfg.algorithm.value}-"
-            f"s{cfg.split_seed}m{cfg.model_seed}e{cfg.explainer_seed}")
+        stem = os.path.join(cfg.output_dir, f"explanations-{pipeline.file_tag(cfg, key)}")
         n_aux = prep.splits.n_aux
         with pipeline._stage("emit"):
             os.makedirs(cfg.output_dir, exist_ok=True)
@@ -194,7 +190,3 @@ def main(argv=None) -> int:
     except PipelineError as exc:
         print(f"error {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -13,8 +13,9 @@ A run of many cells walks one stage graph (run_cells): each distinct target
 is prepared, and each distinct explanation set computed, once. It emits one
 report: a row per cell and surface, PR-curve files, per-record prediction
 dumps and a manifest of every cell's config and of each distinct target's
-dataset counts and accuracy, once. Identical config and seeds produce
-byte-identical report files.
+dataset counts and accuracy, once. Its columns are the str, int and float
+fields of AttackCell and CorrelationRow, and file_tag names files by the
+MATRIX_FIELDS. Identical config and seeds produce byte-identical report files.
 
 The aux records, then the eval records, are one encoded test set that every
 stage reads, and that names the sensitive attribute's column, if any. A remote
@@ -53,6 +54,12 @@ from .explain import Algorithm, ExplainerConfig
 from .nn import ScalarTarget, TrainConfig
 
 IN_PROCESS = "in_process"
+SEEDS = ("split_seed", "model_seed", "attack_seed", "explainer_seed")
+# the config fields a list expands into one cell per value, in expansion order
+MATRIX_FIELDS = ("threat_model", "explainer", "attack_kind", *SEEDS)
+# ExperimentConfig's fields that set its explainer_config, all but the seed
+EXPLAINER_SETTINGS = tuple(f.name for f in dataclasses.fields(ExplainerConfig)
+                           if f.name != "seed")
 
 
 class PipelineError(RuntimeError):
@@ -163,18 +170,7 @@ class ExperimentConfig:
             raise ValueError(f"dataset name {self.dataset_name!r} holds a comma, quote, line "
                              f"break or path separator; set dataset_name to a name without them")
         self.explainer_config = ExplainerConfig(
-            ig_steps=self.ig_steps,
-            shap_samples=self.shap_samples,
-            shap_stdev=self.shap_stdev,
-            smoothgrad_samples=self.smoothgrad_samples,
-            smoothgrad_sigma=self.smoothgrad_sigma,
-            seed=self.explainer_seed,
-        )
-
-    @property
-    def needs_predictions(self) -> bool:
-        return any(s in (AttackSurface.PRED_PLUS_PHI, AttackSurface.PRED_ONLY)
-                   for s in self.surface_list)
+            seed=self.explainer_seed, **{n: getattr(self, n) for n in EXPLAINER_SETTINGS})
 
 
 def read_config(path: str) -> dict:
@@ -199,8 +195,7 @@ def expand_matrix(raw: dict) -> list[ExperimentConfig]:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     cells = [dict(raw)]
-    for key in ("threat_model", "explainer", "attack_kind", "split_seed",
-                "model_seed", "attack_seed", "explainer_seed"):
+    for key in MATRIX_FIELDS:
         if isinstance(raw.get(key), list):
             if not raw[key]:  # it would expand to no cells
                 raise ValueError(f"{key} must not be an empty list")
@@ -212,8 +207,8 @@ def expand_matrix(raw: dict) -> list[ExperimentConfig]:
 class AttackCell:
     """Results for one (threat model, explainer, surface) attack.
 
-    Seed fields make every row traceable to the configuration that
-    produced it."""
+    The matrix fields, seeds included, make every row traceable to the
+    configuration that produced it."""
 
     dataset: str
     threat_model: str
@@ -376,11 +371,9 @@ def run_attacks(prep: _Prepared, explanations) -> list[AttackCell]:
             c = metrics_mod.confusion(predicted, ds_eval.sensitive)
             base_rate = data_mod.sensitive_base_rate(ds_eval)
             cells.append(AttackCell(
+                **{name: getattr(cfg, name) for name in MATRIX_FIELDS},
                 dataset=cfg.dataset_name,
-                threat_model=cfg.tm.value,
-                explainer=cfg.algorithm.value,
                 surface=surface.value,
-                attack_kind=cfg.attack_kind,
                 tau_star=thr.tau_star,
                 aux_f1=thr.achieved_f1_on_aux,
                 precision=metrics_mod.precision(c),
@@ -389,10 +382,6 @@ def run_attacks(prep: _Prepared, explanations) -> list[AttackCell]:
                 base_rate=base_rate,
                 baseline_f1=_all_positive_f1(base_rate),
                 target_test_accuracy=prep.test_accuracy,
-                split_seed=cfg.split_seed,
-                model_seed=cfg.model_seed,
-                attack_seed=cfg.attack_seed,
-                explainer_seed=cfg.explainer_seed,
                 curve=thr.curve,
                 eval_record_ids=ds_eval.row_ids,
                 eval_scores=eval_scores,
@@ -442,8 +431,7 @@ def correlation_audit(prep: _Prepared, explanations) -> list[CorrelationRow]:
 PREPARE_KEY = ("dataset_csv", "schema", "threat_model", "split_seed", "model_seed",
                "target_hidden", "target_epochs", "target_learning_rate",
                "target_batch_size", "transport")
-EXPLAIN_KEY = ("explainer", "explainer_seed", "ig_steps", "shap_samples", "shap_stdev",
-               "smoothgrad_samples", "smoothgrad_sigma", "explanation_target")
+EXPLAIN_KEY = ("explainer", "explainer_seed", *EXPLAINER_SETTINGS, "explanation_target")
 
 
 def _key(cfg: ExperimentConfig, names) -> tuple:
@@ -484,7 +472,7 @@ def run_matrix(cells: list[ExperimentConfig]) -> AttackReport:
     for prep, explanations in run_cells(cells):
         cfg, splits = prep.cfg, prep.splits
         key = _key(cfg, PREPARE_KEY)
-        if prep.predictions is None and cfg.needs_predictions:
+        if prep.predictions is None and any(s.takes_prediction for s in cfg.surface_list):
             if key not in predicted:
                 with _stage("predict"):
                     predicted[key] = nn.forward_rows(prep.model, splits.test.features)
@@ -510,17 +498,19 @@ def run_matrix(cells: list[ExperimentConfig]) -> AttackReport:
     return AttackReport(rows, correlations, manifest)
 
 
-REPORT_COLUMNS = [
-    "dataset", "threat_model", "explainer", "surface", "attack_kind",
-    "tau_star", "aux_f1", "precision", "recall", "f1", "base_rate",
-    "baseline_f1", "target_test_accuracy",
-    "split_seed", "model_seed", "attack_seed", "explainer_seed",
-]
+# field order is column order: reordering a row class's fields changes the report bytes
+REPORT_COLUMNS, CORRELATION_COLUMNS = (
+    [f.name for f in dataclasses.fields(row) if f.type in ("str", "int", "float")]
+    for row in (AttackCell, CorrelationRow))
 
-CORRELATION_COLUMNS = [
-    "dataset", "threat_model", "explainer", "group", "n_columns",
-    "mean_r", "std_r", "skipped_constant",
-]
+
+def file_tag(row, names) -> str:
+    """A file-name tag of the matrix fields among `names` of a config or a
+    report row: their values joined by "-", the seeds last as one word of
+    initials and values, so file_tag(cfg, PREPARE_KEY) is tm1-s0m1."""
+    names = [n for n in MATRIX_FIELDS if n in names]
+    return "-".join([*(getattr(row, n) for n in names if n not in SEEDS),
+                     "".join(f"{n[0]}{getattr(row, n)}" for n in names if n in SEEDS)])
 
 
 def write_rows(path: str, columns: list[str], rows) -> None:
@@ -544,8 +534,7 @@ def emit_report(report: AttackReport, directory: str) -> dict:
         curve_files, dump_files = [], []
         for cell in report.rows:
             tag = (f"{cell.dataset}-{cell.threat_model}-{cell.explainer}-"
-                   f"{cell.surface}-s{cell.split_seed}m{cell.model_seed}"
-                   f"a{cell.attack_seed}e{cell.explainer_seed}")
+                   f"{cell.surface}-{file_tag(cell, SEEDS)}")
             curve_files.append(os.path.join(directory, f"prcurve-{tag}.csv"))
             data_mod.write_csv(curve_files[-1], [
                 [f"# base_rate={float(cell.curve.base_rate)!r}"],

@@ -19,7 +19,8 @@ https), and its timeout bounds the connect and each record's answer time;
 max_retries (an integer >= 1) and timeout (a finite number > 0) are checked
 by nn.check_number before a connection opens. It joins the answers into one
 explain.Explanations, or one array of probabilities, and raises
-ServiceError for answers that hold another count than the records sent. Between calls the client keeps
+ServiceError for an answer that does not decode as UTF-8 JSON or that
+holds another count than the records sent. Between calls the client keeps
 one idle connection, that of the last call that finished cleanly, and the
 next call to the same endpoint reuses it. The server closes a connection
 left idle for 10 s (_Handler.timeout), and every open connection when it
@@ -36,7 +37,8 @@ client that sends Expect: 100-continue sends its body after its own wait.
 The client takes answers framed by a Content-Length of at most
 MAX_BODY_BYTES; any other answer is a failed attempt.
 
-Errors are {"error": message}: 400 for malformed JSON, an unknown
+Errors are {"error": message}: 400 for a body that does not decode as
+UTF-8 JSON (one nested past the recursion limit included), an unknown
 algorithm, a body without a nonempty "records" list or ids that are not
 nonnegative integers, one per record; 422 for a bad feature row, named by
 its index; 404 for another endpoint. A request outside the codec's subset
@@ -216,6 +218,15 @@ def _keeps_alive(version: bytes, headers: dict[str, str]) -> bool:
     return "close" not in tokens and (version == b"HTTP/1.1" or "keep-alive" in tokens)
 
 
+def _decode(body: bytes):
+    """The JSON value of a UTF-8 body. A body that is not UTF-8 or not JSON,
+    or that nests past the interpreter's recursion limit, is a ValueError."""
+    try:
+        return json.loads(body.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _message(head: list[bytes], body: bytes) -> bytes:
     """The start line and headers in head, the JSON body's type and length,
     and the body, as one buffer: one write per message, so the peer wakes once."""
@@ -310,10 +321,10 @@ class _Handler(socketserver.StreamRequestHandler):
             if method != "POST" or endpoint is None:
                 raise _HttpError(404, f"no such endpoint: {path}")
             try:
-                request = json.loads(body.decode("utf-8"))
+                request = _decode(body)
                 if not isinstance(request, dict):
                     raise ValueError("body must be a JSON object")
-            except (ValueError, UnicodeDecodeError) as exc:
+            except ValueError as exc:
                 raise _HttpError(400, f"malformed JSON body: {exc}")
             return 200, endpoint(request)
         except _HttpError as exc:
@@ -567,7 +578,10 @@ def _request(conn: _Connection, url: str, path: str, payload, max_retries: int,
             f"could not reach {url} after {max_retries} attempts: {last_exc}") from last_exc
     if status != 200:  # the server answered, not busy: a protocol failure
         raise ServiceError(f"{url} returned {status}: {data.decode('utf-8', 'replace')}")
-    return json.loads(data.decode("utf-8"))
+    try:
+        return _decode(data)
+    except ValueError as exc:
+        raise ServiceError(f"malformed answer from {url}: {exc}") from exc
 
 
 def _chunks(X: np.ndarray, record_ids=None, **fields):

@@ -81,6 +81,11 @@ class TestSurfaces:
         with pytest.raises(SurfaceError):
             build_surface(a, None, AttackSurface.PRED_PLUS_PHI, [])
 
+    def test_phi_sensitive_without_a_sensitive_column_rejected(self):
+        a = make_attribution([1.0, 2.0])
+        with pytest.raises(SurfaceError, match="sensitive columns"):
+            build_surface(a, None, AttackSurface.PHI_SENSITIVE, [])
+
     def test_matrix_rows_are_records(self):
         explanations = Explanations(
             Algorithm.DEEPLIFT, ScalarTarget.LOGIT,
@@ -139,6 +144,11 @@ class TestTrainAttack:
         model = train_attack(s[:, None], s, kind=kind, mlp_epochs=1, forest_trees=1)
         assert isinstance(model, {"mlp": nn.MlpModel, "forest": forest.ForestModel}[kind])
         assert score(model, s[:, None]).shape == (10,)
+
+    @pytest.mark.parametrize("kind", ["mlp", "forest"])
+    def test_shape_mismatch(self, kind):
+        with pytest.raises(ValueError, match="one sensitive label per row"):
+            train_attack(np.zeros((3, 2)), np.array([0.0, 1.0]), kind=kind)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -211,6 +221,15 @@ class TestForest:
         s = np.array([0.0, 1.0, 0.0, 1.0])
         with pytest.raises(ValueError, match=size):
             forest.fit_forest(X, s, **{size: 0})
+
+    @pytest.mark.parametrize("X, s, message", [
+        (np.zeros((4, 2)), [0.0, 1.0, 0.0], "one label per row"),
+        (np.zeros(4), [0.0, 1.0, 0.0, 1.0], "one label per row"),
+        (np.zeros((4, 2)), [0.0, 1.0, 0.5, 1.0], "labels must be 0 or 1"),
+    ], ids=["row_count", "not_a_matrix", "not_binary"])
+    def test_features_and_labels_checked(self, X, s, message):
+        with pytest.raises(ValueError, match=message):
+            forest.fit_forest(X, s)
 
     def test_pure_training_set_scores_constant_one(self):
         X = np.r_[np.ones((30, 2)), np.zeros((30, 2))]

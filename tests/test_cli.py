@@ -194,6 +194,7 @@ def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys, text, se
     {"dataset_name": "a,b"}, {"dataset_name": "x\ny"}, {"dataset_name": "x\ry"},
     {"dataset_name": "a/b"}, {"dataset_name": '"a'},
     {"model_seed": []}, {"threat_model": []}, {"attack_kind": []},
+    {"surfaces": ["phi_all", "phi_all"]}, {"attack_kind": "svm"},
     {"output_dir": os.devnull},  # exists, and is not a directory
 ])
 def test_bad_field_is_config_error_before_training(cli_setup, tmp_path, capsys,
@@ -252,6 +253,19 @@ def test_missing_dataset_reports_stage(cli_setup, tmp_path, capsys):
     path.write_text(json.dumps(missing))
     assert cli.main(["experiment", str(path)]) == 2
     assert "[stage=load]" in capsys.readouterr().err
+
+
+def test_csv_without_a_usable_row_is_load_error(cli_setup, tmp_path, capsys):
+    _, _, config = cli_setup
+    with open(config["dataset_csv"], encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines()
+    # every row misses its first value, x0
+    missing = tmp_path / "missing.csv"
+    missing.write_text("\n".join([header, *("?" + row[row.index(","):] for row in rows)]))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(config, dataset_csv=str(missing))))
+    assert cli.main(["experiment", str(path)]) == 2
+    assert "error [stage=load] no usable rows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field,bad", [

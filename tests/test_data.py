@@ -71,6 +71,16 @@ class TestLoadCsv:
         assert table.n_rows == 1
         assert table.n_dropped_missing == 2
 
+    def test_blank_lines_skipped(self, tmp_path):
+        # a blank line, or one of only commas and spaces, is no row: it is
+        # neither loaded nor counted as dropped
+        p = write_csv(tmp_path / "t.csv",
+                      ["30,nurse,yes,pos", "", " , ,,", "40,clerk,no,neg", ""])
+        table = load_csv(p, toy_schema())
+        assert table.columns["age"].tolist() == [30.0, 40.0]
+        assert table.row_ids.tolist() == [0, 1]
+        assert table.n_dropped_missing == 0
+
     def test_unparseable_numeric(self, tmp_path):
         p = write_csv(tmp_path / "t.csv", ["thirty,nurse,yes,pos"])
         with pytest.raises(DataError):
@@ -196,6 +206,17 @@ class TestEncode:
         table.columns["minority"][1:] = "no"
         with pytest.raises(DataError, match="'pos'"):
             encode(table, schema, include_sensitive=False, stats=stats)
+
+    @pytest.mark.parametrize("columns, message", [
+        ([("age", "numeric"), ("job", "numeric")], "numeric column 'job'"),
+        ([("age", "categorical"), ("job", "categorical")], "categorical column 'age'"),
+    ])
+    def test_statistics_of_another_schema_rejected(self, columns, message):
+        table = self.make_table()
+        stats = fit_encoding(table, toy_schema())
+        other = dataclasses.replace(toy_schema(), columns=columns)
+        with pytest.raises(SchemaError, match=message):
+            encode(table, other, True, stats)
 
     def test_labels_binarized(self):
         ds = encode(self.make_table(), toy_schema(), include_sensitive=False,

@@ -121,6 +121,12 @@ class TestIntegratedGradients:
                 random_net, np.zeros(4), np.zeros(3), IG, ExplainerConfig())
 
 
+def test_wrong_number_of_record_ids_is_refused(random_net):
+    with pytest.raises(ValueError, match="record_ids has 1 ids for 2 records"):
+        explain.explain_batch(random_net, np.zeros((2, 4)), np.zeros(4),
+                              Algorithm.SMOOTHGRAD, ExplainerConfig(), record_ids=[0])
+
+
 class TestDeepLift:
     def test_linear_matches_integrated_gradients(self):
         w = np.array([0.3, -1.2])

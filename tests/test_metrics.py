@@ -51,6 +51,10 @@ class TestConfusion:
         with pytest.raises(ValueError):
             metrics.confusion([0.5, 1], [0, 1])
 
+    def test_no_records(self):
+        with pytest.raises(ValueError, match="no records"):
+            metrics.confusion([], [])
+
 
 class TestPrf:
     def test_perfect(self):
@@ -127,6 +131,10 @@ class TestPrCurve:
         with pytest.raises(ValueError):
             metrics.pr_curve([0.1, 0.2], [1, 1])
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+            metrics.pr_curve([0.1, 0.2], [0, 1, 1])
+
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 2**32 - 1))
     def test_monotone_transform_leaves_points_invariant(self, seed):
@@ -151,6 +159,10 @@ class TestPearson:
     def test_constant_is_error(self):
         with pytest.raises(ValueError):
             metrics.pearson([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+
+    def test_one_value_is_error(self):
+        with pytest.raises(ValueError, match="size >= 2"):
+            metrics.pearson([1.0], [2.0])
 
     def test_hand_computed(self):
         # deviations: a [-1.5,-0.5,0.5,1.5], b [-0.5,-1.5,1.5,0.5];

@@ -247,6 +247,13 @@ class TestForward:
         with pytest.raises(ValueError):
             nn.forward(m, [1.0, 2.0])
 
+    def test_input_of_the_wrong_rank(self):
+        m = nn.init_model([3, 1], seed=0)
+        with pytest.raises(ValueError, match="1-D vector, got ndim=2"):
+            nn.forward(m, np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="2-D matrix, got ndim=3"):
+            nn.forward_batch(m, np.zeros((1, 1, 3)))
+
     def test_nonfinite_input(self):
         m = nn.init_model([2, 1], seed=0)
         with pytest.raises(ValueError):
@@ -653,6 +660,10 @@ class TestEvaluateAccuracy:
     def test_empty_set(self):
         with pytest.raises(ValueError):
             metrics.accuracy(np.zeros(0), np.zeros(0))
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="2 probabilities vs 3 labels"):
+            metrics.accuracy([0.2, 0.8], [0.0, 1.0, 1.0])
 
 
 class TestSerialization:

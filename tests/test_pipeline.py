@@ -415,6 +415,18 @@ class TestStageReuse:
         assert ([t["target_test_accuracy"] for t in targets]
                 == [r.target_test_accuracy for r in report.rows[::2]])
 
+    # the config fields that change neither a target nor its explanations
+    NEITHER_KEY = ("surfaces", "attack_kind", "dataset_name", "attack_seed", "attack_hidden",
+                   "attack_epochs", "attack_learning_rate", "attack_batch_size",
+                   "forest_trees", "forest_depth", "forest_min_leaf", "output_dir")
+
+    def test_memo_keys_cover_every_config_field(self):
+        """A field in neither memo key would let two cells that differ in it
+        share a target or an explanation set, so each field is in exactly
+        one of the keys or of the fields named as changing neither."""
+        named = [*pipeline.PREPARE_KEY, *pipeline.EXPLAIN_KEY, *self.NEITHER_KEY]
+        assert sorted(named) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+
     @pytest.mark.parametrize("field,values", [("model_seed", (1, 2)),
                                               ("threat_model", ("tm1", "tm2"))])
     def test_cells_with_distinct_targets_do_not_share(
@@ -438,6 +450,16 @@ class TestEmitReport:
             assert fh.read() == ",".join(pipeline.REPORT_COLUMNS) + "\n"
         with open(files["correlations"], encoding="utf-8") as fh:
             assert fh.read() == ",".join(pipeline.CORRELATION_COLUMNS) + "\n"
+
+    def test_columns_are_the_row_classes_scalar_fields_in_order(self):
+        assert pipeline.REPORT_COLUMNS == [
+            "dataset", "threat_model", "explainer", "surface", "attack_kind",
+            "tau_star", "aux_f1", "precision", "recall", "f1", "base_rate",
+            "baseline_f1", "target_test_accuracy",
+            "split_seed", "model_seed", "attack_seed", "explainer_seed"]
+        assert pipeline.CORRELATION_COLUMNS == [
+            "dataset", "threat_model", "explainer", "group", "n_columns",
+            "mean_r", "std_r", "skipped_constant"]
 
     def test_pr_curve_file_roundtrip(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path), surfaces=["phi_all", "phi_sensitive"])

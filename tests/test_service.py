@@ -105,6 +105,34 @@ def exchange_raw(server, request: bytes) -> bytes:
     return answer
 
 
+@contextlib.contextmanager
+def answering_once(answer: bytes):
+    """The URL of a listener that reads a request of its first connection
+    and writes answer; the block ends with that done."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def answer_once():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(answer)
+
+        answering = threading.Thread(target=answer_once, daemon=True)
+        answering.start()
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+        answering.join(5)
+        assert not answering.is_alive()
+
+
+def ok_answer(body: bytes) -> bytes:
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+
+
+# bodies that do not decode: not UTF-8, not JSON, and JSON nested deeper
+# than the interpreter's recursion limit
+UNDECODABLE = [pytest.param(b"\xff", id="not_utf8"), pytest.param(b"{not json", id="not_json"),
+               pytest.param(b"[" * 100_000, id="nested")]
+
+
 def one_answer(raw: bytes):
     """The status, headers and JSON payload of raw, which must hold exactly
     one HTTP/1.1 answer with a Content-Length body."""
@@ -161,11 +189,13 @@ class TestEndpoints:
         assert status == 400
         assert "records" in body["error"]
 
-    def test_malformed_json_is_400(self, running_server):
+    @pytest.mark.parametrize("data", UNDECODABLE)
+    def test_malformed_json_is_400(self, running_server, data):
         server, *_ = running_server
-        status, body = post_raw(server.url + "/v1/predict", b"{not json")
+        status, body = post_raw(server.url + "/v1/predict", data)
         assert status == 400
         assert "error" in body
+        assert body["error"].startswith("malformed JSON body")
 
     def test_unknown_algorithm_is_400(self, running_server):
         server, _, _, _, X = running_server
@@ -190,6 +220,21 @@ class TestEndpoints:
                         "record_ids": [record_id]}).encode())
         assert status == 400
         assert "record_id" in body["error"]
+
+    def test_unexpected_endpoint_error_is_500_and_the_server_serves_on(
+            self, running_server, monkeypatch):
+        server, _, _, _, X = running_server
+
+        def broken(self, body):
+            raise KeyError("broken endpoint")
+
+        monkeypatch.setattr(service._Endpoints, "predict", broken)
+        status, body = post_json(server, "/v1/predict", {"records": rows(X[:1])})
+        assert status == 500
+        assert body["error"].startswith("internal error")
+        status, body = post_json(server, "/v1/explain",
+                                 {"records": rows(X[:1]), "algorithm": "deeplift"})
+        assert status == 200 and len(body["explanations"]) == 1
 
     def test_unknown_path_is_404(self, running_server):
         server, *_ = running_server
@@ -374,6 +419,22 @@ class TestClient:
         with pytest.raises(service.ServiceError, match="malformed /v1/predict"):
             service.client_fetch_predictions(server.url, X[:1])
 
+    @pytest.mark.parametrize("fetch", [
+        lambda url: service.client_fetch_predictions(url, np.zeros((1, 2))),
+        lambda url: service.client_fetch_explanations(url, np.zeros((1, 2)),
+                                                      Algorithm.DEEPLIFT),
+    ], ids=["predictions", "explanations"])
+    @pytest.mark.parametrize("body", UNDECODABLE)
+    def test_undecodable_answer_is_service_error(self, fetch, body):
+        with answering_once(ok_answer(body)) as url:
+            with pytest.raises(service.ServiceError, match="malformed"):
+                fetch(url)
+
+    @pytest.mark.parametrize("body", UNDECODABLE)
+    def test_health_is_false_for_an_undecodable_answer(self, body):
+        with answering_once(ok_answer(body)) as url:
+            assert service.fetch_health(url) is False
+
     @pytest.mark.parametrize("answered", [2, 4])  # for 3 records
     def test_answer_of_another_length_is_service_error(self, running_server, monkeypatch,
                                                        answered):
@@ -420,26 +481,26 @@ class TestClient:
     @pytest.mark.parametrize("length", [b"%d" % (service.MAX_BODY_BYTES + 1), b"9" * 5000],
                              ids=["limit_plus_one", "5000_digits"])
     def test_answer_over_the_body_limit_is_a_failed_attempt(self, length):
-        with socket.create_server(("127.0.0.1", 0)) as listener:
-            def answer_once():
-                conn, _ = listener.accept()
-                with conn:
-                    conn.recv(65536)
-                    conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n" % length)
-
-            answering = threading.Thread(target=answer_once, daemon=True)
-            answering.start()
+        with answering_once(b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n" % length) as url:
             with pytest.raises(service.ServiceError, match="could not reach.*subset"):
-                service.client_fetch_predictions(
-                    f"http://127.0.0.1:{listener.getsockname()[1]}", np.zeros((1, 2)),
-                    max_retries=1)
-            answering.join(5)
-            assert not answering.is_alive()
+                service.client_fetch_predictions(url, np.zeros((1, 2)), max_retries=1)
 
     def test_health_is_false_for_a_non_object_answer(self, running_server, monkeypatch):
         server, *_ = running_server
         monkeypatch.setattr(service._Handler, "_answer", lambda self, *request: (200, ["ok"]))
         assert service.fetch_health(server.url) is False
+
+
+def test_wrong_length_baseline_is_refused_and_closes_the_socket(
+        small_trained_net_module, monkeypatch):
+    model, _ = small_trained_net_module
+    servers, load = [], service.Server.load
+    monkeypatch.setattr(service.Server, "load",
+                        lambda self, *args: servers.append(self) or load(self, *args))
+    with pytest.raises(ValueError, match="baseline must have length 4"):
+        service.serve(model, np.zeros(3), ExplainerConfig())
+    [server] = servers
+    assert server.socket.fileno() == -1
 
 
 def test_idle_server_shuts_down_within_its_poll(small_trained_net_module):
