@@ -16,21 +16,23 @@ the target in process and refuse a remote transport; with one, the other
 subcommands train nothing and query the service.
 
 Every subcommand takes a JSON experiment config; common flags override the
-config's output_dir, transport and seeds. train and explain name their
-files by pipeline.file_tag. Exit code 0 on success; on any
-failure 2, with one line `error [stage=<name>] <message>` on stderr that
-names the failed stage (pipeline._stage); a failed write is stage emit.
+config's output_dir, transport and seeds. A view names its files (by
+pipeline.file_tag) and builds them and its stdout lines; pipeline.emit
+writes and prints them, for train once per target, for explain once per
+explanation set, and for audit and experiment once. Exit code 0 on success;
+on any failure 2, with one line `error [stage=<name>] <message>` on stderr
+that names the failed stage (pipeline._stage); a failed write is stage emit.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
 
-from . import data as data_mod
-from . import nn, pipeline
+from . import pipeline
 from .pipeline import ExperimentConfig, PipelineError
 
 
@@ -72,35 +74,31 @@ def _cmd_train(args) -> int:
     for cfg in pipeline.first_cells(_in_process_cells(args), pipeline.PREPARE_KEY):
         prep = pipeline.prepare(cfg)
         tag = pipeline.file_tag(cfg, pipeline.PREPARE_KEY)
-        with pipeline._stage("emit"):
-            os.makedirs(cfg.output_dir, exist_ok=True)
-            model_path = os.path.join(cfg.output_dir, f"target-{tag}.npz")
-            nn.save_model(prep.model, model_path)
-            data_mod.write_csv(os.path.join(cfg.output_dir, f"baseline-{tag}.csv"),
-                               [prep.baseline])
-            print(f"{cfg.dataset_name} {cfg.tm.value}: "
-                  f"test accuracy {prep.test_accuracy:.4f}; "
-                  f"model -> {model_path}")
+        pipeline.emit(cfg.output_dir,
+                      {f"target-{tag}.npz": prep.model, f"baseline-{tag}.csv": [prep.baseline]},
+                      [f"{cfg.dataset_name} {cfg.tm.value}: "
+                       f"test accuracy {prep.test_accuracy:.4f}; "
+                       f"model -> {os.path.join(cfg.output_dir, f'target-{tag}.npz')}"])
     return 0
 
 
 def _cmd_explain(args) -> int:
     key = pipeline.PREPARE_KEY + pipeline.EXPLAIN_KEY
     for prep, explanations in pipeline.run_cells(pipeline.first_cells(_load_cells(args), key)):
-        cfg = prep.cfg
-        stem = os.path.join(cfg.output_dir, f"explanations-{pipeline.file_tag(cfg, key)}")
-        n_aux = prep.splits.n_aux
-        with pipeline._stage("emit"):
-            os.makedirs(cfg.output_dir, exist_ok=True)
-            for name, split, ds in (("aux", explanations[:n_aux], prep.splits.aux),
-                                    ("eval", explanations[n_aux:], prep.splits.eval)):
-                path = f"{stem}-{name}.csv"
-                data_mod.write_csv(path, [
-                    ["record_id", "algorithm", "target", "delta",
-                     *(f"score_{i}" for i in range(ds.n_columns))],
-                    *([rid, split.algorithm.value, split.target.value, delta, *scores]
-                      for rid, delta, scores in zip(ds.row_ids, split.delta, split.scores))])
-                print(f"{len(split)} {name} explanations -> {path}")
+        cfg, n_aux = prep.cfg, prep.splits.n_aux
+        labels = (explanations.algorithm.value, explanations.target.value)
+        files, lines = {}, []
+        for split, part, ds in (("aux", explanations[:n_aux], prep.splits.aux),
+                                ("eval", explanations[n_aux:], prep.splits.eval)):
+            name = f"explanations-{pipeline.file_tag(cfg, key)}-{split}.csv"
+            files[name] = itertools.chain(
+                [["record_id", "algorithm", "target", "delta",
+                  *(f"score_{i}" for i in range(ds.n_columns))]],
+                ([rid, *labels, delta, *scores]
+                 for rid, delta, scores in zip(ds.row_ids, part.delta, part.scores)))
+            lines.append(f"{len(part)} {split} explanations -> "
+                         f"{os.path.join(cfg.output_dir, name)}")
+        pipeline.emit(cfg.output_dir, files, lines)
     return 0
 
 
@@ -109,14 +107,13 @@ def _cmd_audit(args) -> int:
     sets = pipeline.first_cells(cells, pipeline.PREPARE_KEY + pipeline.EXPLAIN_KEY)
     rows = [row for prep, explanations in pipeline.run_cells(sets)
             for row in pipeline.correlation_audit(prep, explanations)]
-    with pipeline._stage("emit"):
-        os.makedirs(cells[0].output_dir, exist_ok=True)
-        path = os.path.join(cells[0].output_dir, "correlations.csv")
-        pipeline.write_rows(path, pipeline.CORRELATION_COLUMNS, rows)
-        for row in rows:
-            print(f"{row.threat_model} {row.explainer} s~{row.group}: "
-                  f"{row.mean_r:+.3f} +/- {row.std_r:.3f} over {row.n_columns} columns")
-        print(f"audit -> {path}")
+    directory = cells[0].output_dir
+    files = {"correlations.csv": pipeline.rows_of(pipeline.CORRELATION_COLUMNS, rows)}
+    pipeline.emit(directory, files, [
+        *(f"{row.threat_model} {row.explainer} s~{row.group}: "
+          f"{row.mean_r:+.3f} +/- {row.std_r:.3f} over {row.n_columns} columns"
+          for row in rows),
+        f"audit -> {os.path.join(directory, 'correlations.csv')}"])
     return 0
 
 
@@ -140,16 +137,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cells = _load_cells(args)
-    report = pipeline.run_matrix(cells)
-    with pipeline._stage("emit"):
-        files = pipeline.emit_report(report, cells[0].output_dir)
-        for cell in report.rows:
-            print(f"{cell.dataset} {cell.threat_model} {cell.explainer} "
-                  f"{cell.surface} [{cell.attack_kind}]: "
-                  f"P={cell.precision:.3f} R={cell.recall:.3f} F1={cell.f1:.3f} "
-                  f"base={cell.base_rate:.3f} tau*={cell.tau_star:.3f}")
-        print(f"report -> {files['report']}")
-        print(f"summary -> {files['summary']}")
+    pipeline.emit_report(pipeline.run_matrix(cells), cells[0].output_dir)
     return 0
 
 

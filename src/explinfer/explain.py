@@ -86,7 +86,7 @@ class Explanations:
 
 def check_record_ids(record_ids, n: int) -> list[int]:
     """record_ids as a list of n ints, each an integer >= 0 by nn.check_number;
-    explain_batch and the service client share this rule."""
+    explain_batch and both ends of the service share this rule."""
     ids = [int(nn.check_number(f"record_ids[{i}]", r, True, False))
            for i, r in enumerate(record_ids)]
     if len(ids) != n:

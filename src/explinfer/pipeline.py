@@ -27,9 +27,10 @@ a remote run never encodes them: a prepared target is its model, baseline,
 test set and counts.
 
 Every stage runs under _stage(name): config, load, split, encode,
-train-target, predict, explain, attack, audit, emit (every output write) and
-serve. A failure in it raises as one PipelineError that names the stage, so
-a run ends in its result or in that one named error, never a traceback.
+train-target, predict, explain, attack, audit, emit and serve. emit() is the
+one writer of a run's output files and stdout lines. A failure in a stage
+raises as one PipelineError that names it, so a run ends in its result or in
+that one named error, never a traceback.
 
 Evaluation hygiene: encoding statistics, the explanation baseline, attack
 training and threshold calibration never see an eval-split record.
@@ -38,6 +39,7 @@ training and threshold calibration never see an eval-split record.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -513,54 +515,59 @@ def file_tag(row, names) -> str:
                      "".join(f"{n[0]}{getattr(row, n)}" for n in names if n in SEEDS)])
 
 
-def write_rows(path: str, columns: list[str], rows) -> None:
-    """CSV with a header line and one line per row object."""
-    data_mod.write_csv(path, [columns, *([getattr(r, c) for c in columns] for r in rows)])
+def rows_of(columns: list[str], rows):
+    """A header of `columns`, then their values for each row object, lazily."""
+    return itertools.chain([columns], ([getattr(r, c) for c in columns] for r in rows))
 
 
-def emit_report(report: AttackReport, directory: str) -> dict:
-    """Write report.csv, correlations.csv, PR-curve and prediction dumps and
-    the manifest; returns the file map. Re-emitting the same report yields
-    byte-identical files."""
+def emit(directory: str, files: dict, lines) -> None:
+    """Make `directory`, write each file of the name -> content map there, and
+    print `lines`, as the stage emit. The name's extension picks the writer:
+    .npz nn.save_model, .json data.write_json, else data.write_csv of rows."""
     with _stage("emit"):
         os.makedirs(directory, exist_ok=True)
-        files = {}
+        for name, content in files.items():
+            path = os.path.join(directory, name)
+            if name.endswith(".npz"):
+                nn.save_model(content, path)
+            elif name.endswith(".json"):
+                data_mod.write_json(path, content)
+            else:
+                data_mod.write_csv(path, content)
+        for line in lines:
+            print(line)
 
-        files["report"] = os.path.join(directory, "report.csv")
-        write_rows(files["report"], REPORT_COLUMNS, report.rows)
-        files["correlations"] = os.path.join(directory, "correlations.csv")
-        write_rows(files["correlations"], CORRELATION_COLUMNS, report.correlations)
 
-        curve_files, dump_files = [], []
-        for cell in report.rows:
-            tag = (f"{cell.dataset}-{cell.threat_model}-{cell.explainer}-"
-                   f"{cell.surface}-{file_tag(cell, SEEDS)}")
-            curve_files.append(os.path.join(directory, f"prcurve-{tag}.csv"))
-            data_mod.write_csv(curve_files[-1], [
-                [f"# base_rate={float(cell.curve.base_rate)!r}"],
-                ["threshold", "precision", "recall", "f1"], *cell.curve.points])
-            dump_files.append(os.path.join(directory, f"predictions-{tag}.csv"))
-            data_mod.write_csv(dump_files[-1], [
-                ["record_id", "score", "predicted", "truth"],
-                *zip(cell.eval_record_ids, cell.eval_scores,
-                     cell.eval_predicted.astype(int), cell.eval_truth.astype(int))])
-        files["curves"] = curve_files
-        files["predictions"] = dump_files
-
-        files["summary"] = os.path.join(directory, "summary.json")
-        data_mod.write_json(files["summary"], {
-            "rows": [
-                {c: getattr(cell, c) for c in REPORT_COLUMNS} for cell in report.rows
-            ],
-            "correlations": [
-                {c: getattr(row, c) for c in CORRELATION_COLUMNS}
-                for row in report.correlations
-            ],
-            "files": {
-                "curves": [os.path.basename(p) for p in curve_files],
-                "predictions": [os.path.basename(p) for p in dump_files],
-            },
-        })
-        files["manifest"] = os.path.join(directory, "manifest.json")
-        data_mod.write_json(files["manifest"], report.manifest)
-        return files
+def emit_report(report: AttackReport, directory: str) -> None:
+    """Emit report.csv, correlations.csv, PR-curve and prediction dumps,
+    summary.json and the manifest, and a line per row and per summary file.
+    Re-emitting the same report yields byte-identical files."""
+    tags = [f"{cell.dataset}-{cell.threat_model}-{cell.explainer}-"
+            f"{cell.surface}-{file_tag(cell, SEEDS)}" for cell in report.rows]
+    files = {"report.csv": rows_of(REPORT_COLUMNS, report.rows),
+             "correlations.csv": rows_of(CORRELATION_COLUMNS, report.correlations)}
+    for cell, tag in zip(report.rows, tags):
+        curve = cell.curve
+        files[f"prcurve-{tag}.csv"] = itertools.chain(
+            [[f"# base_rate={float(curve.base_rate)!r}"],
+             ["threshold", "precision", "recall", "f1"]],
+            zip(curve.thresholds, curve.precisions, curve.recalls, curve.f1s))
+        files[f"predictions-{tag}.csv"] = itertools.chain(
+            [["record_id", "score", "predicted", "truth"]],
+            zip(cell.eval_record_ids, cell.eval_scores,
+                map(int, cell.eval_predicted), map(int, cell.eval_truth)))
+    files["summary.json"] = {
+        "rows": [{c: getattr(cell, c) for c in REPORT_COLUMNS} for cell in report.rows],
+        "correlations": [{c: getattr(row, c) for c in CORRELATION_COLUMNS}
+                         for row in report.correlations],
+        "files": {"curves": [f"prcurve-{tag}.csv" for tag in tags],
+                  "predictions": [f"predictions-{tag}.csv" for tag in tags]},
+    }
+    files["manifest.json"] = report.manifest
+    emit(directory, files, [
+        *(f"{cell.dataset} {cell.threat_model} {cell.explainer} "
+          f"{cell.surface} [{cell.attack_kind}]: "
+          f"P={cell.precision:.3f} R={cell.recall:.3f} F1={cell.f1:.3f} "
+          f"base={cell.base_rate:.3f} tau*={cell.tau_star:.3f}" for cell in report.rows),
+        f"report -> {os.path.join(directory, 'report.csv')}",
+        f"summary -> {os.path.join(directory, 'summary.json')}"])

@@ -41,7 +41,8 @@ Errors are {"error": message}: 400 for a body that does not decode as
 UTF-8 JSON (one nested past the recursion limit included), an unknown
 algorithm, a body without a nonempty "records" list or ids that are not
 nonnegative integers, one per record; 422 for a bad feature row, named by
-its index; 404 for another endpoint. A request outside the codec's subset
+its index; 404 for another endpoint; 500 for a fault in an endpoint, whose
+traceback goes to the server's stderr. A request outside the codec's subset
 gets its error with Connection: close, and nothing after its fault is
 read: 400 for a malformed request line or header line, another HTTP
 version, or a negative, non-integer or second Content-Length; 405 for
@@ -66,6 +67,7 @@ import socket
 import socketserver
 import threading
 import time
+import traceback
 import urllib.parse
 from http import HTTPStatus
 
@@ -127,11 +129,12 @@ class _Endpoints:
         if ids is None:
             with self._rng_lock:
                 return self._fresh_rng.integers(2**62, size=n).tolist()
-        # exact type: bool is an int subclass, but true is not a record id
-        if (not isinstance(ids, list) or len(ids) != n
-                or any(type(r) is not int or r < 0 for r in ids)):
-            raise _HttpError(400, "record_ids must be nonnegative integers, one per record")
-        return ids
+        if not isinstance(ids, list):
+            raise _HttpError(400, f"record_ids must be a list, got {type(ids).__name__}")
+        try:
+            return check_record_ids(ids, n)
+        except ValueError as exc:
+            raise _HttpError(400, str(exc))
 
     def predict(self, body: dict) -> dict:
         return {"probabilities": forward_rows(self.model, self._rows(body)).tolist()}
@@ -329,7 +332,8 @@ class _Handler(socketserver.StreamRequestHandler):
             return 200, endpoint(request)
         except _HttpError as exc:
             return exc.status, {"error": exc.message}
-        except Exception as exc:  # contract: never leak a traceback
+        except Exception as exc:  # the answer leaks no traceback; the server's stderr shows it
+            traceback.print_exc()
             return 500, {"error": f"internal error: {exc}"}
 
     def _send(self, status: int, payload, keep_alive: bool) -> bool:

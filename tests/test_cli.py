@@ -125,6 +125,43 @@ def test_experiment_full_run(cli_setup, capsys):
         assert os.path.exists(os.path.join(out_dir, name))
 
 
+@pytest.mark.parametrize("colliding", [False, True])
+def test_every_file_a_view_writes_goes_through_emit(cli_setup, tmp_path, capsys, monkeypatch,
+                                                     colliding):
+    """Each view writes by one pipeline.emit call: its output directory holds
+    exactly the names it gave emit, and every path its stdout names exists.
+    With two attack kinds the forest's curve and prediction files take the
+    MLP's names, so 4 report rows have 2 curve files."""
+    _, config_path, config = cli_setup
+    if colliding:
+        config_path = str(tmp_path / "kinds.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(dict(config, attack_kind=["mlp", "forest"], forest_trees=5,
+                           surfaces=["phi_all", "phi_sensitive"]), fh)
+    emitted, emit = [], pipeline.emit
+
+    def recorded(directory, files, lines):
+        emitted.append((directory, list(files)))
+        emit(directory, files, lines)
+
+    monkeypatch.setattr(pipeline, "emit", recorded)
+    for command in ("train", "explain", "audit", "experiment"):
+        out = str(tmp_path / command)
+        capsys.readouterr()
+        assert cli.main([command, config_path, "--out-dir", out]) == 0
+        [(directory, names)] = emitted
+        emitted.clear()
+        assert directory == out
+        assert sorted(os.listdir(out)) == sorted(names)
+        for line in capsys.readouterr().out.splitlines():
+            if " -> " in line:
+                assert os.path.isfile(line.split(" -> ", 1)[1]), line
+    with open(os.path.join(out, "report.csv"), encoding="utf-8") as fh:
+        n_rows = len(list(csv.DictReader(fh)))
+    n_curves = sum(name.startswith("prcurve-") for name in os.listdir(out))
+    assert (n_rows, n_curves) == ((4, 2) if colliding else (1, 1))
+
+
 def test_in_process_commands_leave_the_http_stack_unloaded(cli_setup, tmp_path):
     """train, explain, audit and experiment in process load neither the
     service nor the standard library's HTTP and TLS modules, nor numpy.ma

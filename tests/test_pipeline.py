@@ -40,6 +40,12 @@ def fast_config(synth_paths, out_dir, **overrides):
     return ExperimentConfig(**base)
 
 
+def summary_files(directory, kind):
+    """The paths of the curve or prediction files a report's summary.json lists."""
+    with open(os.path.join(directory, "summary.json"), encoding="utf-8") as fh:
+        return [os.path.join(directory, name) for name in json.load(fh)["files"][kind]]
+
+
 class TestConfig:
     @pytest.mark.parametrize("field, value, message", [
         ("target_hidden", [1024, 0], "target_hidden[1] must be an integer >= 1, got 0"),
@@ -99,8 +105,8 @@ class TestConfig:
         report = pipeline.run_matrix([cfg])
         row = report.rows[0]
         assert (row.split_seed, row.model_seed) == (42, cfg.model_seed)
-        files = pipeline.emit_report(report, cfg.output_dir)
-        with open(files["report"], encoding="utf-8") as fh:
+        pipeline.emit_report(report, cfg.output_dir)
+        with open(os.path.join(cfg.output_dir, "report.csv"), encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["split_seed"] == "42"
 
@@ -238,8 +244,8 @@ class TestRunExperiment:
     def test_deterministic_report_bytes(self, synth_paths, tmp_path):
         cfg_a = fast_config(synth_paths, str(tmp_path / "a"))
         cfg_b = fast_config(synth_paths, str(tmp_path / "b"))
-        files_a = pipeline.emit_report(pipeline.run_matrix([cfg_a]), cfg_a.output_dir)
-        files_b = pipeline.emit_report(pipeline.run_matrix([cfg_b]), cfg_b.output_dir)
+        pipeline.emit_report(pipeline.run_matrix([cfg_a]), cfg_a.output_dir)
+        pipeline.emit_report(pipeline.run_matrix([cfg_b]), cfg_b.output_dir)
         for name in sorted(os.listdir(cfg_a.output_dir)):
             if name == "manifest.json":
                 continue  # manifest embeds the differing output_dir paths
@@ -250,11 +256,12 @@ class TestRunExperiment:
     def test_eval_metrics_recomputable_from_dump(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path))
         report = pipeline.run_matrix([cfg])
-        files = pipeline.emit_report(report, cfg.output_dir)
-        with open(files["report"], encoding="utf-8") as fh:
+        pipeline.emit_report(report, cfg.output_dir)
+        with open(os.path.join(cfg.output_dir, "report.csv"), encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
-        with open(files["predictions"][0], encoding="utf-8") as fh:
+        [predictions] = summary_files(cfg.output_dir, "predictions")
+        with open(predictions, encoding="utf-8") as fh:
             dump = list(csv.DictReader(fh))
         # independent recomputation of F1 from the raw dump
         tp = sum(1 for r in dump if r["predicted"] == "1" and r["truth"] == "1")
@@ -444,11 +451,11 @@ class TestStageReuse:
 
 class TestEmitReport:
     def test_empty_report_header_only(self, tmp_path):
-        files = pipeline.emit_report(
+        pipeline.emit_report(
             AttackReport(rows=[], correlations=[], manifest={}), str(tmp_path))
-        with open(files["report"], encoding="utf-8") as fh:
+        with open(tmp_path / "report.csv", encoding="utf-8") as fh:
             assert fh.read() == ",".join(pipeline.REPORT_COLUMNS) + "\n"
-        with open(files["correlations"], encoding="utf-8") as fh:
+        with open(tmp_path / "correlations.csv", encoding="utf-8") as fh:
             assert fh.read() == ",".join(pipeline.CORRELATION_COLUMNS) + "\n"
 
     def test_columns_are_the_row_classes_scalar_fields_in_order(self):
@@ -464,8 +471,9 @@ class TestEmitReport:
     def test_pr_curve_file_roundtrip(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path), surfaces=["phi_all", "phi_sensitive"])
         report = pipeline.run_matrix([cfg])
-        files = pipeline.emit_report(report, cfg.output_dir)
-        for cell, path in zip(report.rows, files["curves"], strict=True):
+        pipeline.emit_report(report, cfg.output_dir)
+        for cell, path in zip(report.rows, summary_files(cfg.output_dir, "curves"),
+                              strict=True):
             with open(path, encoding="utf-8") as fh:
                 comment, header, *lines = fh.read().splitlines()
             assert header == "threshold,precision,recall,f1"
@@ -540,7 +548,8 @@ class TestTransportEquivalence:
                                      transport=server.url)
             remote = pipeline.run_matrix([remote_cfg])
         assert sum(served) == prep.splits.aux.n_rows + prep.splits.eval.n_rows
-        reports = [pipeline.emit_report(r, c.output_dir)["report"]
-                   for r, c in ((local, cfg), (remote, remote_cfg))]
+        for r, c in ((local, cfg), (remote, remote_cfg)):
+            pipeline.emit_report(r, c.output_dir)
+        reports = [os.path.join(c.output_dir, "report.csv") for c in (cfg, remote_cfg)]
         with open(reports[0], "rb") as fa, open(reports[1], "rb") as fb:
             assert fa.read() == fb.read()

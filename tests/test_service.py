@@ -222,7 +222,7 @@ class TestEndpoints:
         assert "record_id" in body["error"]
 
     def test_unexpected_endpoint_error_is_500_and_the_server_serves_on(
-            self, running_server, monkeypatch):
+            self, running_server, monkeypatch, capsys):
         server, _, _, _, X = running_server
 
         def broken(self, body):
@@ -232,6 +232,9 @@ class TestEndpoints:
         status, body = post_json(server, "/v1/predict", {"records": rows(X[:1])})
         assert status == 500
         assert body["error"].startswith("internal error")
+        # the answer hides the fault; the server's stderr shows it
+        err = capsys.readouterr().err
+        assert "KeyError" in err and "broken endpoint" in err
         status, body = post_json(server, "/v1/explain",
                                  {"records": rows(X[:1]), "algorithm": "deeplift"})
         assert status == 200 and len(body["explanations"]) == 1
@@ -641,11 +644,19 @@ class TestBatchContract:
         assert status == 422
         assert "records[2]" in body["error"]
 
-    @pytest.mark.parametrize("bad_id", [True, -1])
+    @pytest.mark.parametrize("bad_id", [True, -1, 2.0, "3", None])
     def test_bad_entry_in_record_ids_is_400(self, running_server, bad_id):
         server, _, _, _, X = running_server
         status, body = post_json(server, "/v1/explain", {
             "records": rows(X[:2]), "algorithm": "smoothgrad", "record_ids": [3, bad_id]})
+        assert status == 400
+        assert "record_id" in body["error"]
+
+    @pytest.mark.parametrize("ids", [5, "ab", {}])
+    def test_record_ids_that_are_not_a_list_is_400(self, running_server, ids):
+        server, _, _, _, X = running_server
+        status, body = post_json(server, "/v1/explain", {
+            "records": rows(X[:2]), "algorithm": "smoothgrad", "record_ids": ids})
         assert status == 400
         assert "record_id" in body["error"]
 
