@@ -15,11 +15,12 @@ experiment writes one report for the whole matrix. train and serve build
 the target in process and refuse a remote transport; with one, the other
 subcommands train nothing and query the service.
 
-Every subcommand takes a JSON experiment config; common flags override the
-config's output_dir, transport and seeds. A view names its files (by
-pipeline.file_tag) and builds them and its stdout lines; pipeline.emit
-writes and prints them, for train once per target, for explain once per
-explanation set, and for audit and experiment once. Exit code 0 on success;
+Every subcommand reads a JSON experiment config through pipeline.load_config,
+with common flags that override its output_dir, transport and seeds, so its
+faults are stage config as in the library. A view names its files (by
+pipeline.file_tag) and builds them and its stdout lines; pipeline.emit writes
+and prints them, for train once per target, for explain once per explanation
+set, and for audit and experiment once. Exit code 0 on success;
 on any failure 2, with one line `error [stage=<name>] <message>` on stderr
 that names the failed stage (pipeline._stage); a failed write is stage emit.
 """
@@ -46,19 +47,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_cells(args) -> list[ExperimentConfig]:
-    with pipeline._stage("config"):
-        raw = pipeline.read_config(args.config)
-        for key in ("output_dir", "transport", *pipeline.SEEDS):
-            if getattr(args, key) is not None:
-                raw[key] = getattr(args, key)
-        cells = pipeline.expand_matrix(raw)
-        for cfg in cells:  # a run that cannot write its output fails before it trains
-            parent = os.path.abspath(cfg.output_dir)
-            while not os.path.exists(parent):
-                parent = os.path.dirname(parent)
-            if not (cfg.output_dir and os.path.isdir(parent)):
-                raise ValueError(f"output_dir {cfg.output_dir!r} cannot be a directory")
-        return cells
+    return pipeline.load_config(args.config, **{key: getattr(args, key) for key in (
+        "output_dir", "transport", *pipeline.SEEDS)})
 
 
 def _in_process_cells(args) -> list[ExperimentConfig]:

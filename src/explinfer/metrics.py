@@ -79,10 +79,6 @@ class PrCurve:
     f1s: np.ndarray
     base_rate: float
 
-    @property
-    def points(self) -> list[tuple[float, float, float, float]]:
-        return list(zip(self.thresholds, self.precisions, self.recalls, self.f1s))
-
 
 def pr_curve(scores, truth) -> PrCurve:
     """Precision/recall/F1 at every distinct score used as a >= threshold."""

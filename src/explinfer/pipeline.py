@@ -27,10 +27,11 @@ a remote run never encodes them: a prepared target is its model, baseline,
 test set and counts.
 
 Every stage runs under _stage(name): config, load, split, encode,
-train-target, predict, explain, attack, audit, emit and serve. emit() is the
-one writer of a run's output files and stdout lines. A failure in a stage
-raises as one PipelineError that names it, so a run ends in its result or in
-that one named error, never a traceback.
+train-target, predict, explain, attack, audit, emit and serve. load_config()
+is the one way in, for the CLI and library callers alike, and emit() the one
+writer of a run's output files and stdout lines. A failure in a stage raises
+as one PipelineError that names it, so a run ends in its result or in that
+one named error, never a traceback.
 
 Evaluation hygiene: encoding statistics, the explanation baseline, attack
 training and threshold calibration never see an eval-split record.
@@ -165,6 +166,9 @@ class ExperimentConfig:
                     f"surface {s.value} is not valid under {self.tm.value}")
         if len(set(self.surfaces)) != len(self.surfaces):
             raise ValueError("surfaces must be unique")
+        if self.transport != IN_PROCESS:  # only a remote config loads the service
+            from . import service
+            service.check_endpoint(self.transport)
         if self.dataset_name is None:
             self.dataset_name = os.path.splitext(os.path.basename(self.dataset_csv))[0]
         # the name goes unquoted into CSV rows and into output file names
@@ -175,20 +179,25 @@ class ExperimentConfig:
             seed=self.explainer_seed, **{n: getattr(self, n) for n in EXPLAINER_SETTINGS})
 
 
-def read_config(path: str) -> dict:
-    """The JSON object of a config file."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise PipelineError("config", f"{path} must hold a JSON object, "
-                            f"got {type(raw).__name__}")
-    return raw
-
-
-def load_config(path: str) -> list[ExperimentConfig]:
-    """Read a config file; list-valued matrix fields expand to one config
-    per cell."""
-    return expand_matrix(read_config(path))
+def load_config(path: str, **overrides) -> list[ExperimentConfig]:
+    """The cells of a config file, as the stage config: each override that
+    is not None replaces the file's value, list-valued matrix fields expand
+    to one config per cell, and each cell's output_dir must be one that can
+    be made, so a run that cannot write its output fails before it trains."""
+    with _stage("config"):
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path} must hold a JSON object, got {type(raw).__name__}")
+        raw.update((k, v) for k, v in overrides.items() if v is not None)
+        cells = expand_matrix(raw)
+        for cfg in cells:
+            parent = os.path.abspath(cfg.output_dir)
+            while not os.path.exists(parent):
+                parent = os.path.dirname(parent)
+            if not (cfg.output_dir and os.path.isdir(parent)):
+                raise ValueError(f"output_dir {cfg.output_dir!r} cannot be a directory")
+        return cells
 
 
 def expand_matrix(raw: dict) -> list[ExperimentConfig]:
@@ -201,6 +210,9 @@ def expand_matrix(raw: dict) -> list[ExperimentConfig]:
         if isinstance(raw.get(key), list):
             if not raw[key]:  # it would expand to no cells
                 raise ValueError(f"{key} must not be an empty list")
+            # a repeat makes identical cells; by JSON text as _key compares (repr if not JSON)
+            if len({json.dumps(v, default=repr) for v in raw[key]}) != len(raw[key]):
+                raise ValueError(f"{key} must not repeat a value, got {raw[key]!r}")
             cells = [dict(c, **{key: v}) for c in cells for v in raw[key]]
     return [ExperimentConfig(**c) for c in cells]
 

@@ -510,18 +510,25 @@ class _Connection:
         return data
 
 
+def check_endpoint(endpoint: str) -> tuple[tuple[str, str, int | None], str]:
+    """The endpoint's (scheme, host, port) and path; ValueError unless it is an
+    http(s):// URL with a host, a port in 0-65535 if any, and a path of printable
+    ASCII, since anything else would not be one request line."""
+    parts = urllib.parse.urlsplit(endpoint.rstrip("/"))
+    with contextlib.suppress(ValueError):  # .port's, for one out of range or not a number
+        if parts.scheme in ("http", "https") and parts.hostname and re.fullmatch(
+                r"[!-~]*", parts.path):
+            return (parts.scheme, parts.hostname, parts.port), parts.path
+    raise ValueError(f"service endpoint must be an http(s):// URL, got {endpoint!r}")
+
+
 def _exchange(endpoint: str, path: str, payloads, max_retries: int,
               timeout: float) -> list[dict]:
     """POST each payload (GET for None) over one keep-alive connection; the
     answers in order. The idle connection is reused if it leads to the same
     endpoint; a call that finishes cleanly leaves its connection idle."""
     url = endpoint.rstrip("/")
-    parts = urllib.parse.urlsplit(url)
-    # printable ASCII: anything else would not be one request line
-    if (parts.scheme not in ("http", "https") or not parts.hostname
-            or not re.fullmatch(r"[!-~]*", parts.path)):
-        raise ValueError(f"service endpoint must be an http(s):// URL, got {endpoint!r}")
-    key = (parts.scheme, parts.hostname, parts.port)
+    key, base = check_endpoint(endpoint)
     kept = _swap_idle()
     if kept is not None and kept[0] == key:
         conn = kept[1]
@@ -531,7 +538,7 @@ def _exchange(endpoint: str, path: str, payloads, max_retries: int,
             kept[1].close()
         conn = _Connection(*key, timeout)
     try:
-        answers = [_request(conn, url + path, parts.path + path, p, max_retries, timeout)
+        answers = [_request(conn, url + path, base + path, p, max_retries, timeout)
                    for p in payloads]
     except BaseException:
         conn.close()

@@ -233,6 +233,8 @@ def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys, text, se
     {"model_seed": []}, {"threat_model": []}, {"attack_kind": []},
     {"surfaces": ["phi_all", "phi_all"]}, {"attack_kind": "svm"},
     {"output_dir": os.devnull},  # exists, and is not a directory
+    # a repeated matrix value would make two identical cells, rows and file names
+    {"explainer": ["deeplift", "deeplift"]}, {"model_seed": [1, 1]},
 ])
 def test_bad_field_is_config_error_before_training(cli_setup, tmp_path, capsys,
                                                    monkeypatch, override):
@@ -261,6 +263,18 @@ def test_dataset_name_derived_from_a_csv_name_with_a_comma_is_config_error(
     err = capsys.readouterr().err
     assert err.startswith("error [stage=config] dataset name 'my,data'")
     assert "set dataset_name" in err
+
+
+@pytest.mark.parametrize("transport", ["inprocess", "ftp://x/", "http://",
+                                       "http://127.0.0.1:99999"])
+def test_malformed_transport_is_config_error_before_the_csv_is_read(
+        cli_setup, tmp_path, capsys, monkeypatch, transport):
+    _, config_path, _ = cli_setup
+    monkeypatch.setattr(pipeline, "prepare", lambda cfg: pytest.fail("work started"))
+    assert cli.main(["explain", config_path, "--transport", transport,
+                     "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [stage=config] ") and repr(transport) in err
 
 
 @pytest.mark.parametrize("command", ["train", "explain", "audit", "serve"])

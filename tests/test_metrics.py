@@ -96,12 +96,13 @@ class TestPrCurve:
         scores = np.array([0.1, 0.2, 0.9, 0.8])
         truth = np.array([0, 0, 1, 1], dtype=float)
         curve = metrics.pr_curve(scores, truth)
-        assert any(p == 1.0 and r == 1.0 for _, p, r, _ in curve.points)
+        assert any(p == 1.0 and r == 1.0 for p, r in zip(curve.precisions, curve.recalls))
 
     def test_constant_scores_single_point(self):
         curve = metrics.pr_curve(np.full(6, 0.3), [1, 0, 0, 1, 0, 0])
         assert len(curve.thresholds) == 1
-        th, p, r, f = curve.points[0]
+        th, p, r, f = next(zip(curve.thresholds, curve.precisions, curve.recalls,
+                                curve.f1s))
         assert th == 0.3 and r == 1.0
         assert p == curve.base_rate == pytest.approx(2 / 6)
 
@@ -121,7 +122,8 @@ class TestPrCurve:
         truth = rng.integers(0, 2, 100).astype(float)
         curve = metrics.pr_curve(scores, truth)
         assert len(curve.thresholds) == len(np.unique(scores))
-        for th, p, r, f in curve.points:
+        for th, p, r, f in zip(curve.thresholds, curve.precisions, curve.recalls,
+                               curve.f1s):
             bp, br, bf = brute_force_point(scores, truth, th)
             assert p == pytest.approx(bp, abs=1e-12)
             assert r == pytest.approx(br, abs=1e-12)

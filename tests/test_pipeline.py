@@ -117,13 +117,40 @@ class TestConfig:
                 "dataset_csv": csv_path, "schema": schema_path,
                 "explnaier": "deeplift"})
 
-    @pytest.mark.parametrize("text", ["5", "null", '[["a", 1]]'])
-    def test_config_that_is_not_an_object_is_config_error(self, tmp_path, text):
-        path = tmp_path / "shape.json"
-        path.write_text(text)
+    @pytest.mark.parametrize("fault", [
+        "5", "null", '[["a", 1]]',  # not a JSON object
+        pytest.param(None, id="no_file"),
+        pytest.param("{ not json", id="malformed_json"),
+        pytest.param({"explnaier": "deeplift"}, id="unknown_key"),
+        pytest.param({"ig_steps": 0}, id="bad_value"),
+        pytest.param({"output_dir": os.path.join(os.path.abspath(__file__), "out")},
+                     id="output_dir_under_a_file"),
+    ])
+    def test_config_fault_is_config_error(self, synth_paths, tmp_path, fault):
+        """Any config fault, whatever its kind, reaches a library caller of
+        load_config as the CLI's [stage=config]."""
+        path = tmp_path / "config.json"
+        if isinstance(fault, dict):
+            csv_path, schema_path = synth_paths
+            fault = json.dumps({"dataset_csv": csv_path, "schema": schema_path,
+                                "output_dir": str(tmp_path / "out"), **fault})
+        if fault is not None:
+            path.write_text(fault)
         with pytest.raises(PipelineError) as err:
             pipeline.load_config(str(path))
         assert err.value.stage == "config"
+
+    def test_overrides_replace_file_values_before_expansion(self, synth_paths, tmp_path):
+        csv_path, schema_path = synth_paths
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"dataset_csv": csv_path, "schema": schema_path,
+                                    "model_seed": [1, 2], "output_dir": str(tmp_path)}))
+        kept = pipeline.load_config(str(path), model_seed=None, output_dir=None)
+        assert [(c.model_seed, c.output_dir) for c in kept] == [(1, str(tmp_path)),
+                                                                 (2, str(tmp_path))]
+        out = str(tmp_path / "other")
+        [cell] = pipeline.load_config(str(path), model_seed=2, output_dir=out)
+        assert (cell.model_seed, cell.output_dir) == (2, out)
 
     def test_missing_file_is_load_stage_error(self, synth_paths, tmp_path):
         cfg = fast_config(synth_paths, str(tmp_path))
